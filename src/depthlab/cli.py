@@ -48,7 +48,10 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("DEPTHLAB_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ValidationError(f"DEPTHLAB_SEED must be an integer, got {env!r}") from exc
 
 
 def _recipe_from_args(args) -> seqgen.SequenceRecipe:
@@ -220,7 +223,6 @@ def _add_sequence_flags(p: _Parser, include_input: bool = True) -> None:
     p.add_argument("--recipe", choices=["a", "b", "c"], help="builtin sequence")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--v", type=int, default=0)
-    p.add_argument("--m", type=int, default=0)
     p.add_argument("--seed", type=int, default=None,
                    help="defaults to $DEPTHLAB_SEED, then 0")
     p.add_argument("--growth", choices=["exponential", "scaled"], default="scaled")
@@ -229,6 +231,8 @@ def _add_sequence_flags(p: _Parser, include_input: bool = True) -> None:
     p.add_argument("--bits-budget", type=int, default=None, dest="bits_budget")
     if include_input:
         p.add_argument("--input", help="read the sequence from a bit file")
+        p.add_argument("--m", type=int, default=0,
+                       help="m of a bare half-compressor name")
 
 
 def build_parser() -> _Parser:
@@ -247,7 +251,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="a:b:step or a:b:xF")
     p.add_argument("--tail", type=float, default=0.5)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("ratio", help="output bits over n for one compressor")
@@ -256,7 +259,6 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", required=True)
     p.add_argument("--tail", type=float, default=0.5)
     p.add_argument("--out")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.set_defaults(fn=cmd_ratio)
 
     p = sub.add_parser("lz", help="LZ78 parse table as CSV")
@@ -309,7 +311,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except StuckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STUCK
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -82,6 +82,13 @@ class KfsCompressor(Compressor):
         return int(value)
 
 
+def _int_arg(text: str, name: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ValidationError(f"{name}: argument {text!r} is not an integer") from exc
+
+
 def make_compressor(name: str) -> Compressor:
     """Resolve a builtin name or a machine file path.
 
@@ -99,12 +106,12 @@ def make_compressor(name: str) -> Compressor:
         args = name[len("half-compressor(") : -1].split(",")
         if len(args) != 3:
             raise ValidationError("half-compressor takes (k, v, m)")
-        k, v, m = (int(a) for a in args)
+        k, v, m = (_int_arg(a, name) for a in args)
         return PdcCompressor(build_half_compressor(k, v, m), name)
     if name.startswith("repeater(") and name.endswith(")"):
         return FstCompressor(repeater_fst(name[len("repeater(") : -1]), name)
     if name.startswith("kfs(") and name.endswith(")"):
-        return KfsCompressor(int(name[len("kfs(") : -1]))
+        return KfsCompressor(_int_arg(name[len("kfs(") : -1], name))
     path = Path(name)
     if not path.exists():
         raise ValidationError(f"no builtin or machine file named {name!r}")

@@ -19,7 +19,7 @@ BITS = ("0", "1")
 MAX_EMISSION_DEFAULT = 8
 
 
-def _check_bits(s: str, what: str) -> None:
+def check_bits(s: str, what: str) -> None:
     if s.strip("01") != "":
         raise ValidationError(f"{what} must be a string over 0/1, got {s!r}")
 
@@ -50,7 +50,7 @@ class FstSpec:
             if not 1 <= tgt <= m:
                 raise ValidationError(f"next{key} -> {tgt} out of range 1..{m}")
         for key, e in self.out.items():
-            _check_bits(e, f"out{key}")
+            check_bits(e, f"out{key}")
 
     def canonical_key(self):
         """Hashable value identity, independent of dict insertion order."""
@@ -172,7 +172,7 @@ def identity_fst() -> FstSpec:
 
 def repeater_fst(r: str) -> FstSpec:
     """Single state, emits r on every input bit: T(x) = r^|x|."""
-    _check_bits(r, "repeater emission")
+    check_bits(r, "repeater emission")
     return FstSpec(1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): r, (1, "1"): r})
 
 
@@ -209,7 +209,10 @@ def parse_fst(text: str) -> FstSpec:
         parts = ln.split()
         if len(parts) != 5 or parts[2] != "->":
             raise ValidationError(f"bad fst line: {ln!r}")
-        q, b, tgt, e = int(parts[0]), parts[1], int(parts[3]), parts[4]
+        try:
+            q, b, tgt, e = int(parts[0]), parts[1], int(parts[3]), parts[4]
+        except ValueError as exc:
+            raise ValidationError(f"bad fst line: {ln!r}") from exc
         if b not in BITS:
             raise ValidationError(f"bad input bit in line: {ln!r}")
         if (q, b) in next_map:

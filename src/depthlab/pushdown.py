@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import StuckError, ValidationError
-from .fst import BITS, FstSpec, _check_bits
+from .fst import BITS, FstSpec, check_bits
 
 Z0 = "z"
 LAMBDA = ""
@@ -103,7 +103,7 @@ def pdc_validate(C: PdcSpec) -> list[str]:
         if key not in C.trans:
             problems.append(f"emission on undefined transition {key}")
         try:
-            _check_bits(bits, f"emission {key}")
+            check_bits(bits, f"emission {key}")
         except ValidationError as exc:
             problems.append(str(exc))
         if key[1] == LAMBDA and bits:
@@ -115,40 +115,55 @@ def pdc_validate(C: PdcSpec) -> list[str]:
         if LAMBDA in inputs and len(inputs) > 1:
             problems.append(f"both input-free and bit moves on {pair}")
 
-    # Longest chain of input-free moves over (state, top) nodes. A pure
-    # pop leaves the next top unknown, so it fans out to every symbol.
-    edges: dict[tuple[int, str], list[tuple[int, str]]] = {}
-    for (q, inp, top), (tgt, push) in C.trans.items():
-        if inp != LAMBDA:
-            continue
-        if push:
-            succ = [(tgt, push[0])]
-        else:
-            succ = [(tgt, t) for t in tops]
-        edges[(q, top)] = succ
-    depth: dict[tuple[int, str], int] = {}
-    on_stack: set[tuple[int, str]] = set()
-
-    def longest(node) -> int:
-        if node in depth:
-            return depth[node]
-        if node in on_stack:
-            return C.lambda_budget + 1  # cycle: unbounded succession
-        if node not in edges:
-            depth[node] = 0
-            return 0
-        on_stack.add(node)
-        best = 1 + max(longest(s) for s in edges[node])
-        on_stack.discard(node)
-        depth[node] = min(best, C.lambda_budget + 1)
-        return depth[node]
-
-    worst = max((longest(n) for n in list(edges)), default=0)
-    if worst > C.lambda_budget:
+    chains = _lambda_chains(C)
+    if chains is None or chains[0] > C.lambda_budget:
         problems.append(
             f"input-free moves can chain beyond budget {C.lambda_budget}"
         )
     return problems
+
+
+def _lambda_chains(C: PdcSpec) -> Optional[tuple[int, int]]:
+    """(most moves, most pops) over chains of input-free moves, or None
+    when the move graph has a cycle, so chains are unbounded.
+
+    Nodes are (state, top). A push leads to its first pushed symbol; a
+    pure pop leaves the next top unknown, so it fans out to every symbol.
+    The walk is iterative, so chain length is not limited by recursion.
+    """
+    tops = C.stack_symbols() + Z0
+    edges: dict[tuple[int, str], tuple[int, list[tuple[int, str]]]] = {}
+    for (q, inp, top), (tgt, push) in C.trans.items():
+        if inp == LAMBDA:
+            if push:
+                edges[(q, top)] = (0, [(tgt, push[0])])
+            else:
+                edges[(q, top)] = (1, [(tgt, t) for t in tops])
+    best: dict[tuple[int, str], tuple[int, int]] = {}  # finished nodes
+    on_path: set[tuple[int, str]] = set()
+    for root in edges:
+        todo = [root]
+        while todo:
+            node = todo[-1]
+            if node in best:
+                todo.pop()
+            elif node not in on_path:  # first visit: queue its successors
+                on_path.add(node)
+                for s in edges[node][1]:
+                    if s in on_path:
+                        return None
+                    if s in edges and s not in best:
+                        todo.append(s)
+            else:  # second visit: every successor has finished
+                todo.pop()
+                on_path.discard(node)
+                pops, nxt = edges[node]
+                moves_below, pops_below = zip(*(best.get(s, (0, 0)) for s in nxt))
+                best[node] = (1 + max(moves_below), pops + max(pops_below))
+    return (
+        max((m for m, _ in best.values()), default=0),
+        max((p for _, p in best.values()), default=0),
+    )
 
 
 def validate_strict(C: PdcSpec) -> PdcSpec:
@@ -239,35 +254,8 @@ def identity_pdc() -> PdcSpec:
     return PdcSpec(1, 1, "unary", trans, emit, 0)
 
 
-def _max_pops_per_closure(C: PdcSpec) -> int:
-    """Most symbols any single run of input-free moves can pop.
-
-    Longest pop-weighted path in the (state, top) move graph; the graph is
-    acyclic on validated specs.
-    """
-    tops = C.stack_symbols() + Z0
-    edges: dict[tuple[int, str], list[tuple[int, tuple[int, str]]]] = {}
-    for (q, inp, top), (tgt, push) in C.trans.items():
-        if inp != LAMBDA:
-            continue
-        if push:
-            succ = [(0, (tgt, push[0]))]
-        else:
-            succ = [(1, (tgt, t)) for t in tops]
-        edges[(q, top)] = succ
-    memo: dict[tuple[int, str], int] = {}
-
-    def pops(node) -> int:
-        if node not in memo:
-            memo[node] = max(
-                (w + pops(s) for w, s in edges.get(node, [])), default=0
-            )
-        return memo[node]
-
-    return max((pops(n) for n in list(edges)), default=0)
-
-
-_OK, _STUCK, _UNDERFLOW = "ok", "stuck", "underflow"
+_BELOW = "?"  # ends a partial stack: the unknown rest, read by no move
+_UNDERFLOW = "underflow"
 
 
 def compose_pdc_fst(
@@ -289,51 +277,34 @@ def compose_pdc_fst(
     # start state can be unclosed, but unreachable product states are
     # built from arbitrary configurations) plus, per emitted bit, one
     # bit-move pop and one closure.
-    pclose = _max_pops_per_closure(C)
+    pclose = _lambda_chains(C)[1]
     cap = pclose * (d + 1) + d
     syms = C.stack_symbols()
     has_lambda_from = {q for (q, inp, _t) in C.trans if inp == LAMBDA}
 
-    def replay(qc: int, partial: str, e: str, exact: bool):
-        """Run C on e over a partial stack. When exact, the partial stack
-        is the whole stack (ends with the bottom marker); otherwise the
-        run reports an underflow as soon as the outcome could depend on
-        symbols below the known region."""
-        q, st = qc, partial
+    def replay(qc: int, known: str, e: str):
+        """Run C on e over a stack whose top is `known`.
+
+        Returns (state, stack, output); None when a bit move is undefined;
+        _UNDERFLOW when the outcome could depend on symbols below `known`,
+        i.e. only _BELOW is left when a bit move needs a top or the state
+        still has an input-free move. A `known` ending in the bottom
+        marker never underflows: validated machines never pop it.
+        """
         out: list[str] = []
-
-        def close():
-            nonlocal q, st
-            steps = 0
-            while st and (q, LAMBDA, st[0]) in C.trans:
-                tgt, push = C.trans[(q, LAMBDA, st[0])]
-                st = push + st[1:]
-                q = tgt
-                steps += 1
-                if steps > C.lambda_budget:
-                    raise ValidationError("budget overrun while composing")
-            # An empty partial stack only blocks the closure if q has any
-            # input-free move at all; otherwise q is closed regardless of
-            # what lies below.
-            if not exact and not st and q in has_lambda_from:
-                return False
-            return True
-
-        if not close():
-            return (_UNDERFLOW, None, None, None)
+        q, st = _closure(C, qc, known + _BELOW)
         for b in e:
-            if not st:
-                return (_UNDERFLOW, None, None, None)
+            if st == _BELOW:
+                return _UNDERFLOW
             key = (q, b, st[0])
             if key not in C.trans:
-                return (_STUCK, None, None, None)
+                return None
             tgt, push = C.trans[key]
             out.append(C.emit.get(key, ""))
-            st = push + st[1:]
-            q = tgt
-            if not close():
-                return (_UNDERFLOW, None, None, None)
-        return (_OK, q, st, "".join(out))
+            q, st = _closure(C, tgt, push + st[1:])
+        if st == _BELOW and q in has_lambda_from:
+            return _UNDERFLOW
+        return q, st[:-1], "".join(out)
 
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
@@ -357,27 +328,17 @@ def compose_pdc_fst(
         idx = index[(qc, qt, buf)]
         i += 1
         moves = {b: (T.out[(qt, b)], T.next[(qt, b)]) for b in BITS}
-        for b, (e, qt2) in moves.items():
-            got = replay(qc, buf + Z0, e, exact=True)
-            if got[0] == _OK:
-                _, qc2, st2, outbits = got
-                trans[(idx, b, Z0)] = (ref((qc2, qt2, "")), st2)
-                if outbits:
-                    emit[(idx, b, Z0)] = outbits
-        for a in syms:
-            results = {
-                b: replay(qc, buf + a, e, exact=False)
-                for b, (e, _) in moves.items()
-            }
-            if any(r[0] == _UNDERFLOW for r in results.values()):
+        for a in (Z0, *syms):  # this order fixes the product state numbering
+            results = {b: replay(qc, buf + a, e) for b, (e, _) in moves.items()}
+            if _UNDERFLOW in results.values():
                 if len(buf) >= cap:
                     raise AssertionError("buffer bound violated in composition")
                 trans[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a)), "")
                 continue
             for b, got in results.items():
-                if got[0] != _OK:
+                if got is None:
                     continue
-                _, qc2, st2, outbits = got
+                qc2, st2, outbits = got
                 trans[(idx, b, a)] = (ref((qc2, moves[b][1], "")), st2)
                 if outbits:
                     emit[(idx, b, a)] = outbits
@@ -509,14 +470,13 @@ def parse_pdc(text: str) -> PdcSpec:
         parts = ln.split()
         if len(parts) != 7 or parts[3] != "->":
             raise ValidationError(f"bad pdc line: {ln!r}")
-        q, inp, top, tgt, push, em = (
-            int(parts[0]),
-            LAMBDA if parts[1] == "-" else parts[1],
-            parts[2],
-            int(parts[4]),
-            "" if parts[5] == "-" else parts[5],
-            "" if parts[6] == "-" else parts[6],
-        )
+        try:
+            q, tgt = int(parts[0]), int(parts[4])
+        except ValueError as exc:
+            raise ValidationError(f"bad pdc line: {ln!r}") from exc
+        inp, top = (LAMBDA if parts[1] == "-" else parts[1]), parts[2]
+        push = "" if parts[5] == "-" else parts[5]
+        em = "" if parts[6] == "-" else parts[6]
         key = (q, inp, top)
         if key in trans:
             raise ValidationError(f"duplicate entry for {key}")

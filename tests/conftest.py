@@ -62,3 +62,12 @@ def random_pdc(
     spec = PdcSpec(m, rng.randint(1, m), kind, trans, emit, m + 1)
     assert pdc_validate(spec) == [], pdc_validate(spec)
     return spec
+
+
+def chain_pdc(n: int, budget: int) -> PdcSpec:
+    """Unary copying compressor behind a chain of n - 1 input-free moves
+    from state 1 to state n; valid exactly when budget >= n - 1."""
+    trans = {(q, LAMBDA, Z0): (q + 1, Z0) for q in range(1, n)}
+    trans.update({(n, b, Z0): (n, Z0) for b in BITS})
+    emit = {(n, b, Z0): b for b in BITS}
+    return PdcSpec(n, 1, "unary", trans, emit, budget)

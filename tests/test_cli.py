@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import chain_pdc
 from depthlab import format_fst, format_pdc, identity_fst, identity_pdc
 from depthlab.cli import main
 
@@ -188,3 +189,57 @@ def test_compose_command(tmp_path, capsys):
 def test_missing_file_exit_2(capsys):
     assert main(["fst-run", "--machine", "/nonexistent.fst", "--bits", "0"]) == 2
     capsys.readouterr()
+
+
+MALFORMED = {
+    # case: (files to write, CLI args with {tmp} for their folder, env, exit)
+    "fst-non-integer-field": (
+        {"m.fst": "fst 1 1\nx 0 -> 1 0\n1 1 -> 1 1\n"},
+        ["fst-run", "--machine", "{tmp}/m.fst", "--bits", "0"], None, 2,
+    ),
+    "pdc-non-integer-field": (
+        {"m.pdc": "pdc 1 1 unary 0\n1 0 z -> x z 0\n"},
+        ["pdc-run", "--machine", "{tmp}/m.pdc", "--bits", "0"], None, 2,
+    ),
+    "kfs-non-integer-argument": (
+        {"s.bits": "0110"},
+        ["ratio", "--input", "{tmp}/s.bits", "--compressor", "kfs(x)",
+         "--grid", "1:4:1"], None, 2,
+    ),
+    "half-compressor-non-integer-argument": (
+        {"s.bits": "0110"},
+        ["profile", "--input", "{tmp}/s.bits", "--weak", "identity-pdc",
+         "--strong", "half-compressor(9,x,0)", "--grid", "1:4:1"], None, 2,
+    ),
+    "non-integer-seed": (
+        {},
+        ["generate", "--recipe", "b", "--k", "9", "--stages", "2",
+         "--out", "{tmp}/g.bits"], {"DEPTHLAB_SEED": "abc"}, 2,
+    ),
+    "input-is-a-directory": (
+        {}, ["lz", "--input", "{tmp}"], None, 2,
+    ),
+    "chain-600-within-budget": (
+        {"c.pdc": format_pdc(chain_pdc(600, 599))},
+        ["pdc-run", "--machine", "{tmp}/c.pdc", "--bits", "01"], None, 0,
+    ),
+    "chain-600-over-budget": (
+        {"c.pdc": format_pdc(chain_pdc(600, 598))},
+        ["pdc-run", "--machine", "{tmp}/c.pdc", "--bits", "01"], None, 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_gets_one_error_line(tmp_path, case):
+    files, args, env, code = MALFORMED[case]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    r = run_cli(*(a.format(tmp=tmp_path) for a in args), env_extra=env)
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    lines = r.stderr.splitlines()
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+    else:
+        assert lines == [] and r.stdout.startswith("output 01\n")

@@ -1,9 +1,10 @@
+import hashlib
 import random
 from itertools import product
 
 import pytest
 
-from conftest import random_fst, random_pdc
+from conftest import chain_pdc, random_fst, random_pdc
 from depthlab import (
     PdcSpec,
     StuckError,
@@ -20,7 +21,7 @@ from depthlab import (
     pdc_validate,
     repeater_fst,
 )
-from depthlab.pushdown import LAMBDA, Z0
+from depthlab.pushdown import LAMBDA, Z0, _lambda_chains
 
 
 def all_inputs(max_len):
@@ -167,6 +168,15 @@ def test_compose_matches_oracle_random():
             assert pdc_run(N, x).output == want
 
 
+def test_compose_half_compressor_text_pinned():
+    # Guards product-state numbering, which C(T(x)) = x checks cannot see.
+    text = format_pdc(compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst()))
+    assert len(text.splitlines()) == 6793
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0df8bef4adff94bb6bf978272dcd855c3cc48352ec60ec45173835538daa387b"
+    )
+
+
 def test_compose_state_ceiling():
     C = build_half_compressor(9, 9, 0)
     with pytest.raises(ValidationError):
@@ -271,3 +281,76 @@ def test_text_format_rejects_garbage():
         parse_pdc("pdc 1 1 binary")
     with pytest.raises(ValidationError):
         parse_pdc("pdc 1 1 ternary 0\n1 0 z -> 1 z -")
+
+
+def chains_by_brute_force(C):
+    """Oracle for _lambda_chains: follow every chain of input-free moves
+    from every (state, top) node, one move at a time, with no memo."""
+    tops = C.stack_symbols() + Z0
+    moves = {(q, top): C.trans[(q, inp, top)] for q, inp, top in C.trans if inp == LAMBDA}
+    most_moves = most_pops = 0
+    for root in moves:
+        chain, on_chain = [], set()  # nodes whose move the current chain took
+        todo = [(root, 0, 0)]  # (node, moves so far, pops so far)
+        while todo:
+            node, n, p = todo.pop()
+            for gone in chain[n:]:
+                on_chain.discard(gone)
+            del chain[n:]
+            if node not in moves:
+                most_moves, most_pops = max(most_moves, n), max(most_pops, p)
+                continue
+            if node in on_chain:
+                return None
+            chain.append(node)
+            on_chain.add(node)
+            tgt, push = moves[node]
+            nxt = [(tgt, push[0])] if push else [(tgt, t) for t in tops]
+            todo.extend((s, n + 1, p + (not push)) for s in nxt)
+    return most_moves, most_pops
+
+
+def test_lambda_chains_match_brute_force_random():
+    rng = random.Random(45)
+    for i in range(300):
+        kind = "unary" if i % 2 else "binary"
+        C = random_pdc(rng, kind=kind, max_states=5, lambda_prob=rng.choice([0.3, 0.8]))
+        assert _lambda_chains(C) == chains_by_brute_force(C)
+        assert _lambda_chains(C) is not None
+
+
+def test_lambda_chains_self_loop_is_a_cycle():
+    C = PdcSpec(1, 1, "binary", {(1, LAMBDA, "0"): (1, "0")}, {}, 5)
+    assert _lambda_chains(C) is None
+    assert chains_by_brute_force(C) is None
+
+
+def test_lambda_chains_pure_pop_fans_out():
+    trans = {
+        (1, LAMBDA, "1"): (2, ""),  # pop: the next top may be 0, 1 or z
+        (2, LAMBDA, "0"): (3, ""),
+        (3, LAMBDA, "0"): (4, ""),
+        (2, LAMBDA, Z0): (5, "0" + Z0),
+        (5, LAMBDA, "0"): (6, "0"),
+        (6, LAMBDA, "0"): (7, "0"),
+        (7, LAMBDA, "0"): (8, "0"),
+    }
+    C = PdcSpec(8, 1, "binary", trans, {}, 5)
+    # Most pops: states 1, 2, 3, 4 over tops 1, 0, 0 (three of each).
+    # Most moves: states 1, 2, 5, 6, 7, 8 over tops 1, z, 0, 0, 0 (five
+    # moves, one pop).
+    assert _lambda_chains(C) == chains_by_brute_force(C) == (5, 3)
+    assert pdc_validate(C) == []
+    short = PdcSpec(8, 1, "binary", trans, {}, 4)
+    assert pdc_validate(short) == ["input-free moves can chain beyond budget 4"]
+
+
+def test_long_input_free_chain():
+    C = chain_pdc(2000, 1999)
+    assert _lambda_chains(C) == chains_by_brute_force(C) == (1999, 0)
+    assert pdc_validate(C) == []
+    r = pdc_run(C, "01")
+    assert (r.output, r.final_state, r.final_stack) == ("01", 2000, Z0)
+    assert pdc_validate(chain_pdc(2000, 1998)) == [
+        "input-free moves can chain beyond budget 1998"
+    ]
