@@ -26,7 +26,7 @@ from .depth import (
     make_compressor,
     parse_grid,
 )
-from .errors import StuckError, ValidationError
+from .errors import StuckError, UnreachableError, ValidationError
 from .fscomplexity import (
     ComplexityResult,
     FstUniverse,

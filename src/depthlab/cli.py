@@ -151,11 +151,11 @@ def cmd_lz(args) -> int:
     lines = ["index,pointer,bit,cumulative_bits"]
     total = 0
     for i, (ptr, bit) in enumerate(parse.tokens, start=1):
-        total += (i - 1).bit_length() + 1
+        total += lz78.pointer_width(i) + 1
         lines.append(f"{i},{ptr},{bit},{total}")
     if parse.tail is not None:
         i = len(parse.tokens) + 1
-        total += (i - 1).bit_length()
+        total += lz78.pointer_width(i)
         lines.append(f"{i},{parse.tail},-,{total}")
     _write_out(args, "\n".join(lines) + "\n")
     return EXIT_OK

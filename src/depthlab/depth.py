@@ -2,19 +2,22 @@
 and tabulate the per-prefix output-length gap.
 
 Output lengths are counted in emitted bits for machines and in coded bits
-for LZ78. Grid points are independent; rows always come out sorted by n.
+for LZ78. Each compressor walks the stream once, in grid order, resuming
+from its own checkpoint at every grid point, so a profile costs one pass
+per compressor whatever the grid (kfs(k) still searches every prefix
+afresh). Rows always come out sorted by n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, Sequence, Union
 
-from .errors import StuckError, ValidationError
+from .errors import StuckError, UnreachableError, ValidationError
 from .fst import FstSpec, fst_run, identity_fst, parse_fst, repeater_fst
 from .fscomplexity import enum_fsts, kfs_over_set
-from .lz78 import lz_encode
+from .lz78 import LzParser
 from .pushdown import (
     PdcSpec,
     build_half_compressor,
@@ -23,6 +26,9 @@ from .pushdown import (
     pdc_run,
 )
 
+# The output bit count of one prefix, or why it has none.
+Measure = Union[int, StuckError]
+
 
 class Compressor:
     """A named map from bit strings to an output bit count."""
@@ -30,8 +36,17 @@ class Compressor:
     def __init__(self, label: str):
         self.label = label
 
-    def output_bits(self, x: str) -> int:
+    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
+        """The output bit count of bits[:n] for each n of the ascending
+        `points` (all <= len(bits)), or the StuckError that stops it."""
         raise NotImplementedError
+
+    def output_bits(self, x: str) -> int:
+        """Output bit count of x; raises the StuckError that stops it."""
+        (value,) = self.lengths(x, [len(x)])
+        if isinstance(value, StuckError):
+            raise value
+        return value
 
 
 class FstCompressor(Compressor):
@@ -39,8 +54,12 @@ class FstCompressor(Compressor):
         super().__init__(label)
         self.spec = spec
 
-    def output_bits(self, x: str) -> int:
-        return len(fst_run(self.spec, x).output)
+    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
+        q, total, prev = self.spec.start, 0, 0
+        for n in points:
+            run = fst_run(self.spec, bits[prev:n], start=q)
+            q, total, prev = run.final_state, total + len(run.output), n
+            yield total
 
 
 class PdcCompressor(Compressor):
@@ -48,23 +67,44 @@ class PdcCompressor(Compressor):
         super().__init__(label)
         self.spec = spec
 
-    def output_bits(self, x: str) -> int:
-        return len(pdc_run(self.spec, x).output)
+    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
+        # pdc_run closes over input-free moves on entry and after every bit,
+        # and a closed configuration closes to itself, so resuming from the
+        # last final (state, stack) runs exactly as a fresh run would.
+        q, st, total, prev = None, None, 0, 0
+        for i, n in enumerate(points):
+            try:
+                run = pdc_run(self.spec, bits[prev:n], state=q, stack=st)
+            except StuckError as exc:
+                # Every longer prefix sticks at the same bit.
+                pos = prev + exc.position
+                head = pdc_run(self.spec, bits[:pos]).output
+                stuck = StuckError(pos, exc.state, exc.top, head)
+                yield from [stuck] * (len(points) - i)
+                return
+            q, st = run.final_state, run.final_stack
+            total, prev = total + len(run.output), n
+            yield total
 
 
 class LzCompressor(Compressor):
     def __init__(self):
         super().__init__("lz78")
 
-    def output_bits(self, x: str) -> int:
-        return len(lz_encode(x))
+    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
+        parser, prev = LzParser(), 0
+        for n in points:
+            parser.feed(bits[prev:n])
+            prev = n
+            yield parser.coded_bits()
 
 
 class KfsCompressor(Compressor):
     """Minimum input length over every machine describable in k bits.
 
-    Only sensible for small k; an unreachable prefix reports as stuck so
-    profile rows get flagged rather than faked.
+    Only sensible for small k, and every prefix is searched afresh. A
+    prefix no machine outputs reports as unreachable, so profile rows get
+    flagged rather than faked.
     """
 
     def __init__(self, k: int):
@@ -72,14 +112,14 @@ class KfsCompressor(Compressor):
         universe = enum_fsts(k)
         if not universe.entries:
             raise ValidationError(f"no machines with descriptions <= {k} bits")
+        self.k = k
         self.machines = universe.machines
         self.descriptions = [d for d, _ in universe.entries]
 
-    def output_bits(self, x: str) -> int:
-        value = kfs_over_set(x, self.machines, self.descriptions).value
-        if math.isinf(value):
-            raise StuckError(len(x), 0, "-", "")
-        return int(value)
+    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
+        for n in points:
+            value = kfs_over_set(bits[:n], self.machines, self.descriptions).value
+            yield UnreachableError(self.k, n) if math.isinf(value) else int(value)
 
 
 def _int_arg(text: str, name: str) -> int:
@@ -155,12 +195,23 @@ def parse_grid(text: str) -> list[int]:
     return points
 
 
+def _tail_bracket(
+    pairs: list[tuple[int, int]], tail_fraction: float
+) -> tuple[float, float]:
+    """(min, max) of value/n over the last `tail_fraction` of (n, value) pairs."""
+    if not pairs:
+        raise ValidationError("no usable rows")
+    start = math.floor(len(pairs) * (1 - tail_fraction))
+    ratios = [v / n for n, v in pairs[start:] or pairs[-1:]]
+    return min(ratios), max(ratios)
+
+
 @dataclass(frozen=True)
 class ProfileRow:
     n: int
     weak_bits: Optional[int]
     strong_bits: Optional[int]
-    note: str = ""  # set when a compressor got stuck at this prefix
+    note: str = ""  # why a count is missing, when one is
 
     @property
     def ok(self) -> bool:
@@ -180,13 +231,7 @@ class DepthProfile:
 
     def tail_bracket(self, tail_fraction: float = 0.5) -> tuple[float, float]:
         """(min, max) of gap/n over the last `tail_fraction` of the grid."""
-        good = [r for r in self.rows if r.ok]
-        if not good:
-            raise ValidationError("no usable rows")
-        start = math.floor(len(good) * (1 - tail_fraction))
-        tail = good[start:] or good[-1:]
-        ratios = [r.gap / r.n for r in tail]
-        return min(ratios), max(ratios)
+        return _tail_bracket([(r.n, r.gap) for r in self.rows if r.ok], tail_fraction)
 
     def to_csv(self) -> str:
         lines = ["n,weak_bits,strong_bits,gap,gap_over_n"]
@@ -201,27 +246,29 @@ class DepthProfile:
         return "\n".join(lines) + "\n"
 
 
-def _measure(comp: Compressor, prefix: str) -> tuple[Optional[int], str]:
-    try:
-        return comp.output_bits(prefix), ""
-    except StuckError as exc:
-        return None, f"{comp.label} {exc}"
+def _walk(
+    bits: str, grid: list[int], comps: Sequence[Compressor]
+) -> Iterator[tuple[int, list[Optional[int]], str]]:
+    """(n, output bit count per compressor, note) for every distinct grid
+    point in ascending order; a count is None where the note says why."""
+    points = sorted(set(grid))
+    inside = [n for n in points if n <= len(bits)]
+    streams = [c.lengths(bits, inside) for c in comps]
+    for n, *values in zip(inside, *streams):
+        note = "; ".join(
+            f"{c.label} {v}" for c, v in zip(comps, values) if isinstance(v, StuckError)
+        )
+        yield n, [None if isinstance(v, StuckError) else v for v in values], note
+    for n in points[len(inside):]:
+        yield n, [None] * len(comps), "prefix beyond sequence end"
 
 
 def compute_profile(
     bits: str, weak: Compressor, strong: Compressor, grid: list[int]
 ) -> DepthProfile:
-    rows = []
-    for n in sorted(set(grid)):
-        if n > len(bits):
-            rows.append(ProfileRow(n, None, None, "prefix beyond sequence end"))
-            continue
-        prefix = bits[:n]
-        w, wnote = _measure(weak, prefix)
-        s, snote = _measure(strong, prefix)
-        note = "; ".join(x for x in (wnote, snote) if x)
-        rows.append(ProfileRow(n, w, s, note))
-    return DepthProfile(weak.label, strong.label, tuple(rows))
+    walk = _walk(bits, grid, (weak, strong))
+    rows = tuple(ProfileRow(n, w, s, note) for n, (w, s), note in walk)
+    return DepthProfile(weak.label, strong.label, rows)
 
 
 @dataclass(frozen=True)
@@ -230,13 +277,9 @@ class RatioTable:
     rows: tuple[tuple[int, Optional[int], str], ...]  # (n, bits, note)
 
     def tail_bracket(self, tail_fraction: float = 0.5) -> tuple[float, float]:
-        good = [(n, b) for n, b, _ in self.rows if b is not None]
-        if not good:
-            raise ValidationError("no usable rows")
-        start = math.floor(len(good) * (1 - tail_fraction))
-        tail = good[start:] or good[-1:]
-        ratios = [b / n for n, b in tail]
-        return min(ratios), max(ratios)
+        return _tail_bracket(
+            [(n, b) for n, b, _ in self.rows if b is not None], tail_fraction
+        )
 
     def to_csv(self) -> str:
         lines = ["n,bits,ratio"]
@@ -249,14 +292,8 @@ class RatioTable:
 
 
 def compute_ratio(bits: str, comp: Compressor, grid: list[int]) -> RatioTable:
-    rows = []
-    for n in sorted(set(grid)):
-        if n > len(bits):
-            rows.append((n, None, "prefix beyond sequence end"))
-            continue
-        b, note = _measure(comp, bits[:n])
-        rows.append((n, b, note))
-    return RatioTable(comp.label, tuple(rows))
+    rows = tuple((n, b, note) for n, (b,), note in _walk(bits, grid, (comp,)))
+    return RatioTable(comp.label, rows)
 
 
 def load_profile_csv(text: str) -> list[tuple[int, int, int]]:

@@ -24,3 +24,15 @@ class StuckError(RuntimeError):
         self.state = state
         self.top = top
         self.partial_output = partial_output
+
+
+class UnreachableError(StuckError):
+    """No machine with a description of at most k bits outputs the target.
+
+    position is the target's length; there is no state, stack top or
+    partial output.
+    """
+
+    def __init__(self, k: int, length: int):
+        super().__init__(length, 0, "-", "")
+        self.args = (f"unreachable: no machine of <= {k} bits outputs this prefix",)

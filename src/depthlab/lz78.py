@@ -17,28 +17,6 @@ from .errors import ValidationError
 _ROOT = 0
 
 
-class _Trie:
-    """Phrase dictionary; node k is phrase k, node 0 the empty phrase."""
-
-    def __init__(self) -> None:
-        self.children: list[list[Optional[int]]] = [[None, None]]
-        self.phrases: list[str] = []  # complete phrases, phrase i at index i-1
-
-    def walk(self, node: int, bit: str) -> Optional[int]:
-        return self.children[node][bit == "1"]
-
-    def add(self, node: int, bit: str, phrase: str) -> int:
-        self.children.append([None, None])
-        idx = len(self.children) - 1
-        self.children[node][bit == "1"] = idx
-        self.phrases.append(phrase)
-        return idx
-
-    @property
-    def size(self) -> int:
-        return len(self.phrases)
-
-
 @dataclass
 class LzParse:
     """Greedy parse: tokens are (pointer, final bit); a tail pointer marks
@@ -49,31 +27,57 @@ class LzParse:
     phrases: list[str] = field(default_factory=list)
 
 
-def _parse_into(trie: _Trie, x: str) -> LzParse:
-    parse = LzParse()
-    node = _ROOT
-    pending = ""
-    for b in x:
-        nxt = trie.walk(node, b)
-        if nxt is None:
-            phrase = pending + b
-            trie.add(node, b, phrase)
-            parse.tokens.append((node, b))
-            node, pending = _ROOT, ""
-        else:
-            node, pending = nxt, pending + b
-    if pending:
-        parse.tail = node
-    parse.phrases = list(trie.phrases)
-    return parse
+class LzParser:
+    """A greedy parse that resumes where its last input ended: the phrase
+    trie, the node the pending phrase has reached, and the tokens so far.
+
+    Feeding x and then y parses exactly as feeding xy.
+    """
+
+    def __init__(self) -> None:
+        # Trie node k is phrase k, node 0 the empty phrase; the input so far
+        # ends inside a known phrase exactly when node is not the root.
+        self.children: list[list[Optional[int]]] = [[None, None]]
+        self.tokens: list[tuple[int, str]] = []
+        self.node = _ROOT
+        self.token_bits = 0  # coded length of the complete tokens
+
+    def feed(self, x: str) -> None:
+        children, tokens, node = self.children, self.tokens, self.node
+        for b in x:
+            nxt = children[node][b == "1"]
+            if nxt is None:
+                children[node][b == "1"] = len(children)
+                children.append([None, None])
+                tokens.append((node, b))
+                self.token_bits += pointer_width(len(tokens)) + 1
+                node = _ROOT
+            else:
+                node = nxt
+        self.node = node
+
+    def coded_bits(self) -> int:
+        """len(lz_encode(everything fed so far)), tail pointer included."""
+        if self.node != _ROOT:
+            return self.token_bits + pointer_width(len(self.tokens) + 1)
+        return self.token_bits
+
+    def result(self) -> LzParse:
+        phrases = [""]  # phrase k is phrase ptr plus its final bit
+        for ptr, bit in self.tokens:
+            phrases.append(phrases[ptr] + bit)
+        tail = self.node if self.node != _ROOT else None
+        return LzParse(list(self.tokens), tail, phrases[1:])
 
 
 def lz_parse(x: str) -> LzParse:
-    return _parse_into(_Trie(), x)
+    parser = LzParser()
+    parser.feed(x)
+    return parser.result()
 
 
-def _pointer_width(token_index: int) -> int:
-    # ceil(log2 i): pointers range over 0..i-1.
+def pointer_width(token_index: int) -> int:
+    """ceil(log2 i), the pointer width of token i: pointers range over 0..i-1."""
     return (token_index - 1).bit_length()
 
 
@@ -81,13 +85,13 @@ def _encode_tokens(parse: LzParse, first_index: int) -> str:
     pieces = []
     i = first_index
     for ptr, bit in parse.tokens:
-        w = _pointer_width(i)
+        w = pointer_width(i)
         if w:
             pieces.append(format(ptr, f"0{w}b"))
         pieces.append(bit)
         i += 1
     if parse.tail is not None:
-        w = _pointer_width(i)
+        w = pointer_width(i)
         pieces.append(format(parse.tail, f"0{w}b") if w else "")
     return "".join(pieces)
 
@@ -104,7 +108,7 @@ def lz_decode(bits: str) -> str:
     pos = 0
     i = 1
     while pos < len(bits):
-        w = _pointer_width(i)
+        w = pointer_width(i)
         remaining = len(bits) - pos
         if remaining < w:
             raise ValueError(f"truncated pointer at bit {pos}")
@@ -130,11 +134,13 @@ def lz_conditional(y: str, x: str) -> tuple[str, int]:
     Returns (bits, length). When x ends on a phrase boundary this equals
     the tail of lz_encode(xy) beyond lz_encode(x).
     """
-    trie = _Trie()
-    _parse_into(trie, x)
-    d = trie.size
-    parse = _parse_into(trie, y)
-    parse.phrases = parse.phrases[d:]
+    parser = LzParser()
+    parser.feed(x)
+    d = len(parser.tokens)
+    parser.node = _ROOT
+    parser.feed(y)
+    parse = parser.result()
+    parse.tokens, parse.phrases = parse.tokens[d:], parse.phrases[d:]
     bits = _encode_tokens(parse, d + 1)
     return bits, len(bits)
 

@@ -115,6 +115,27 @@ def test_ratio_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_kfs_ratio_flags_unreachable_prefixes(tmp_path, capsys):
+    # kfs(8)'s one machine outputs nothing, so no nonempty prefix is
+    # reachable; the rows say so rather than report a stuck pushdown run.
+    seq = tmp_path / "seq.bits"
+    seq.write_text("0110100110")
+    out = tmp_path / "r.csv"
+    code = main(
+        [
+            "ratio", "--input", str(seq), "--compressor", "kfs(8)",
+            "--grid", "2:10:4", "--out", str(out),
+        ]
+    )
+    assert code == 2
+    assert out.read_text().splitlines()[1:] == [
+        f"# n={n} flagged: kfs(8) unreachable: no machine of <= 8 bits "
+        "outputs this prefix"
+        for n in (2, 6, 10)
+    ]
+    assert capsys.readouterr().err == "error: no usable rows\n"
+
+
 def test_lz_table(capsys):
     assert main(["lz", "--bits", "010110"]) == 0
     got = capsys.readouterr().out.splitlines()

@@ -12,7 +12,7 @@ from depthlab import (
     parse_grid,
     random_bits,
 )
-from depthlab.depth import load_profile_csv
+from depthlab.depth import DepthProfile, ProfileRow, RatioTable, load_profile_csv
 from depthlab.pushdown import Z0
 
 
@@ -172,3 +172,20 @@ def test_tail_bracket_widens_under_refinement():
     clo, chi = coarse.tail_bracket(1.0)
     flo, fhi = fine.tail_bracket(1.0)
     assert flo <= clo and fhi >= chi
+
+
+def test_tail_bracket_skips_flagged_rows():
+    # Usable rows have gap/n 0.5, 0.25, 0.8, 0.1; the flagged row is skipped.
+    cells = [(10, 5), (20, 5), (25, None), (30, 24), (40, 4)]
+    prof = DepthProfile("w", "s", tuple(
+        ProfileRow(n, n, None if g is None else n - g, "" if g is not None else "x")
+        for n, g in cells
+    ))
+    table = RatioTable("c", tuple((n, g, "") for n, g in cells))
+    for tail, want in ((0.5, (0.1, 0.8)), (0.2, (0.1, 0.1)), (0.0, (0.1, 0.1)),
+                       (1.0, (0.1, 0.8))):
+        assert prof.tail_bracket(tail) == want
+        assert table.tail_bracket(tail) == want
+    for empty in (DepthProfile("w", "s", ()), RatioTable("c", ((5, None, "x"),))):
+        with pytest.raises(ValidationError, match="^no usable rows$"):
+            empty.tail_bracket()

@@ -14,6 +14,7 @@ from depthlab import (
     random_bits,
     repeat_bound,
 )
+from depthlab.lz78 import LzParser
 
 
 def all_inputs(max_len):
@@ -51,6 +52,21 @@ def test_roundtrip_exhaustive_small():
 @given(st.text(alphabet="01", max_size=400))
 def test_roundtrip_random(x):
     assert lz_decode(lz_encode(x)) == x
+
+
+def test_parser_resumes_across_chunks():
+    # Feeding a stream in pieces parses it exactly as one call, and the
+    # running coded length equals lz_encode's length at every prefix.
+    rng = random.Random(21)
+    for _ in range(30):
+        x = random_bits(rng, rng.randint(0, 300))
+        parser, pos = LzParser(), 0
+        while pos < len(x):
+            chunk = x[pos : pos + rng.randint(0, 9)]
+            parser.feed(chunk)
+            pos += len(chunk)
+            assert parser.coded_bits() == len(lz_encode(x[:pos]))
+        assert parser.result() == lz_parse(x)
 
 
 def test_decode_errors_name_positions():

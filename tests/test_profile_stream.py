@@ -1,0 +1,181 @@
+"""One-pass profiles and ratios against a batch oracle that runs every
+grid prefix afresh from bit 0."""
+import random
+
+import pytest
+
+from conftest import random_fst, random_pdc
+from depthlab import (
+    PdcSpec,
+    StuckError,
+    compute_profile,
+    compute_ratio,
+    fst_run,
+    gen_recipe_a,
+    gen_recipe_b,
+    lz_encode,
+    make_compressor,
+    pdc_run,
+    random_bits,
+)
+from depthlab import depth
+from depthlab.depth import (
+    DepthProfile,
+    FstCompressor,
+    LzCompressor,
+    PdcCompressor,
+    ProfileRow,
+    RatioTable,
+)
+from depthlab.pushdown import LAMBDA, Z0
+
+
+def batch_run(comp, prefix):
+    """Output bit count of a fresh run on prefix; raises StuckError."""
+    if isinstance(comp, FstCompressor):
+        return len(fst_run(comp.spec, prefix).output)
+    if isinstance(comp, PdcCompressor):
+        return len(pdc_run(comp.spec, prefix).output)
+    assert isinstance(comp, LzCompressor)
+    return len(lz_encode(prefix))
+
+
+def batch_rows(bits, comps, grid):
+    for n in sorted(set(grid)):
+        if n > len(bits):
+            yield n, [None] * len(comps), "prefix beyond sequence end"
+            continue
+        values, notes = [], []
+        for comp in comps:
+            try:
+                values.append(batch_run(comp, bits[:n]))
+            except StuckError as exc:
+                values.append(None)
+                notes.append(f"{comp.label} {exc}")
+        yield n, values, "; ".join(notes)
+
+
+def batch_profile_csv(bits, weak, strong, grid):
+    rows = tuple(
+        ProfileRow(n, w, s, note)
+        for n, (w, s), note in batch_rows(bits, (weak, strong), grid)
+    )
+    return DepthProfile(weak.label, strong.label, rows).to_csv()
+
+
+def batch_ratio_csv(bits, comp, grid):
+    rows = tuple((n, b, note) for n, (b,), note in batch_rows(bits, (comp,), grid))
+    return RatioTable(comp.label, rows).to_csv()
+
+
+def assert_matches_batch(bits, comps, grid):
+    for comp in comps:
+        assert compute_ratio(bits, comp, grid).to_csv().encode() == (
+            batch_ratio_csv(bits, comp, grid).encode()
+        )
+    for weak, strong in zip(comps, comps[1:] + comps[:1]):
+        assert compute_profile(bits, weak, strong, grid).to_csv().encode() == (
+            batch_profile_csv(bits, weak, strong, grid).encode()
+        )
+
+
+def assert_same_stuck(comp, bits, grid):
+    """Every StuckError of the stream equals a fresh run's, field by field."""
+    points = sorted(n for n in set(grid) if n <= len(bits))
+    for n, value in zip(points, comp.lengths(bits, points)):
+        if not isinstance(value, StuckError):
+            assert value == batch_run(comp, bits[:n])
+            continue
+        with pytest.raises(StuckError) as fresh:
+            pdc_run(comp.spec, bits[:n])
+        got = (value.position, value.state, value.top, value.partial_output)
+        want = fresh.value
+        assert got == (want.position, want.state, want.top, want.partial_output)
+
+
+def random_grid(rng, length):
+    """Unsorted points with duplicates, some beyond the stream end."""
+    grid = [rng.randint(1, length + 20) for _ in range(rng.randint(1, 12))]
+    return grid + rng.choices(grid, k=3)
+
+
+def partial_pdc(rng, kind):
+    """A random compressor with one bit move removed, so runs can stick."""
+    C = random_pdc(rng, kind=kind)
+    drop = rng.choice([key for key in C.trans if key[1] != LAMBDA])
+    trans = {key: v for key, v in C.trans.items() if key != drop}
+    emit = {key: v for key, v in C.emit.items() if key != drop}
+    return PdcSpec(C.num_states, C.start, C.stack_kind, trans, emit, C.lambda_budget)
+
+
+@pytest.mark.parametrize("kind", ["binary", "unary"])
+def test_random_machines_match_batch(kind):
+    rng = random.Random(f"stream-{kind}")
+    for trial in range(40):
+        bits = random_bits(rng, rng.randint(1, 120))
+        grid = random_grid(rng, len(bits))
+        comps = [
+            PdcCompressor(random_pdc(rng, kind=kind), "pdc"),
+            PdcCompressor(partial_pdc(rng, kind), "partial-pdc"),
+            FstCompressor(random_fst(rng), "fst"),
+            LzCompressor(),
+        ]
+        assert_matches_batch(bits, comps, grid)
+        assert_same_stuck(comps[1], bits, grid)
+
+
+def test_stuck_after_first_point_reports_absolute_position():
+    zeros_only = PdcSpec(
+        1, 1, "unary", {(1, "0", Z0): (1, Z0)}, {(1, "0", Z0): "0"}, 0
+    )
+    comp = PdcCompressor(zeros_only, "zeros-only")
+    bits = "0001000"
+    grid = [6, 2, 9, 4, 2, 7]
+    assert_matches_batch(bits, [make_compressor("identity-pdc"), comp], grid)
+    assert_same_stuck(comp, bits, grid)
+    rows = compute_ratio(bits, comp, grid).rows
+    assert rows[0] == (2, 2, "")
+    note = (
+        "zeros-only stuck at input position 3: no transition from state 1 "
+        "on stack top 'z'"
+    )
+    assert rows[1:] == ((4, None, note), (6, None, note), (7, None, note),
+                        (9, None, "prefix beyond sequence end"))
+    with pytest.raises(StuckError) as info:
+        comp.output_bits(bits)
+    assert (info.value.position, info.value.partial_output) == (3, "000")
+
+
+def test_recipe_streams_match_batch():
+    b = gen_recipe_b(9, stages=6, seed=3).bits
+    grid = list(range(len(b) + 40, 0, -37)) + [50, 50]
+    comps = [make_compressor("identity-pdc"), make_compressor("half-compressor(9,9,0)")]
+    assert_matches_batch(b, comps, grid)
+
+    a = gen_recipe_a(stages=5, seed=3).bits
+    grid = list(range(len(a) + 40, 0, -29)) + [29]
+    comps = [make_compressor("identity-fst"), make_compressor("lz78")]
+    assert_matches_batch(a, comps, grid)
+
+
+def test_every_prefix_length_costs_one_pass(monkeypatch):
+    # The paper's liminf/limsup range over every n; a step-1 grid must still
+    # push each bit through each compressor exactly once.
+    bits = gen_recipe_b(9, stages=14, seed=7).bits
+    assert len(bits) >= 5000
+    fed = []
+
+    def counting_run(C, x, *args, **kwargs):
+        fed.append(len(x))
+        return pdc_run(C, x, *args, **kwargs)
+
+    monkeypatch.setattr(depth, "pdc_run", counting_run)
+    strong = make_compressor("half-compressor(9,9,0)")
+    grid = list(range(1, len(bits) + 1))
+    prof = compute_profile(bits, make_compressor("identity-pdc"), strong, grid)
+    assert sum(fed) == 2 * len(bits)
+    assert [r.n for r in prof.rows] == grid
+    rng = random.Random(11)
+    for r in rng.sample(prof.rows, 40) + [prof.rows[-1]]:
+        want = len(pdc_run(strong.spec, bits[: r.n]).output)
+        assert (r.weak_bits, r.strong_bits, r.note) == (r.n, want, "")
