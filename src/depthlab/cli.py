@@ -18,13 +18,16 @@ from . import depth, lz78, seqgen
 from .codec import decode_fst, encode_fst
 from .errors import StuckError, ValidationError
 from .fscomplexity import kfs_complexity
-from .fst import fst_compose, fst_run, parse_fst, format_fst
+from .fst import FstSpec, fst_compose, fst_run, parse_fst, format_fst
 from .pushdown import compose_pdc_fst, parse_pdc, format_pdc, pdc_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_STUCK = 0, 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a prefix must not pick a flag
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
@@ -114,7 +117,13 @@ def _compressor_name(args, name: str) -> str:
     return name
 
 
+def _check_tail(tail: float) -> None:
+    if not math.isfinite(tail):
+        raise ValidationError(f"--tail must be a finite fraction, got {tail}")
+
+
 def cmd_profile(args) -> int:
+    _check_tail(args.tail)
     bits = _sequence_from_args(args)
     weak = depth.make_compressor(_compressor_name(args, args.weak))
     strong = depth.make_compressor(_compressor_name(args, args.strong))
@@ -131,6 +140,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_ratio(args) -> int:
+    _check_tail(args.tail)
     bits = _sequence_from_args(args)
     comp = depth.make_compressor(_compressor_name(args, args.compressor))
     grid = depth.parse_grid(args.grid)
@@ -205,17 +215,12 @@ def cmd_kfs(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    outer_text = Path(args.outer).read_text()
+    outer = depth.load_machine(args.outer)
     inner = parse_fst(Path(args.inner).read_text())
-    head = outer_text.split(None, 1)[0] if outer_text.split() else ""
-    if head == "fst":
-        composed = fst_compose(parse_fst(outer_text), inner)
-        _write_out(args, format_fst(composed))
-    elif head == "pdc":
-        composed = compose_pdc_fst(parse_pdc(outer_text), inner)
-        _write_out(args, format_pdc(composed))
+    if isinstance(outer, FstSpec):
+        _write_out(args, format_fst(fst_compose(outer, inner)))
     else:
-        raise ValidationError(f"{args.outer}: not a recognized machine format")
+        _write_out(args, format_pdc(compose_pdc_fst(outer, inner)))
     return EXIT_OK
 
 
@@ -311,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except StuckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STUCK
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -155,13 +155,21 @@ def make_compressor(name: str) -> Compressor:
     path = Path(name)
     if not path.exists():
         raise ValidationError(f"no builtin or machine file named {name!r}")
-    text = path.read_text()
+    machine = load_machine(name)
+    if isinstance(machine, FstSpec):
+        return FstCompressor(machine, path.name)
+    return PdcCompressor(machine, path.name)
+
+
+def load_machine(path: str) -> Union[FstSpec, PdcSpec]:
+    """The machine in a file, parsed by its first word: fst or pdc."""
+    text = Path(path).read_text()
     head = text.split(None, 1)[0] if text.split() else ""
     if head == "fst":
-        return FstCompressor(parse_fst(text), path.name)
+        return parse_fst(text)
     if head == "pdc":
-        return PdcCompressor(parse_pdc(text), path.name)
-    raise ValidationError(f"{name}: not a recognized machine format")
+        return parse_pdc(text)
+    raise ValidationError(f"{path}: not a recognized machine format")
 
 
 def parse_grid(text: str) -> list[int]:
@@ -179,10 +187,12 @@ def parse_grid(text: str) -> list[int]:
         raise ValidationError(f"bad grid range {a}:{b}")
     points: list[int] = []
     if factor is not None:
+        if not math.isfinite(factor):
+            raise ValidationError(f"geometric factor must be finite, got {text!r}")
         if factor <= 1:
             raise ValidationError("geometric factor must be > 1")
         x = float(a)
-        while round(x) <= b:
+        while math.isfinite(x) and round(x) <= b:  # a huge factor overflows x
             if not points or round(x) > points[-1]:
                 points.append(round(x))
             x *= factor

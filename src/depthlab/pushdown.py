@@ -224,25 +224,23 @@ def pdc_il_check(C: PdcSpec, L: int) -> Optional[tuple[str, str]]:
     """
     if L < 1:
         raise ValidationError("L must be >= 1")
-    q0, st0 = _closure(C, C.start, Z0)
-    seen: dict[tuple[str, int], str] = {("", q0): ""}
-    frontier = [("", q0, st0, "")]
+    start = pdc_run(C, "")
+    seen: dict[tuple[str, int], str] = {("", start.final_state): ""}
+    frontier = [("", "", start)]  # (input, output so far, closed configuration)
     for _ in range(L):
         nxt = []
-        for x, q, st, outp in frontier:
+        for x, outp, run in frontier:
             for b in BITS:
-                key = (q, b, st[0])
-                if key not in C.trans:
+                try:
+                    step = pdc_run(C, b, state=run.final_state, stack=run.final_stack)
+                except StuckError:
                     continue
-                tgt, push = C.trans[key]
-                out2 = outp + C.emit.get(key, "")
-                q2, st2 = _closure(C, tgt, push + st[1:])
-                x2 = x + b
-                sig = (out2, q2)
+                x2, out2 = x + b, outp + step.output
+                sig = (out2, step.final_state)
                 if sig in seen:
                     return (seen[sig], x2)
                 seen[sig] = x2
-                nxt.append((x2, q2, st2, out2))
+                nxt.append((x2, out2, step))
         frontier = nxt
     return None
 
@@ -283,28 +281,21 @@ def compose_pdc_fst(
     has_lambda_from = {q for (q, inp, _t) in C.trans if inp == LAMBDA}
 
     def replay(qc: int, known: str, e: str):
-        """Run C on e over a stack whose top is `known`.
+        """pdc_run of C on e from state qc over the stack `known` + _BELOW.
 
-        Returns (state, stack, output); None when a bit move is undefined;
-        _UNDERFLOW when the outcome could depend on symbols below `known`,
-        i.e. only _BELOW is left when a bit move needs a top or the state
-        still has an input-free move. A `known` ending in the bottom
-        marker never underflows: validated machines never pop it.
+        Returns (state, stack, output), or None when the run sticks on a
+        known top. Returns _UNDERFLOW when the outcome could depend on
+        symbols below `known`: the run sticks on _BELOW, which no move
+        reads, or ends on _BELOW alone in a state with an input-free
+        move. A `known` ending in the bottom marker never underflows.
         """
-        out: list[str] = []
-        q, st = _closure(C, qc, known + _BELOW)
-        for b in e:
-            if st == _BELOW:
-                return _UNDERFLOW
-            key = (q, b, st[0])
-            if key not in C.trans:
-                return None
-            tgt, push = C.trans[key]
-            out.append(C.emit.get(key, ""))
-            q, st = _closure(C, tgt, push + st[1:])
-        if st == _BELOW and q in has_lambda_from:
+        try:
+            run = pdc_run(C, e, state=qc, stack=known + _BELOW)
+        except StuckError as exc:
+            return _UNDERFLOW if exc.top == _BELOW else None
+        if run.final_stack == _BELOW and run.final_state in has_lambda_from:
             return _UNDERFLOW
-        return q, st[:-1], "".join(out)
+        return run.final_state, run.final_stack[:-1], run.output
 
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
@@ -322,11 +313,7 @@ def compose_pdc_fst(
     trans: dict[TransKey, tuple[int, str]] = {}
     emit: dict[TransKey, str] = {}
     start = ref((C.start, T.start, ""))
-    i = 0
-    while i < len(order):
-        qc, qt, buf = order[i]
-        idx = index[(qc, qt, buf)]
-        i += 1
+    for idx, (qc, qt, buf) in enumerate(order, start=1):  # sees what ref() appends
         moves = {b: (T.out[(qt, b)], T.next[(qt, b)]) for b in BITS}
         for a in (Z0, *syms):  # this order fixes the product state numbering
             results = {b: replay(qc, buf + a, e) for b, (e, _) in moves.items()}
@@ -385,16 +372,13 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
     trans: dict[TransKey, tuple[int, str]] = {}
     emit: dict[TransKey, str] = {}
 
-    def keep(top: str) -> str:
-        # Re-push the consumed top: the stack is left unchanged.
-        return top
-
+    # Pushing `a` re-pushes the consumed top: the stack is left unchanged.
     for a in tops:
         for i in range(m):
             for b in BITS:
-                trans[(idx[("count", i)], b, a)] = (idx[("count", i + 1)], keep(a))
+                trans[(idx[("count", i)], b, a)] = (idx[("count", i + 1)], a)
                 emit[(idx[("count", i)], b, a)] = b
-        trans[(idx[("count", m)], LAMBDA, a)] = (idx[("scan",)], keep(a))
+        trans[(idx[("count", m)], LAMBDA, a)] = (idx[("scan",)], a)
         for b in BITS:
             fam = ("flag1", 1) if b == "1" else ("flag0", 1)
             trans[(idx[("scan",)], b, a)] = (idx[fam], b + a)
@@ -406,12 +390,12 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
                 fam = ("flag1", i + 1) if b == "1" else ("flag0", i + 1)
                 trans[(idx[("flag1", i)], b, a)] = (idx[fam], b + a)
                 emit[(idx[("flag1", i)], b, a)] = b
-        trans[(idx[("flag0", k)], LAMBDA, a)] = (idx[("scan",)], keep(a))
-        trans[(idx[("flag1", k)], LAMBDA, a)] = (idx[("pop", 0)], keep(a))
-        trans[(idx[("pop", k)], LAMBDA, a)] = (idx[("match", 1)], keep(a))
-        trans[(idx[("match", v + 1)], LAMBDA, a)] = (idx[("match", 1)], keep(a))
+        trans[(idx[("flag0", k)], LAMBDA, a)] = (idx[("scan",)], a)
+        trans[(idx[("flag1", k)], LAMBDA, a)] = (idx[("pop", 0)], a)
+        trans[(idx[("pop", k)], LAMBDA, a)] = (idx[("match", 1)], a)
+        trans[(idx[("match", v + 1)], LAMBDA, a)] = (idx[("match", 1)], a)
         for b in BITS:
-            trans[(idx[("error",)], b, a)] = (idx[("error",)], keep(a))
+            trans[(idx[("error",)], b, a)] = (idx[("error",)], a)
             emit[(idx[("error",)], b, a)] = b
     for i in range(k):  # flag removal pops one pushed bit per step
         for a in ("0", "1"):
@@ -424,7 +408,7 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
                     if i == v:
                         emit[(idx[("match", i)], b, a)] = "0"
                 else:
-                    trans[(idx[("match", i)], b, a)] = (idx[("error",)], keep(a))
+                    trans[(idx[("match", i)], b, a)] = (idx[("error",)], a)
                     emit[(idx[("match", i)], b, a)] = "1" * (3 * m + i) + "0" + b
         for b in BITS:
             fam = ("flag1", 1) if b == "1" else ("flag0", 1)
@@ -442,9 +426,8 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
 
 def format_pdc(C: PdcSpec) -> str:
     lines = [f"pdc {C.num_states} {C.start} {C.stack_kind} {C.lambda_budget}"]
-    for key in sorted(C.trans):
+    for key, (tgt, push) in sorted(C.trans.items()):
         q, inp, top = key
-        tgt, push = C.trans[key]
         lines.append(
             f"{q} {inp or '-'} {top} -> {tgt} {push or '-'} "
             f"{C.emit.get(key, '') or '-'}"

@@ -64,6 +64,14 @@ def random_pdc(
     return spec
 
 
+def drop_bit_move(rng: random.Random, C: PdcSpec) -> PdcSpec:
+    """C with one bit move removed, so runs can stick."""
+    drop = rng.choice([key for key in C.trans if key[1] != LAMBDA])
+    trans = {key: v for key, v in C.trans.items() if key != drop}
+    emit = {key: v for key, v in C.emit.items() if key != drop}
+    return PdcSpec(C.num_states, C.start, C.stack_kind, trans, emit, C.lambda_budget)
+
+
 def chain_pdc(n: int, budget: int) -> PdcSpec:
     """Unary copying compressor behind a chain of n - 1 input-free moves
     from state 1 to state n; valid exactly when budget >= n - 1."""

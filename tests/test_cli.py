@@ -33,6 +33,10 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as info:
         main(["profile", "--weak", "lz78"])  # missing required flags
     assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:  # not a prefix of --bits-budget
+        main(["ratio", "--bits", "0101", "--recipe", "c", "--compressor", "lz78",
+              "--grid", "1:4:1"])
+    assert info.value.code == 1
     capsys.readouterr()
 
 
@@ -240,6 +244,38 @@ MALFORMED = {
     "input-is-a-directory": (
         {}, ["lz", "--input", "{tmp}"], None, 2,
     ),
+    "lz-input-not-utf8": (
+        {"s.bits": b"\xff\xfe01"}, ["lz", "--input", "{tmp}/s.bits"], None, 2,
+    ),
+    "fst-run-machine-not-utf8": (
+        {"m.fst": b"fst 1 1\n\xff"},
+        ["fst-run", "--machine", "{tmp}/m.fst", "--bits", "0"], None, 2,
+    ),
+    "compressor-file-not-utf8": (
+        {"s.bits": "0110", "m.pdc": b"\xffpdc"},
+        ["ratio", "--input", "{tmp}/s.bits", "--compressor", "{tmp}/m.pdc",
+         "--grid", "1:4:1"], None, 2,
+    ),
+    **{
+        f"grid-factor-{f}": (
+            {"s.bits": "0110"},
+            ["ratio", "--input", "{tmp}/s.bits", "--compressor", "lz78",
+             "--grid", f"1:4:x{f}"], None, 2,
+        )
+        for f in ("nan", "inf", "1e400")
+    },
+    **{
+        f"{cmd}-tail-{t}": (
+            {"s.bits": "0110"},
+            [cmd, "--input", "{tmp}/s.bits", *flags, "--grid", "1:4:1",
+             "--tail", t], None, 2,
+        )
+        for t in ("nan", "inf")
+        for cmd, flags in (
+            ("profile", ["--weak", "identity-fst", "--strong", "lz78"]),
+            ("ratio", ["--compressor", "lz78"]),
+        )
+    },
     "chain-600-within-budget": (
         {"c.pdc": format_pdc(chain_pdc(600, 599))},
         ["pdc-run", "--machine", "{tmp}/c.pdc", "--bits", "01"], None, 0,
@@ -254,8 +290,9 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_gets_one_error_line(tmp_path, case):
     files, args, env, code = MALFORMED[case]
-    for name, text in files.items():
-        (tmp_path / name).write_text(text)
+    for name, data in files.items():
+        raw = data if isinstance(data, bytes) else data.encode()
+        (tmp_path / name).write_bytes(raw)
     r = run_cli(*(a.format(tmp=tmp_path) for a in args), env_extra=env)
     assert r.returncode == code, r.stderr
     assert "Traceback" not in r.stderr

@@ -23,6 +23,7 @@ def test_parse_grid_linear():
 
 def test_parse_grid_geometric():
     assert parse_grid("10:100:x2") == [10, 20, 40, 80]
+    assert parse_grid("2:4:x1e308") == [2]  # 2e308 overflows to infinity
 
 
 def test_parse_grid_rejects():

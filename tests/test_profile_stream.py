@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import random_fst, random_pdc
+from conftest import drop_bit_move, random_fst, random_pdc
 from depthlab import (
     PdcSpec,
     StuckError,
@@ -27,7 +27,7 @@ from depthlab.depth import (
     ProfileRow,
     RatioTable,
 )
-from depthlab.pushdown import LAMBDA, Z0
+from depthlab.pushdown import Z0
 
 
 def batch_run(comp, prefix):
@@ -99,15 +99,6 @@ def random_grid(rng, length):
     return grid + rng.choices(grid, k=3)
 
 
-def partial_pdc(rng, kind):
-    """A random compressor with one bit move removed, so runs can stick."""
-    C = random_pdc(rng, kind=kind)
-    drop = rng.choice([key for key in C.trans if key[1] != LAMBDA])
-    trans = {key: v for key, v in C.trans.items() if key != drop}
-    emit = {key: v for key, v in C.emit.items() if key != drop}
-    return PdcSpec(C.num_states, C.start, C.stack_kind, trans, emit, C.lambda_budget)
-
-
 @pytest.mark.parametrize("kind", ["binary", "unary"])
 def test_random_machines_match_batch(kind):
     rng = random.Random(f"stream-{kind}")
@@ -116,7 +107,9 @@ def test_random_machines_match_batch(kind):
         grid = random_grid(rng, len(bits))
         comps = [
             PdcCompressor(random_pdc(rng, kind=kind), "pdc"),
-            PdcCompressor(partial_pdc(rng, kind), "partial-pdc"),
+            PdcCompressor(
+                drop_bit_move(rng, random_pdc(rng, kind=kind)), "partial-pdc"
+            ),
             FstCompressor(random_fst(rng), "fst"),
             LzCompressor(),
         ]

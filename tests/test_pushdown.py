@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from conftest import chain_pdc, random_fst, random_pdc
+from conftest import chain_pdc, drop_bit_move, random_fst, random_pdc
 from depthlab import (
     PdcSpec,
     StuckError,
@@ -121,6 +121,56 @@ def test_il_counterexample_actually_collides():
         assert x != y
         assert (rx.output, rx.final_state) == (ry.output, ry.final_state)
     assert found > 0
+
+
+def il_check_by_step_loop(C, L):
+    """Oracle for pdc_il_check: the breadth-first search it ran before it
+    stepped through pdc_run, with its own closure over input-free moves."""
+
+    def close(q, st):
+        while (q, LAMBDA, st[0]) in C.trans:
+            q, push = C.trans[(q, LAMBDA, st[0])]
+            st = push + st[1:]
+        return q, st
+
+    q0, st0 = close(C.start, Z0)
+    seen = {("", q0): ""}
+    frontier = [("", q0, st0, "")]
+    for _ in range(L):
+        nxt = []
+        for x, q, st, outp in frontier:
+            for b in "01":
+                key = (q, b, st[0])
+                if key not in C.trans:
+                    continue
+                tgt, push = C.trans[key]
+                out2 = outp + C.emit.get(key, "")
+                q2, st2 = close(tgt, push + st[1:])
+                x2 = x + b
+                sig = (out2, q2)
+                if sig in seen:
+                    return (seen[sig], x2)
+                seen[sig] = x2
+                nxt.append((x2, q2, st2, out2))
+        frontier = nxt
+    return None
+
+
+def test_il_check_matches_step_loop():
+    rng = random.Random(47)
+    silent = PdcSpec(1, 1, "unary", {(1, b, Z0): (1, Z0) for b in "01"}, {}, 0)
+    cases = [identity_pdc(), silent]
+    for i in range(500):
+        kind = "unary" if i % 2 else "binary"
+        C = random_pdc(rng, kind=kind, lambda_prob=rng.choice([0.2, 0.6]))
+        cases += [C, drop_bit_move(rng, C)]  # the second one's runs can stick
+    outcomes = set()
+    for C in cases:
+        for L in (1, 2, 4, 7):
+            want = il_check_by_step_loop(C, L)
+            assert pdc_il_check(C, L) == want
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_prefix_monotone_outputs():
