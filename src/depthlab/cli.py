@@ -38,7 +38,7 @@ def _read_bits_arg(args) -> str:
     if getattr(args, "bits", None) is not None:
         bits = args.bits
     elif getattr(args, "input", None) is not None:
-        bits = Path(args.input).read_text()
+        bits = depth.read_text(args.input)
     else:
         raise ValidationError("need --bits or --input")
     bits = "".join(bits.split())
@@ -172,7 +172,7 @@ def cmd_lz(args) -> int:
 
 
 def cmd_fst_run(args) -> int:
-    spec = parse_fst(Path(args.machine).read_text())
+    spec = parse_fst(depth.read_text(args.machine))
     result = fst_run(spec, _read_bits_arg(args))
     print(f"output {result.output or '-'}")
     print(f"final_state {result.final_state}")
@@ -180,7 +180,7 @@ def cmd_fst_run(args) -> int:
 
 
 def cmd_pdc_run(args) -> int:
-    spec = parse_pdc(Path(args.machine).read_text())
+    spec = parse_pdc(depth.read_text(args.machine))
     result = pdc_run(spec, _read_bits_arg(args))
     print(f"output {result.output or '-'}")
     print(f"final_state {result.final_state}")
@@ -189,7 +189,7 @@ def cmd_pdc_run(args) -> int:
 
 
 def cmd_encode_fst(args) -> int:
-    spec = parse_fst(Path(args.machine).read_text())
+    spec = parse_fst(depth.read_text(args.machine))
     print(encode_fst(spec))
     return EXIT_OK
 
@@ -216,7 +216,7 @@ def cmd_kfs(args) -> int:
 
 def cmd_compose(args) -> int:
     outer = depth.load_machine(args.outer)
-    inner = parse_fst(Path(args.inner).read_text())
+    inner = parse_fst(depth.read_text(args.inner))
     if isinstance(outer, FstSpec):
         _write_out(args, format_fst(fst_compose(outer, inner)))
     else:
@@ -316,7 +316,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except StuckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STUCK
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

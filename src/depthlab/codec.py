@@ -52,20 +52,24 @@ def reverse_bits(x: str) -> str:
     return x[::-1]
 
 
-def encode_fst(T: FstSpec) -> str:
-    """Canonical description of T: minimal offset in every dagger chunk.
+def target_code(m: int, q: int, tgt: int) -> str:
+    """Canonical target chunk of a move from q to tgt among m states.
 
-    A non-self-loop targeting state t from a machine with m states encodes
-    the smallest n >= 1 with 1 + (n mod m) = t.
+    Empty for a self-loop; otherwise the dagger of the smallest n >= 1
+    with 1 + (n mod m) = tgt.
     """
+    if tgt == q:
+        return ""
+    return dagger(nat_bin(tgt - 1 if tgt >= 2 else m))
+
+
+def encode_fst(T: FstSpec) -> str:
+    """Canonical description of T: minimal offset in every dagger chunk."""
     m = T.num_states
     parts = [double_bits(nat_bin(T.start)), "01"]
     for q in range(1, m + 1):
         for b in BITS:
-            tgt = T.next[(q, b)]
-            if tgt != q:
-                n = tgt - 1 if tgt >= 2 else m
-                parts.append(dagger(nat_bin(n)))
+            parts.append(target_code(m, q, T.next[(q, b)]))
             # The emission e is itself string(n') for n' = value of 1e.
             parts.append(diamond(T.out[(q, b)]))
     return "".join(parts)
@@ -144,12 +148,13 @@ def decode_fst(bits: str) -> Optional[FstSpec]:
 
 
 def fst_size(T: FstSpec) -> int:
-    """Length of the canonical description.
+    """Length of the shortest description of T.
 
-    This is the minimum over the canonical form; it is an upper bound on
-    the minimum over every decodable string (larger offsets can only
-    lengthen chunks, so the bound is believed tight, and a constant-factor
-    gap would not change any depth verdict).
+    The canonical description is the unique shortest string that decodes
+    to T: m is fixed by the entry count and the start pointer by its
+    value, a larger offset n' = n (mod m) has at least as many binary
+    digits as the minimal n, and a self-loop written with a dagger chunk
+    is longer than the empty chunk.
     """
     return len(encode_fst(T))
 

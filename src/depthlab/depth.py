@@ -161,9 +161,18 @@ def make_compressor(name: str) -> Compressor:
     return PdcCompressor(machine, path.name)
 
 
+def read_text(path: str) -> str:
+    """The text of a file; a file that is not UTF-8 is a ValidationError
+    naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text") from exc
+
+
 def load_machine(path: str) -> Union[FstSpec, PdcSpec]:
     """The machine in a file, parsed by its first word: fst or pdc."""
-    text = Path(path).read_text()
+    text = read_text(path)
     head = text.split(None, 1)[0] if text.split() else ""
     if head == "fst":
         return parse_fst(text)

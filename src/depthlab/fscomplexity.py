@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .codec import decode_fst, encode_fst
+from .codec import diamond, double_bits, encode_fst, nat_bin, target_code
 from .errors import ValidationError
 from .fst import BITS, FstSpec, fst_run
 
@@ -24,9 +25,9 @@ ENUM_CEILING = 14
 
 @dataclass(frozen=True)
 class FstUniverse:
-    """All machines with a description of length <= k, deduplicated.
+    """All machines with a description of length <= k.
 
-    Entries are (shortest description, machine), ordered by description
+    Entries are (canonical description, machine), ordered by description
     length then description bits.
     """
 
@@ -57,27 +58,60 @@ class ComplexityResult:
 
 
 def enum_fsts(k: int, ceiling: int = ENUM_CEILING) -> FstUniverse:
-    """Decode every bit string of length <= k and keep what parses.
+    """Every machine with a canonical description of at most k bits.
 
-    Refuses k beyond `ceiling`: the candidate count doubles per extra bit.
+    Refuses k beyond `ceiling`. The universe for each k is built once per
+    process and shared, so callers must not mutate its machines.
     """
     if k > ceiling:
         raise ValidationError(
             f"enumeration bound {k} exceeds ceiling {ceiling} "
-            f"(2^{k + 1} - 1 candidate descriptions)"
+            f"(the machine count grows exponentially in k)"
         )
-    seen: dict[tuple, tuple[str, FstSpec]] = {}
-    for length in range(k + 1):
-        for val in range(1 << length):
-            desc = format(val, f"0{length}b") if length else ""
-            spec = decode_fst(desc)
-            if spec is None:
-                continue
-            key = spec.canonical_key()
-            if key not in seen:
-                seen[key] = (desc, spec)
-    entries = sorted(seen.values(), key=lambda e: (len(e[0]), e[0]))
+    return _universe(k)
+
+
+@cache
+def _universe(k: int) -> FstUniverse:
+    """Build canonical descriptions straight from the grammar of encode_fst.
+
+    Each machine has exactly one canonical description, its shortest (see
+    fst_size), so no two branches meet and nothing needs deduplicating.
+    """
+    entries: list[tuple[str, FstSpec]] = []
+    # m states take >= 4 + 4m bits: a start pointer, then 2m entries.
+    for m in range(1, (k - 4) // 4 + 1):
+        for start in range(1, m + 1):
+            _fill_tables(m, start, k, entries)
+    entries.sort(key=lambda e: (len(e[0]), e[0]))
     return FstUniverse(k, tuple(entries))
+
+
+def _fill_tables(
+    m: int, start: int, k: int, entries: list[tuple[str, FstSpec]]
+) -> None:
+    """Append every m-state machine starting in `start` whose canonical
+    description fits in k bits. A branch is cut once its bits plus 2 per
+    unwritten table entry (the shortest chunk, an empty emission on a
+    self-loop) exceed k."""
+    next_map: dict[tuple[int, str], int] = {}
+    out_map: dict[tuple[int, str], str] = {}
+
+    def extend(i: int, desc: str) -> None:
+        if i == 2 * m:
+            entries.append((desc, FstSpec(m, start, dict(next_map), dict(out_map))))
+            return
+        q, b = i // 2 + 1, BITS[i % 2]
+        budget = k - len(desc) - 2 * (2 * m - i - 1)
+        for tgt in range(1, m + 1):
+            code = target_code(m, q, tgt)
+            # An emission e takes a diamond chunk of 2 |e| + 2 bits.
+            for size in range((budget - len(code)) // 2):
+                for e in map("".join, product(BITS, repeat=size)):
+                    next_map[(q, b)], out_map[(q, b)] = tgt, e
+                    extend(i + 1, desc + code + diamond(e))
+
+    extend(0, double_bits(nat_bin(start)) + "01")
 
 
 def min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:

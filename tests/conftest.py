@@ -4,7 +4,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from depthlab import FstSpec, PdcSpec, pdc_validate  # noqa: E402
+from depthlab import FstSpec, FstUniverse, PdcSpec, decode_fst, pdc_validate  # noqa: E402
 from depthlab.fst import MAX_EMISSION_DEFAULT  # noqa: E402
 from depthlab.pushdown import LAMBDA, Z0  # noqa: E402
 
@@ -79,3 +79,20 @@ def chain_pdc(n: int, budget: int) -> PdcSpec:
     trans.update({(n, b, Z0): (n, Z0) for b in BITS})
     emit = {(n, b, Z0): b for b in BITS}
     return PdcSpec(n, 1, "unary", trans, emit, budget)
+
+
+def enum_fsts_by_decoding(k: int) -> FstUniverse:
+    """Slow oracle for enum_fsts: decode every bit string of length <= k,
+    keep the first description of each machine, order by (length, bits)."""
+    seen: dict[tuple, tuple[str, FstSpec]] = {}
+    for length in range(k + 1):
+        for val in range(1 << length):
+            desc = format(val, f"0{length}b") if length else ""
+            spec = decode_fst(desc)
+            if spec is None:
+                continue
+            key = spec.canonical_key()
+            if key not in seen:
+                seen[key] = (desc, spec)
+    entries = sorted(seen.values(), key=lambda e: (len(e[0]), e[0]))
+    return FstUniverse(k, tuple(entries))

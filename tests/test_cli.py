@@ -299,5 +299,8 @@ def test_malformed_input_gets_one_error_line(tmp_path, case):
     lines = r.stderr.splitlines()
     if code:
         assert len(lines) == 1 and lines[0].startswith("error: "), r.stderr
+        if case.endswith("-not-utf8"):  # the line names the undecodable file
+            (name,) = [n for n, data in files.items() if isinstance(data, bytes)]
+            assert lines[0] == f"error: {tmp_path / name}: not UTF-8 text", r.stderr
     else:
         assert lines == [] and r.stdout.startswith("output 01\n")

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_fst
+from conftest import enum_fsts_by_decoding, random_fst
 from depthlab import (
     FstSpec,
     ValidationError,
     brute_force_min_input,
     build_pad_combiner,
+    decode_fst,
+    encode_fst,
     enum_fsts,
     fst_run,
     identity_fst,
@@ -42,6 +44,43 @@ def test_enum_small_universes():
 def test_enum_ceiling():
     with pytest.raises(ValidationError):
         enum_fsts(15)
+
+
+# k = 0..16. Past the ceiling of 14, k = 16 is the first bound with a
+# transition into state 1 from another state (offset m, not 0).
+UNIVERSE_SIZES = [0] * 8 + [1, 1, 5, 5, 18, 18, 61, 61, 211]
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_enum_matches_decoding_oracle(k):
+    u, oracle = enum_fsts(k, ceiling=16), enum_fsts_by_decoding(k)
+    assert u.k == k and len(u) == UNIVERSE_SIZES[k]
+    assert u.entries == oracle.entries
+    keys = [spec.canonical_key() for _, spec in u.entries]
+    assert keys == [spec.canonical_key() for _, spec in oracle.entries]
+    for desc, spec in u.entries:
+        assert encode_fst(spec) == desc
+        assert decode_fst(desc) == spec
+
+
+@pytest.mark.parametrize("k", range(8, 15))
+def test_kfs_matches_decoding_oracle(k):
+    oracle = enum_fsts_by_decoding(k)
+    descs = [desc for desc, _ in oracle.entries]
+    rng = random.Random(2011)
+    for _ in range(200):
+        x = "".join(rng.choice("01") for _ in range(rng.randint(0, 24)))
+        assert kfs_complexity(x, k) == kfs_over_set(x, oracle.machines, descs)
+
+
+def test_enum_cache_keeps_ceiling():
+    u14 = enum_fsts(14)
+    with pytest.raises(ValidationError):
+        enum_fsts(15)
+    with pytest.raises(ValidationError):
+        enum_fsts(14, ceiling=12)
+    assert enum_fsts(14) == u14
+    assert enum_fsts(12, ceiling=12) == enum_fsts(12)
 
 
 def test_enum_dedup_keeps_shortest_description():
