@@ -22,7 +22,6 @@ from .depth import (
     Compressor,
     DepthProfile,
     compute_profile,
-    compute_ratio,
     make_compressor,
     parse_grid,
 )
@@ -31,7 +30,6 @@ from .fscomplexity import (
     ComplexityResult,
     FstUniverse,
     INFINITE,
-    brute_force_min_input,
     build_pad_combiner,
     enum_fsts,
     kfs_complexity,

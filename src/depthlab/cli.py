@@ -123,32 +123,18 @@ def _check_tail(tail: float) -> None:
 
 
 def cmd_profile(args) -> int:
+    """profile (weak and strong) and ratio (one compressor) share this body."""
     _check_tail(args.tail)
     bits = _sequence_from_args(args)
-    weak = depth.make_compressor(_compressor_name(args, args.weak))
-    strong = depth.make_compressor(_compressor_name(args, args.strong))
+    names = [args.compressor] if args.command == "ratio" else [args.weak, args.strong]
+    comps = [depth.make_compressor(_compressor_name(args, n)) for n in names]
     grid = depth.parse_grid(args.grid)
-    profile = depth.compute_profile(bits, weak, strong, grid)
-    _write_out(args, profile.to_csv())
-    lo, hi = profile.tail_bracket(args.tail)
-    print(
-        f"tail gap/n over last {args.tail:.0%} of grid: "
-        f"min {lo:.6f}, max {hi:.6f}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
-
-
-def cmd_ratio(args) -> int:
-    _check_tail(args.tail)
-    bits = _sequence_from_args(args)
-    comp = depth.make_compressor(_compressor_name(args, args.compressor))
-    grid = depth.parse_grid(args.grid)
-    table = depth.compute_ratio(bits, comp, grid)
+    table = depth.compute_profile(bits, comps, grid)
     _write_out(args, table.to_csv())
     lo, hi = table.tail_bracket(args.tail)
+    value = "ratio" if len(comps) == 1 else "gap/n"
     print(
-        f"tail ratio over last {args.tail:.0%} of grid: "
+        f"tail {value} over last {args.tail:.0%} of grid: "
         f"min {lo:.6f}, max {hi:.6f}",
         file=sys.stderr,
     )
@@ -264,7 +250,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", required=True)
     p.add_argument("--tail", type=float, default=0.5)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_ratio)
+    p.set_defaults(fn=cmd_profile)
 
     p = sub.add_parser("lz", help="LZ78 parse table as CSV")
     p.add_argument("--bits")

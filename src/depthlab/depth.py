@@ -1,5 +1,5 @@
-"""Depth profiles: run a weak and a strong compressor over a prefix grid
-and tabulate the per-prefix output-length gap.
+"""Depth profiles: run one compressor, or a weak and a strong one, over a
+prefix grid and tabulate the output lengths with their ratio or gap.
 
 Output lengths are counted in emitted bits for machines and in coded bits
 for LZ78. Each compressor walks the stream once, in grid order, resuming
@@ -28,6 +28,9 @@ from .pushdown import (
 
 # The output bit count of one prefix, or why it has none.
 Measure = Union[int, StuckError]
+
+# Most multiplications parse_grid spends walking a geometric grid.
+MAX_GRID_STEPS = 10**6
 
 
 class Compressor:
@@ -200,6 +203,12 @@ def parse_grid(text: str) -> list[int]:
             raise ValidationError(f"geometric factor must be finite, got {text!r}")
         if factor <= 1:
             raise ValidationError("geometric factor must be > 1")
+        # The loop below multiplies once per step until round(x) > b.
+        if math.log((b + 0.5) / a) / math.log(factor) > MAX_GRID_STEPS:
+            raise ValidationError(
+                f"geometric factor {parts[2][1:]} needs over "
+                f"{MAX_GRID_STEPS} steps from {a} to {b}"
+            )
         x = float(a)
         while math.isfinite(x) and round(x) <= b:  # a huge factor overflows x
             if not points or round(x) > points[-1]:
@@ -214,105 +223,66 @@ def parse_grid(text: str) -> list[int]:
     return points
 
 
-def _tail_bracket(
-    pairs: list[tuple[int, int]], tail_fraction: float
-) -> tuple[float, float]:
-    """(min, max) of value/n over the last `tail_fraction` of (n, value) pairs."""
-    if not pairs:
-        raise ValidationError("no usable rows")
-    start = math.floor(len(pairs) * (1 - tail_fraction))
-    ratios = [v / n for n, v in pairs[start:] or pairs[-1:]]
-    return min(ratios), max(ratios)
-
-
-@dataclass(frozen=True)
-class ProfileRow:
-    n: int
-    weak_bits: Optional[int]
-    strong_bits: Optional[int]
-    note: str = ""  # why a count is missing, when one is
-
-    @property
-    def ok(self) -> bool:
-        return self.weak_bits is not None and self.strong_bits is not None
-
-    @property
-    def gap(self) -> int:
-        assert self.weak_bits is not None and self.strong_bits is not None
-        return self.weak_bits - self.strong_bits
-
-
 @dataclass(frozen=True)
 class DepthProfile:
-    weak_label: str
-    strong_label: str
-    rows: tuple[ProfileRow, ...]
+    """Output bit counts over a prefix grid, one column per compressor.
+
+    Each row is (n, counts, note): the output bit count of bits[:n] per
+    compressor in `labels` order, None where the note says why. A row's
+    value is the count of a lone compressor (a ratio table), or weak minus
+    strong for two (a depth profile).
+    """
+
+    labels: tuple[str, ...]
+    rows: tuple[tuple[int, tuple[Optional[int], ...], str], ...]
+
+    @staticmethod
+    def _value(counts: tuple[Optional[int], ...]) -> Optional[int]:
+        if None in counts:
+            return None
+        return counts[0] if len(counts) == 1 else counts[0] - counts[1]
 
     def tail_bracket(self, tail_fraction: float = 0.5) -> tuple[float, float]:
-        """(min, max) of gap/n over the last `tail_fraction` of the grid."""
-        return _tail_bracket([(r.n, r.gap) for r in self.rows if r.ok], tail_fraction)
+        """(min, max) of value/n over the last `tail_fraction` of the usable
+        rows (at least the last one)."""
+        pairs = [(n, self._value(c)) for n, c, _ in self.rows if None not in c]
+        if not pairs:
+            raise ValidationError("no usable rows")
+        start = math.floor(len(pairs) * (1 - tail_fraction))
+        ratios = [v / n for n, v in pairs[start:] or pairs[-1:]]
+        return min(ratios), max(ratios)
 
     def to_csv(self) -> str:
-        lines = ["n,weak_bits,strong_bits,gap,gap_over_n"]
-        for r in self.rows:
-            if r.ok:
-                lines.append(
-                    f"{r.n},{r.weak_bits},{r.strong_bits},{r.gap},"
-                    f"{r.gap / r.n:.6f}"
-                )
+        pair = len(self.labels) == 2
+        lines = ["n,weak_bits,strong_bits,gap,gap_over_n" if pair else "n,bits,ratio"]
+        for n, counts, note in self.rows:
+            v = self._value(counts)
+            if v is None:
+                lines.append(f"# n={n} flagged: {note}")
             else:
-                lines.append(f"# n={r.n} flagged: {r.note}")
+                cells = (n, *counts, v) if pair else (n, v)
+                lines.append(",".join(map(str, cells)) + f",{v / n:.6f}")
         return "\n".join(lines) + "\n"
 
 
-def _walk(
-    bits: str, grid: list[int], comps: Sequence[Compressor]
-) -> Iterator[tuple[int, list[Optional[int]], str]]:
-    """(n, output bit count per compressor, note) for every distinct grid
-    point in ascending order; a count is None where the note says why."""
+def compute_profile(
+    bits: str, comps: Sequence[Compressor], grid: list[int]
+) -> DepthProfile:
+    """Run one compressor (a ratio table) or a weak and a strong one (a
+    depth profile) over every distinct grid point, in ascending order."""
     points = sorted(set(grid))
     inside = [n for n in points if n <= len(bits)]
     streams = [c.lengths(bits, inside) for c in comps]
+    rows = []
     for n, *values in zip(inside, *streams):
         note = "; ".join(
             f"{c.label} {v}" for c, v in zip(comps, values) if isinstance(v, StuckError)
         )
-        yield n, [None if isinstance(v, StuckError) else v for v in values], note
+        counts = tuple(None if isinstance(v, StuckError) else v for v in values)
+        rows.append((n, counts, note))
     for n in points[len(inside):]:
-        yield n, [None] * len(comps), "prefix beyond sequence end"
-
-
-def compute_profile(
-    bits: str, weak: Compressor, strong: Compressor, grid: list[int]
-) -> DepthProfile:
-    walk = _walk(bits, grid, (weak, strong))
-    rows = tuple(ProfileRow(n, w, s, note) for n, (w, s), note in walk)
-    return DepthProfile(weak.label, strong.label, rows)
-
-
-@dataclass(frozen=True)
-class RatioTable:
-    label: str
-    rows: tuple[tuple[int, Optional[int], str], ...]  # (n, bits, note)
-
-    def tail_bracket(self, tail_fraction: float = 0.5) -> tuple[float, float]:
-        return _tail_bracket(
-            [(n, b) for n, b, _ in self.rows if b is not None], tail_fraction
-        )
-
-    def to_csv(self) -> str:
-        lines = ["n,bits,ratio"]
-        for n, b, note in self.rows:
-            if b is None:
-                lines.append(f"# n={n} flagged: {note}")
-            else:
-                lines.append(f"{n},{b},{b / n:.6f}")
-        return "\n".join(lines) + "\n"
-
-
-def compute_ratio(bits: str, comp: Compressor, grid: list[int]) -> RatioTable:
-    rows = tuple((n, b, note) for n, (b,), note in _walk(bits, grid, (comp,)))
-    return RatioTable(comp.label, rows)
+        rows.append((n, (None,) * len(comps), "prefix beyond sequence end"))
+    return DepthProfile(tuple(c.label for c in comps), tuple(rows))
 
 
 def load_profile_csv(text: str) -> list[tuple[int, int, int]]:

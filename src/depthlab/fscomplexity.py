@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .codec import diamond, double_bits, encode_fst, nat_bin, target_code
 from .errors import ValidationError
-from .fst import BITS, FstSpec, fst_run
+from .fst import BITS, FstSpec
 
 INFINITE = math.inf
 ENUM_CEILING = 14
@@ -156,18 +156,6 @@ def min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:
         node, b = parent[node]
         path.append(b)
     return (dist[goal], "".join(reversed(path)))
-
-
-def brute_force_min_input(
-    T: FstSpec, x: str, max_len: int
-) -> Optional[str]:
-    """Independent oracle: try every input of length <= max_len in order."""
-    for length in range(max_len + 1):
-        for y in product(BITS, repeat=length):
-            s = "".join(y)
-            if fst_run(T, s).output == x:
-                return s
-    return None
 
 
 def kfs_over_set(

@@ -21,6 +21,8 @@ from .fscomplexity import ENUM_CEILING, kfs_complexity
 
 EXPONENTIAL_GROWTH = "exponential"
 SCALED_GROWTH = "scaled"
+# Longest interval a schedule may hold: random.getrandbits takes a C int.
+MAX_INTERVAL_BITS = 2**31 - 1
 
 
 def _subseed(seed: int, *tags) -> int:
@@ -78,6 +80,11 @@ def intervals(
         if bit_budget is not None and total + nxt > bit_budget:
             truncated = True
             break
+        if nxt > MAX_INTERVAL_BITS:
+            raise ValidationError(
+                f"stage {len(lengths) + 1} needs an interval of {nxt} bits, "
+                f"over {MAX_INTERVAL_BITS}"
+            )
         lengths.append(nxt)
         total += nxt
     return IntervalPartition(tuple(lengths), mode, g, truncated)

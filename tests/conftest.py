@@ -1,10 +1,18 @@
 import random
 import sys
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from depthlab import FstSpec, FstUniverse, PdcSpec, decode_fst, pdc_validate  # noqa: E402
+from depthlab import (  # noqa: E402
+    FstSpec,
+    FstUniverse,
+    PdcSpec,
+    decode_fst,
+    fst_run,
+    pdc_validate,
+)
 from depthlab.fst import MAX_EMISSION_DEFAULT  # noqa: E402
 from depthlab.pushdown import LAMBDA, Z0  # noqa: E402
 
@@ -96,3 +104,14 @@ def enum_fsts_by_decoding(k: int) -> FstUniverse:
                 seen[key] = (desc, spec)
     entries = sorted(seen.values(), key=lambda e: (len(e[0]), e[0]))
     return FstUniverse(k, tuple(entries))
+
+
+def brute_force_min_input(T: FstSpec, x: str, max_len: int):
+    """Oracle for min_input_for_output: try every input of length <= max_len
+    in order; the first whose output is x, or None."""
+    for length in range(max_len + 1):
+        for y in product(BITS, repeat=length):
+            s = "".join(y)
+            if fst_run(T, s).output == x:
+                return s
+    return None

@@ -9,18 +9,16 @@ import time
 from itertools import product
 from pathlib import Path
 
-from conftest import random_fst, random_pdc
+from conftest import brute_force_min_input, random_fst, random_pdc
 from depthlab import (
     FstSpec,
     build_half_compressor,
     check_parse,
     compose_pdc_fst,
     compute_profile,
-    compute_ratio,
     decode_fst,
     encode_fst,
     enum_fsts,
-    brute_force_min_input,
     fs_random_string,
     fst_run,
     gen_recipe_b,
@@ -207,10 +205,10 @@ def test_criterion_6_half_compressor_behavior():
     identity = make_compressor("identity-pdc")
     grid = parse_grid(f"10000:{len(bits)}:1000")
     assert all(
-        b == n for n, b, _ in compute_ratio(bits, identity, grid).rows
+        b == n for n, (b,), _ in compute_profile(bits, [identity], grid).rows
     )
     profile = compute_profile(
-        bits, identity, make_compressor("half-compressor(9,9,0)"), grid
+        bits, [identity, make_compressor("half-compressor(9,9,0)")], grid
     )
     lo, _hi = profile.tail_bracket(0.5)
     assert lo >= 0.5 - 0.15, lo
@@ -220,10 +218,10 @@ def test_criterion_6_half_compressor_behavior():
 def test_criterion_7_recipe_c_lz_ratio():
     stream = gen_recipe_c(6, 2, bit_budget=10**5)
     assert len(stream.bits) >= 10**5
-    table = compute_ratio(
-        stream.bits, make_compressor("lz78"), parse_grid("10000:100000:10000")
+    table = compute_profile(
+        stream.bits, [make_compressor("lz78")], parse_grid("10000:100000:10000")
     )
-    for n, bits_out, _ in table.rows:
+    for n, (bits_out,), _ in table.rows:
         assert bits_out is not None
         assert bits_out / n >= 0.6, (n, bits_out / n)
     report(7, "lz78 stays incompressible on the enumeration stream")
@@ -278,8 +276,8 @@ def test_criterion_10_determinism(tmp_path):
     weak = make_compressor("identity-pdc")
     strong = make_compressor("half-compressor(9,9,0)")
     grid = parse_grid("500:3000:500")
-    csv1 = compute_profile(bits, weak, strong, grid).to_csv()
-    csv2 = compute_profile(bits, weak, strong, grid).to_csv()
+    csv1 = compute_profile(bits, [weak, strong], grid).to_csv()
+    csv2 = compute_profile(bits, [weak, strong], grid).to_csv()
     assert csv1.encode() == csv2.encode()
 
     outs = []

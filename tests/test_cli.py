@@ -25,6 +25,7 @@ def run_cli(*args, env_extra=None):
         text=True,
         env=env,
         cwd=ROOT,
+        timeout=120,  # a hang fails its own test, not the whole run
     )
 
 
@@ -117,6 +118,50 @@ def test_ratio_csv(tmp_path, capsys):
     assert lines[0] == "n,bits,ratio"
     assert len(lines) == 7
     capsys.readouterr()
+
+
+# A 10-bit stream that a machine emitting one bit per two 0s sticks on
+# at its 1 (position 7), so each table has data rows, stuck rows and a row
+# past the end. The expected text is the output of the commit before the
+# profile and ratio tables were merged into one type.
+PIN_FILES = {
+    "s.bits": "0000000100\n",
+    "half.pdc": "pdc 2 1 unary 0\n1 0 z -> 2 z 0\n2 0 z -> 1 z -\n",
+}
+PIN_STUCK = (
+    "half.pdc stuck at input position 7: no transition from state 2 on "
+    "stack top 'z'"
+)
+PINNED = {
+    "ratio": (
+        ["--compressor", "half.pdc", "--tail", "1"],
+        "n,bits,ratio\n"
+        "3,2,0.666667\n"
+        "6,3,0.500000\n"
+        f"# n=9 flagged: {PIN_STUCK}\n"
+        "# n=12 flagged: prefix beyond sequence end\n",
+        "tail ratio over last 100% of grid: min 0.500000, max 0.666667\n",
+    ),
+    "profile": (
+        ["--weak", "identity-fst", "--strong", "half.pdc"],
+        "n,weak_bits,strong_bits,gap,gap_over_n\n"
+        "3,3,2,1,0.333333\n"
+        "6,6,3,3,0.500000\n"
+        f"# n=9 flagged: {PIN_STUCK}\n"
+        "# n=12 flagged: prefix beyond sequence end\n",
+        "tail gap/n over last 50% of grid: min 0.500000, max 0.500000\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(PINNED))
+def test_table_bytes_are_pinned(tmp_path, monkeypatch, capsys, cmd):
+    monkeypatch.chdir(tmp_path)
+    for name, text in PIN_FILES.items():
+        Path(name).write_text(text)
+    flags, stdout, stderr = PINNED[cmd]
+    assert main([cmd, "--input", "s.bits", *flags, "--grid", "3:12:3"]) == 0
+    assert capsys.readouterr() == (stdout, stderr)
 
 
 def test_kfs_ratio_flags_unreachable_prefixes(tmp_path, capsys):
@@ -262,7 +307,18 @@ MALFORMED = {
             ["ratio", "--input", "{tmp}/s.bits", "--compressor", "lz78",
              "--grid", f"1:4:x{f}"], None, 2,
         )
-        for f in ("nan", "inf", "1e400")
+        for f in ("nan", "inf", "1e400", "1.0000000001", "1.0000000000000002")
+    },
+    **{
+        f"{cmd}-exponential-stage-4": (
+            {}, [cmd, "--recipe", "a", "--growth", "exponential", "--stages", "4",
+                 *flags], None, 2,
+        )
+        for cmd, flags in (
+            ("generate", ["--out", "{tmp}/a.bits"]),
+            ("profile", ["--weak", "identity-fst", "--strong", "lz78",
+                         "--grid", "1:10:1"]),
+        )
     },
     **{
         f"{cmd}-tail-{t}": (

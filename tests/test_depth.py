@@ -6,13 +6,12 @@ from depthlab import (
     PdcSpec,
     ValidationError,
     compute_profile,
-    compute_ratio,
     lz_encode,
     make_compressor,
     parse_grid,
     random_bits,
 )
-from depthlab.depth import DepthProfile, ProfileRow, RatioTable, load_profile_csv
+from depthlab.depth import DepthProfile, load_profile_csv
 from depthlab.pushdown import Z0
 
 
@@ -30,21 +29,33 @@ def test_parse_grid_rejects():
     for bad in ("10:5:1", "0:5:1", "10:50", "10:50:0", "10:50:x1", "1:1:x2x"):
         with pytest.raises(ValidationError):
             parse_grid(bad)
+    # A factor just above 1 needs too many steps; at 1 + 2^-52 the running
+    # point can round back to itself and never pass b.
+    for bad in ("1:4:x1.0000000001", "1:4:x1.0000000000000002",
+                "1:1:x1.0000000001"):
+        with pytest.raises(ValidationError, match="over 1000000 steps"):
+            parse_grid(bad)
+
+
+def test_parse_grid_keeps_grids_under_the_step_limit():
+    # log(4.5) / log(1.0000016) is about 940,000 steps.
+    assert parse_grid("1:4:x1.0000016") == [1, 2, 3, 4]
+    assert parse_grid("1:4:x1.0001") == [1, 2, 3, 4]
 
 
 def test_equal_compressors_have_zero_gap():
     bits = random_bits(random.Random(0), 400)
     comp = make_compressor("identity-pdc")
-    prof = compute_profile(bits, comp, comp, parse_grid("50:400:50"))
-    assert all(r.gap == 0 for r in prof.rows)
+    prof = compute_profile(bits, [comp, comp], parse_grid("50:400:50"))
+    assert all(w - s == 0 for _, (w, s), _ in prof.rows)
     assert prof.tail_bracket() == (0.0, 0.0)
 
 
 def test_identity_ratio_is_one():
     bits = random_bits(random.Random(1), 300)
     for name in ("identity-pdc", "identity-fst"):
-        table = compute_ratio(bits, make_compressor(name), parse_grid("30:300:30"))
-        assert all(b == n for n, b, _ in table.rows)
+        table = compute_profile(bits, [make_compressor(name)], parse_grid("30:300:30"))
+        assert all(b == n for n, (b,), _ in table.rows)
 
 
 def test_lz_ratio_on_constant_input():
@@ -61,8 +72,8 @@ def test_lz_ratio_on_constant_input():
     if covered < n:
         expected += d.bit_length()
     assert len(lz_encode(bits)) == expected
-    table = compute_ratio(bits, make_compressor("lz78"), parse_grid(f"{n}:{n}:1"))
-    ratio = table.rows[0][1] / n
+    table = compute_profile(bits, [make_compressor("lz78")], parse_grid(f"{n}:{n}:1"))
+    ratio = table.rows[0][1][0] / n
     assert ratio == expected / n
     assert ratio <= 0.15
 
@@ -106,26 +117,25 @@ def test_stuck_rows_are_flagged_not_fatal():
 
     comp = PdcCompressor(stuck, "zeros-only")
     bits = "000100"
-    prof = compute_profile(bits, make_compressor("identity-pdc"), comp, [2, 6])
-    assert prof.rows[0].ok
-    assert not prof.rows[1].ok and "stuck" in prof.rows[1].note
+    prof = compute_profile(bits, [make_compressor("identity-pdc"), comp], [2, 6])
+    assert None not in prof.rows[0][1]
+    assert None in prof.rows[1][1] and "stuck" in prof.rows[1][2]
     csv = prof.to_csv()
     assert "# n=6 flagged" in csv
 
 
 def test_grid_beyond_sequence_is_flagged():
     prof = compute_profile(
-        "0101", make_compressor("identity-pdc"), make_compressor("lz78"), [2, 9]
+        "0101", [make_compressor("identity-pdc"), make_compressor("lz78")], [2, 9]
     )
-    assert prof.rows[1].note == "prefix beyond sequence end"
+    assert prof.rows[1][2] == "prefix beyond sequence end"
 
 
 def test_profile_csv_roundtrip_and_check():
     bits = random_bits(random.Random(3), 500)
     prof = compute_profile(
         bits,
-        make_compressor("identity-pdc"),
-        make_compressor("lz78"),
+        [make_compressor("identity-pdc"), make_compressor("lz78")],
         parse_grid("100:500:100"),
     )
     rows = load_profile_csv(prof.to_csv())
@@ -145,8 +155,7 @@ def test_desk_scale_profile_examples():
     b = gen_recipe_b(9, stages=20, seed=6).bits
     prof = compute_profile(
         b,
-        make_compressor("identity-pdc"),
-        make_compressor("half-compressor(9,9,0)"),
+        [make_compressor("identity-pdc"), make_compressor("half-compressor(9,9,0)")],
         parse_grid(f"4000:{len(b)}:1000"),
     )
     lo, hi = prof.tail_bracket()
@@ -157,8 +166,7 @@ def test_desk_scale_profile_examples():
     c = gen_recipe_c(6, 2, bit_budget=2 * 10**4).bits
     prof = compute_profile(
         c,
-        make_compressor("identity-fst"),
-        make_compressor("lz78"),
+        [make_compressor("identity-fst"), make_compressor("lz78")],
         parse_grid(f"5000:{len(c)}:2500"),
     )
     _, hi = prof.tail_bracket()
@@ -168,8 +176,8 @@ def test_desk_scale_profile_examples():
 def test_tail_bracket_widens_under_refinement():
     bits = random_bits(random.Random(9), 1200)
     weak, strong = make_compressor("identity-pdc"), make_compressor("lz78")
-    coarse = compute_profile(bits, weak, strong, parse_grid("600:1200:300"))
-    fine = compute_profile(bits, weak, strong, parse_grid("600:1200:100"))
+    coarse = compute_profile(bits, [weak, strong], parse_grid("600:1200:300"))
+    fine = compute_profile(bits, [weak, strong], parse_grid("600:1200:100"))
     clo, chi = coarse.tail_bracket(1.0)
     flo, fhi = fine.tail_bracket(1.0)
     assert flo <= clo and fhi >= chi
@@ -178,15 +186,16 @@ def test_tail_bracket_widens_under_refinement():
 def test_tail_bracket_skips_flagged_rows():
     # Usable rows have gap/n 0.5, 0.25, 0.8, 0.1; the flagged row is skipped.
     cells = [(10, 5), (20, 5), (25, None), (30, 24), (40, 4)]
-    prof = DepthProfile("w", "s", tuple(
-        ProfileRow(n, n, None if g is None else n - g, "" if g is not None else "x")
+    prof = DepthProfile(("w", "s"), tuple(
+        (n, (n, None if g is None else n - g), "" if g is not None else "x")
         for n, g in cells
     ))
-    table = RatioTable("c", tuple((n, g, "") for n, g in cells))
+    table = DepthProfile(("c",), tuple((n, (g,), "") for n, g in cells))
     for tail, want in ((0.5, (0.1, 0.8)), (0.2, (0.1, 0.1)), (0.0, (0.1, 0.1)),
                        (1.0, (0.1, 0.8))):
         assert prof.tail_bracket(tail) == want
         assert table.tail_bracket(tail) == want
-    for empty in (DepthProfile("w", "s", ()), RatioTable("c", ((5, None, "x"),))):
+    empties = (DepthProfile(("w", "s"), ()), DepthProfile(("c",), ((5, (None,), "x"),)))
+    for empty in empties:
         with pytest.raises(ValidationError, match="^no usable rows$"):
             empty.tail_bracket()

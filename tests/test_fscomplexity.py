@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import enum_fsts_by_decoding, random_fst
+from conftest import brute_force_min_input, enum_fsts_by_decoding, random_fst
 from depthlab import (
     FstSpec,
     ValidationError,
-    brute_force_min_input,
     build_pad_combiner,
     decode_fst,
     encode_fst,

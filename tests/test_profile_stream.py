@@ -9,7 +9,6 @@ from depthlab import (
     PdcSpec,
     StuckError,
     compute_profile,
-    compute_ratio,
     fst_run,
     gen_recipe_a,
     gen_recipe_b,
@@ -19,14 +18,7 @@ from depthlab import (
     random_bits,
 )
 from depthlab import depth
-from depthlab.depth import (
-    DepthProfile,
-    FstCompressor,
-    LzCompressor,
-    PdcCompressor,
-    ProfileRow,
-    RatioTable,
-)
+from depthlab.depth import DepthProfile, FstCompressor, LzCompressor, PdcCompressor
 from depthlab.pushdown import Z0
 
 
@@ -43,7 +35,7 @@ def batch_run(comp, prefix):
 def batch_rows(bits, comps, grid):
     for n in sorted(set(grid)):
         if n > len(bits):
-            yield n, [None] * len(comps), "prefix beyond sequence end"
+            yield n, (None,) * len(comps), "prefix beyond sequence end"
             continue
         values, notes = [], []
         for comp in comps:
@@ -52,31 +44,21 @@ def batch_rows(bits, comps, grid):
             except StuckError as exc:
                 values.append(None)
                 notes.append(f"{comp.label} {exc}")
-        yield n, values, "; ".join(notes)
+        yield n, tuple(values), "; ".join(notes)
 
 
-def batch_profile_csv(bits, weak, strong, grid):
-    rows = tuple(
-        ProfileRow(n, w, s, note)
-        for n, (w, s), note in batch_rows(bits, (weak, strong), grid)
-    )
-    return DepthProfile(weak.label, strong.label, rows).to_csv()
-
-
-def batch_ratio_csv(bits, comp, grid):
-    rows = tuple((n, b, note) for n, (b,), note in batch_rows(bits, (comp,), grid))
-    return RatioTable(comp.label, rows).to_csv()
+def batch_table(bits, comps, grid):
+    labels = tuple(c.label for c in comps)
+    return DepthProfile(labels, tuple(batch_rows(bits, comps, grid)))
 
 
 def assert_matches_batch(bits, comps, grid):
-    for comp in comps:
-        assert compute_ratio(bits, comp, grid).to_csv().encode() == (
-            batch_ratio_csv(bits, comp, grid).encode()
-        )
-    for weak, strong in zip(comps, comps[1:] + comps[:1]):
-        assert compute_profile(bits, weak, strong, grid).to_csv().encode() == (
-            batch_profile_csv(bits, weak, strong, grid).encode()
-        )
+    # The rows are compared as well as the CSV, since both tables format
+    # through the same to_csv (pinned to literal bytes in test_cli.py).
+    for table in [[comp] for comp in comps] + list(zip(comps, comps[1:] + comps[:1])):
+        got, want = compute_profile(bits, table, grid), batch_table(bits, table, grid)
+        assert got == want
+        assert got.to_csv().encode() == want.to_csv().encode()
 
 
 def assert_same_stuck(comp, bits, grid):
@@ -126,14 +108,14 @@ def test_stuck_after_first_point_reports_absolute_position():
     grid = [6, 2, 9, 4, 2, 7]
     assert_matches_batch(bits, [make_compressor("identity-pdc"), comp], grid)
     assert_same_stuck(comp, bits, grid)
-    rows = compute_ratio(bits, comp, grid).rows
-    assert rows[0] == (2, 2, "")
+    rows = compute_profile(bits, [comp], grid).rows
+    assert rows[0] == (2, (2,), "")
     note = (
         "zeros-only stuck at input position 3: no transition from state 1 "
         "on stack top 'z'"
     )
-    assert rows[1:] == ((4, None, note), (6, None, note), (7, None, note),
-                        (9, None, "prefix beyond sequence end"))
+    assert rows[1:] == ((4, (None,), note), (6, (None,), note), (7, (None,), note),
+                        (9, (None,), "prefix beyond sequence end"))
     with pytest.raises(StuckError) as info:
         comp.output_bits(bits)
     assert (info.value.position, info.value.partial_output) == (3, "000")
@@ -165,10 +147,11 @@ def test_every_prefix_length_costs_one_pass(monkeypatch):
     monkeypatch.setattr(depth, "pdc_run", counting_run)
     strong = make_compressor("half-compressor(9,9,0)")
     grid = list(range(1, len(bits) + 1))
-    prof = compute_profile(bits, make_compressor("identity-pdc"), strong, grid)
+    prof = compute_profile(bits, [make_compressor("identity-pdc"), strong], grid)
     assert sum(fed) == 2 * len(bits)
-    assert [r.n for r in prof.rows] == grid
+    assert [n for n, _, _ in prof.rows] == grid
     rng = random.Random(11)
-    for r in rng.sample(prof.rows, 40) + [prof.rows[-1]]:
-        want = len(pdc_run(strong.spec, bits[: r.n]).output)
-        assert (r.weak_bits, r.strong_bits, r.note) == (r.n, want, "")
+    sample = rng.sample(prof.rows, 40) + [prof.rows[-1]]
+    for n, (weak_bits, strong_bits), note in sample:
+        want = len(pdc_run(strong.spec, bits[:n]).output)
+        assert (weak_bits, strong_bits, note) == (n, want, "")

@@ -28,6 +28,11 @@ def test_intervals_budget_truncation():
     part = intervals("exponential", bit_budget=10**6)
     assert part.lengths == (2, 4, 64)  # the next interval has 2^70 bits
     assert part.truncated
+    # Without a budget that cuts it, a stage random_bits cannot draw is refused.
+    with pytest.raises(ValidationError, match=f"^stage 4 needs an interval of {2**70}"):
+        intervals("exponential", count=4)
+    with pytest.raises(ValidationError, match="^stage 2 needs"):
+        intervals("scaled", count=3, g=2**16)
 
 
 def test_intervals_scaled():
