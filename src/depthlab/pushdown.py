@@ -4,12 +4,20 @@ A spec carries partial transition/output maps keyed by (state, input
 symbol, stack top), where the input symbol may be the empty string for a
 move that consumes no input. Such moves never emit, and at most
 `lambda_budget` of them may run back to back; validation checks this
-statically so runs are total on defined transitions. The stack is a
-top-first string whose last character is always the bottom marker.
+statically so runs are total on defined transitions.
+
+At the public boundary (`pdc_run`'s `stack` argument and
+`PdcRun.final_stack`) a stack is a top-first string whose last character
+is the bottom marker. Inside a run it is a bottom-first `bytearray`, one
+byte per symbol (the character's code, so symbols must lie below U+0100),
+so a push or pop at the top costs O(1) amortized and a run is linear in
+its input whatever the stack height. Each spec compiles its maps once,
+on first run, into move tables keyed by (state, [bit,] top byte).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import StuckError, ValidationError
@@ -27,7 +35,8 @@ class PdcSpec:
 
     trans maps (state, input, top) -> (state, push string); the push
     replaces the consumed top, so an empty push is a pop. emit gives the
-    bits written on the same keys (missing keys emit nothing).
+    bits written on the same keys (missing keys emit nothing). Both maps
+    are compiled on the first run, so they must not change after it.
     """
 
     num_states: int
@@ -59,6 +68,25 @@ class PdcSpec:
             tuple(sorted(self.trans.items())),
             tuple(sorted((k, v) for k, v in self.emit.items() if v)),
         )
+
+    @cached_property
+    def _moves(self) -> tuple[dict, dict]:
+        """(input-free moves, bit moves) for the run engine, built on first
+        use: (state, top byte) -> (target, push) and (state, bit, top byte)
+        -> (target, push, emission), each push reversed to bottom-first
+        bytes. A key whose top is not one symbol can never be read."""
+        free: dict[tuple[int, int], tuple[int, bytes]] = {}
+        bit: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
+        for key, (tgt, push) in self.trans.items():
+            q, inp, top = key
+            if len(top) != 1:
+                continue
+            code = push[::-1].encode("latin-1")
+            if inp == LAMBDA:
+                free[(q, ord(top))] = (tgt, code)
+            else:
+                bit[(q, inp, ord(top))] = (tgt, code, self.emit.get(key, ""))
+        return free, bit
 
 
 @dataclass(frozen=True)
@@ -173,19 +201,49 @@ def validate_strict(C: PdcSpec) -> PdcSpec:
     return C
 
 
-def _closure(C: PdcSpec, q: int, stack: str) -> tuple[int, str]:
+def _close(C: PdcSpec, q: int, buf: bytearray) -> int:
+    """Apply input-free moves from state q to the bottom-first stack buf,
+    in place, until none applies; returns the state reached."""
+    free = C._moves[0]
+    move = free.get((q, buf[-1]))
     steps = 0
-    while (q, LAMBDA, stack[0]) in C.trans:
-        tgt, push = C.trans[(q, LAMBDA, stack[0])]
-        stack = push + stack[1:]
-        q = tgt
+    while move is not None:
         steps += 1
         if steps > C.lambda_budget:
             raise ValidationError(
                 "input-free moves exceeded the budget at run time; "
                 "run pdc_validate on this machine"
             )
-    return q, stack
+        q, push = move
+        del buf[-1]
+        buf += push
+        move = free.get((q, buf[-1]))
+    return q
+
+
+def _steps(
+    C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
+) -> tuple[Optional[int], int]:
+    """Run C on x from state q over the bottom-first stack buf, in place,
+    appending emissions to out. Returns (position, state): the position of
+    the bit that had no move, or None when all of x ran, and the state the
+    run ended in. Input-free moves go first, so they win over a bit move on
+    the same (state, top) as in an unvalidated spec."""
+    free, bit = C._moves
+    if (q, buf[-1]) in free:
+        q = _close(C, q, buf)
+    for i, b in enumerate(x):
+        move = bit.get((q, b, buf[-1]))
+        if move is None:
+            return i, q
+        q, push, e = move
+        del buf[-1]
+        buf += push
+        if e:
+            out.append(e)
+        if (q, buf[-1]) in free:
+            q = _close(C, q, buf)
+    return None, q
 
 
 def pdc_run(
@@ -194,26 +252,19 @@ def pdc_run(
     state: Optional[int] = None,
     stack: Optional[str] = None,
 ) -> PdcRun:
-    """Run C on x, optionally from an explicit mid-run configuration.
+    """Run C on x, optionally from an explicit mid-run configuration
+    (`stack` top-first, ending with the bottom marker).
 
     Input-free moves are applied exhaustively before the first bit and
     after every bit. A missing bit transition raises StuckError naming the
     position.
     """
-    q = C.start if state is None else state
-    st = Z0 if stack is None else stack
+    buf = bytearray(Z0 if stack is None else stack[::-1], "latin-1")
     out: list[str] = []
-    q, st = _closure(C, q, st)
-    for i, b in enumerate(x):
-        key = (q, b, st[0])
-        if key not in C.trans:
-            raise StuckError(i, q, st[0], "".join(out))
-        tgt, push = C.trans[key]
-        out.append(C.emit.get(key, ""))
-        st = push + st[1:]
-        q = tgt
-        q, st = _closure(C, q, st)
-    return PdcRun("".join(out), q, st)
+    pos, q = _steps(C, x, C.start if state is None else state, buf, out)
+    if pos is not None:
+        raise StuckError(pos, q, chr(buf[-1]), "".join(out))
+    return PdcRun("".join(out), q, buf[::-1].decode("latin-1"))
 
 
 def pdc_il_check(C: PdcSpec, L: int) -> Optional[tuple[str, str]]:
@@ -279,9 +330,10 @@ def compose_pdc_fst(
     cap = pclose * (d + 1) + d
     syms = C.stack_symbols()
     has_lambda_from = {q for (q, inp, _t) in C.trans if inp == LAMBDA}
+    below = ord(_BELOW)
 
     def replay(qc: int, known: str, e: str):
-        """pdc_run of C on e from state qc over the stack `known` + _BELOW.
+        """Run C on e from state qc over the stack `known` + _BELOW.
 
         Returns (state, stack, output), or None when the run sticks on a
         known top. Returns _UNDERFLOW when the outcome could depend on
@@ -289,13 +341,14 @@ def compose_pdc_fst(
         reads, or ends on _BELOW alone in a state with an input-free
         move. A `known` ending in the bottom marker never underflows.
         """
-        try:
-            run = pdc_run(C, e, state=qc, stack=known + _BELOW)
-        except StuckError as exc:
-            return _UNDERFLOW if exc.top == _BELOW else None
-        if run.final_stack == _BELOW and run.final_state in has_lambda_from:
+        buf = bytearray((known + _BELOW)[::-1], "latin-1")
+        out: list[str] = []
+        pos, q = _steps(C, e, qc, buf, out)
+        if pos is not None:
+            return _UNDERFLOW if buf[-1] == below else None
+        if len(buf) == 1 and q in has_lambda_from:  # only _BELOW is left
             return _UNDERFLOW
-        return run.final_state, run.final_stack[:-1], run.output
+        return q, buf[:0:-1].decode("latin-1"), "".join(out)
 
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []

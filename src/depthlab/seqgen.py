@@ -261,11 +261,11 @@ def gen_recipe_b(
     that is >= j) and R_j free of any 1^k substring.
 
     R_j is drawn seeded-uniformly by rejection; after `sample_retries`
-    misses, every k-th bit of the draw is forced to 0 instead.
+    misses, every k-th bit of the draw is forced to 0 instead. A stage
+    over MAX_INTERVAL_BITS bits is refused before it is drawn.
     """
     if k <= 8:
         raise ValidationError("need k > 8")
-    flag = "1" * k
     pieces: list[str] = []
     blocks: list[dict] = []
     total = 0
@@ -278,6 +278,11 @@ def gen_recipe_b(
             break
         t = power_ceiling(k, j)
         rlen = k * t
+        if 2 * rlen + k > MAX_INTERVAL_BITS:
+            raise ValidationError(
+                f"stage {j} needs {2 * rlen + k} bits, over {MAX_INTERVAL_BITS}"
+            )
+        flag = "1" * k
         rng = random.Random(_subseed(seed, "b", k, j))
         fallback = False
         for attempt in range(sample_retries + 1):

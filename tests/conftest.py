@@ -8,7 +8,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from depthlab import (  # noqa: E402
     FstSpec,
     FstUniverse,
+    PdcRun,
     PdcSpec,
+    StuckError,
+    ValidationError,
     decode_fst,
     fst_run,
     pdc_validate,
@@ -89,6 +92,15 @@ def chain_pdc(n: int, budget: int) -> PdcSpec:
     return PdcSpec(n, 1, "unary", trans, emit, budget)
 
 
+def flag_free_bits(n: int, seed: int) -> str:
+    """n seeded random bits with every 9th forced to 0: no aligned 1^9 flag,
+    so the half-compressor pushes all of them."""
+    rng = random.Random(seed)
+    x = bytearray(format(rng.getrandbits(n), f"0{n}b"), "ascii")
+    x[8::9] = b"0" * len(x[8::9])
+    return x.decode()
+
+
 def enum_fsts_by_decoding(k: int) -> FstUniverse:
     """Slow oracle for enum_fsts: decode every bit string of length <= k,
     keep the first description of each machine, order by (length, bits)."""
@@ -115,3 +127,39 @@ def brute_force_min_input(T: FstSpec, x: str, max_len: int):
             if fst_run(T, s).output == x:
                 return s
     return None
+
+
+def oracle_closure(C: PdcSpec, q: int, stack: str) -> tuple[int, str]:
+    """Oracle for the engine's input-free closure, on a top-first string
+    stack that is copied at every move."""
+    steps = 0
+    while (q, LAMBDA, stack[0]) in C.trans:
+        tgt, push = C.trans[(q, LAMBDA, stack[0])]
+        stack = push + stack[1:]
+        q = tgt
+        steps += 1
+        if steps > C.lambda_budget:
+            raise ValidationError(
+                "input-free moves exceeded the budget at run time; "
+                "run pdc_validate on this machine"
+            )
+    return q, stack
+
+
+def oracle_pdc_run(C: PdcSpec, x: str, state=None, stack=None) -> PdcRun:
+    """Oracle for pdc_run: the string-stack step loop, quadratic in stack
+    height, reading C.trans and C.emit directly."""
+    q = C.start if state is None else state
+    st = Z0 if stack is None else stack
+    out: list[str] = []
+    q, st = oracle_closure(C, q, st)
+    for i, b in enumerate(x):
+        key = (q, b, st[0])
+        if key not in C.trans:
+            raise StuckError(i, q, st[0], "".join(out))
+        tgt, push = C.trans[key]
+        out.append(C.emit.get(key, ""))
+        st = push + st[1:]
+        q = tgt
+        q, st = oracle_closure(C, q, st)
+    return PdcRun("".join(out), q, st)

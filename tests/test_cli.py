@@ -321,6 +321,17 @@ MALFORMED = {
         )
     },
     **{
+        f"{cmd}-recipe-b-oversized-stage": (
+            {}, [cmd, "--recipe", "b", "--k", "3000000000", "--stages", "1",
+                 *flags], None, 2,
+        )
+        for cmd, flags in (
+            ("generate", ["--out", "{tmp}/b.bits"]),
+            ("profile", ["--weak", "identity-fst", "--strong", "lz78",
+                         "--grid", "1:10:1"]),
+        )
+    },
+    **{
         f"{cmd}-tail-{t}": (
             {"s.bits": "0110"},
             [cmd, "--input", "{tmp}/s.bits", *flags, "--grid", "1:4:1",

@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from conftest import drop_bit_move, random_fst, random_pdc
+from conftest import drop_bit_move, flag_free_bits, oracle_pdc_run, random_fst, random_pdc
 from depthlab import (
     PdcSpec,
     StuckError,
+    build_half_compressor,
+    compose_pdc_fst,
     compute_profile,
     fst_run,
     gen_recipe_a,
     gen_recipe_b,
+    identity_fst,
     lz_encode,
     make_compressor,
     pdc_run,
@@ -155,3 +158,19 @@ def test_every_prefix_length_costs_one_pass(monkeypatch):
     for n, (weak_bits, strong_bits), note in sample:
         want = len(pdc_run(strong.spec, bits[:n]).output)
         assert (weak_bits, strong_bits, note) == (n, want, "")
+
+
+def test_deep_stack_profile_resumes_from_string_stacks():
+    # Each segment starts from the last final stack, a top-first string up
+    # to 100k symbols deep, and the second half of the stream reads all of
+    # it back: R 1^9 reverse(R) with flag-free R.
+    N = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
+    r = flag_free_bits(99_999, 8)  # 9 divides |R|, so the flag is aligned
+    bits = r + "1" * 9 + r[::-1]
+    grid = list(range(1000, len(bits) + 1, 1000))
+    got = list(PdcCompressor(N, "composed").lengths(bits, grid))
+    head = len(r) + 9  # copied verbatim; then one 0 per 9 matched bits
+    assert got == [n if n <= head else head + (n - head) // 9 for n in grid]
+    rng = random.Random(13)
+    for i in sorted(rng.sample(range(len(grid) - 1), 2)) + [len(grid) - 1]:
+        assert got[i] == len(oracle_pdc_run(N, bits[: grid[i]]).output)

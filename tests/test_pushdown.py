@@ -4,7 +4,15 @@ from itertools import product
 
 import pytest
 
-from conftest import chain_pdc, drop_bit_move, random_fst, random_pdc
+from conftest import (
+    chain_pdc,
+    drop_bit_move,
+    flag_free_bits,
+    oracle_closure,
+    oracle_pdc_run,
+    random_fst,
+    random_pdc,
+)
 from depthlab import (
     PdcSpec,
     StuckError,
@@ -21,7 +29,7 @@ from depthlab import (
     pdc_validate,
     repeater_fst,
 )
-from depthlab.pushdown import LAMBDA, Z0, _lambda_chains
+from depthlab.pushdown import _BELOW, LAMBDA, Z0, _lambda_chains
 
 
 def all_inputs(max_len):
@@ -266,9 +274,7 @@ def _reconstruct_input(C, output, final_state, max_len):
     """Test-only decoder: recover the unique input from (output, final
     state) by searching input bits and pruning branches whose emission
     stops matching. Never consults the original input."""
-    from depthlab.pushdown import _closure
-
-    q0, st0 = _closure(C, C.start, Z0)
+    q0, st0 = oracle_closure(C, C.start, Z0)
     frontier = [("", q0, st0, "")]
     matches = []
     for _ in range(max_len + 1):
@@ -284,7 +290,7 @@ def _reconstruct_input(C, output, final_state, max_len):
                 if not output.startswith(out2):
                     continue
                 tgt, push = C.trans[key]
-                q2, st2 = _closure(C, tgt, push + st[1:])
+                q2, st2 = oracle_closure(C, tgt, push + st[1:])
                 nxt.append((x + b, q2, st2, out2))
         frontier = nxt
     return matches
@@ -404,3 +410,78 @@ def test_long_input_free_chain():
     assert pdc_validate(chain_pdc(2000, 1998)) == [
         "input-free moves can chain beyond budget 1998"
     ]
+
+
+def run_outcome(run, C, x, state=None, stack=None):
+    """Every field of a PdcRun, or of the StuckError that stops the run."""
+    try:
+        r = run(C, x, state=state, stack=stack)
+    except StuckError as exc:
+        return ("stuck", exc.position, exc.state, exc.top, exc.partial_output, str(exc))
+    return ("ran", r.output, r.final_state, r.final_stack)
+
+
+def test_engine_matches_string_stack_oracle():
+    # Mid-run configurations: any state, stacks of up to 50 symbols that end
+    # in the bottom marker or in _BELOW (which no move reads, as in compose).
+    rng = random.Random(77)
+    kinds = {"ran": 0, "stuck": 0, "stuck on _BELOW": 0}
+    for i in range(500):
+        kind = "unary" if i % 2 else "binary"
+        C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=(0.2, 0.6)[i // 2 % 2])
+        syms = C.stack_symbols()
+        for spec in (C, drop_bit_move(rng, C)):
+            for _ in range(3):
+                x = "".join(rng.choice("01") for _ in range(rng.randint(0, 30)))
+                if rng.random() < 0.25:
+                    state = stack = None
+                else:
+                    state = rng.randint(1, spec.num_states)
+                    height = rng.choice([rng.randint(0, 3), rng.randint(0, 50)])
+                    body = "".join(rng.choice(syms) for _ in range(height))
+                    stack = body + rng.choice([Z0, _BELOW])
+                got = run_outcome(pdc_run, spec, x, state, stack)
+                assert got == run_outcome(oracle_pdc_run, spec, x, state, stack)
+                on_below = got[0] == "stuck" and got[3] == _BELOW
+                kinds["stuck on _BELOW" if on_below else got[0]] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_engine_budget_overrun_matches_oracle():
+    C = chain_pdc(50, 48)
+    errors = []
+    for run in (pdc_run, oracle_pdc_run):
+        with pytest.raises(ValidationError) as info:
+            run(C, "01")
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("input-free moves exceeded the budget at run time")
+
+
+def test_input_free_move_wins_over_bit_move():
+    # Unvalidated: on (1, top 0) both an input-free pop and bit moves exist.
+    trans = {
+        (1, "0", Z0): (1, "0" + Z0),
+        (1, "1", Z0): (1, "0" + Z0),
+        (1, LAMBDA, "0"): (2, ""),
+        (1, "0", "0"): (1, "00"),
+        (1, "1", "0"): (1, "00"),
+        (2, "0", Z0): (2, Z0),
+        (2, "1", Z0): (2, Z0),
+    }
+    emit = {(1, "0", Z0): "1", (1, "1", Z0): "1", (2, "0", Z0): "0", (2, "1", Z0): "1",
+            (1, "0", "0"): "0", (1, "1", "0"): "0"}
+    C = PdcSpec(2, 1, "binary", trans, emit, 1)
+    assert "both input-free and bit moves on (1, '0')" in pdc_validate(C)
+    r = pdc_run(C, "01")
+    assert (r.output, r.final_state, r.final_stack) == ("11", 2, Z0)
+    assert run_outcome(pdc_run, C, "0110", 1, "0" + Z0) == run_outcome(
+        oracle_pdc_run, C, "0110", 1, "0" + Z0
+    )
+
+
+def test_deep_stack_run():
+    x = flag_free_bits(10**6, 5)
+    r = pdc_run(build_half_compressor(9, 9, 0), x)
+    assert r.output == x
+    assert r.final_stack == x[::-1] + Z0

@@ -141,6 +141,16 @@ def test_recipe_b_rejects_small_k():
         gen_recipe_b(8, stages=2)
 
 
+def test_recipe_b_refuses_an_oversized_stage():
+    # Stage 1 has 3 * 10^5 bits; stage 2 would need 2 * 10^10 + 10^5.
+    with pytest.raises(ValidationError, match=f"^stage 2 needs {2 * 10**10 + 10**5} bits"):
+        gen_recipe_b(10**5, stages=2)
+    # A budget that ends the stream first never reaches the check.
+    assert len(gen_recipe_b(10**5, stages=2, bit_budget=1000).bits) == 3 * 10**5
+    with pytest.raises(ValidationError, match="^stage 1 needs"):
+        gen_recipe_b(3 * 10**9, stages=1)
+
+
 def test_recipe_b_fallback_still_flag_free():
     stream = gen_recipe_b(9, stages=8, seed=1, sample_retries=0)
     assert any(b["fallback"] for b in stream.blocks)
