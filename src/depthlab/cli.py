@@ -3,6 +3,12 @@
 Subcommands: generate, profile, ratio, lz, fst-run, pdc-run, encode-fst,
 decode-fst, kfs, compose. Exit codes: 0 ok, 1 usage, 2 spec or config
 validation failure, 3 a run got stuck.
+
+Each command is declared once, in COMMANDS. `main` builds only the parser
+of the command that argv names; argv that the command's parser cannot take
+whole (no command, an unknown one, a leading option or leftover arguments)
+goes to the full parser, so usage and error messages are the same either
+way.
 """
 from __future__ import annotations
 
@@ -226,73 +232,112 @@ def _add_sequence_flags(p: _Parser, include_input: bool = True) -> None:
                        help="m of a bare half-compressor name")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="depthlab")
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("generate", help="write a recipe stream and manifest")
+def _args_generate(p: _Parser) -> None:
     _add_sequence_flags(p, include_input=False)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("profile", help="weak/strong gap over a prefix grid")
+
+def _args_profile(p: _Parser) -> None:
     _add_sequence_flags(p)
     p.add_argument("--weak", required=True)
     p.add_argument("--strong", required=True)
     p.add_argument("--grid", required=True, help="a:b:step or a:b:xF")
     p.add_argument("--tail", type=float, default=0.5)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("ratio", help="output bits over n for one compressor")
+
+def _args_ratio(p: _Parser) -> None:
     _add_sequence_flags(p)
     p.add_argument("--compressor", required=True)
     p.add_argument("--grid", required=True)
     p.add_argument("--tail", type=float, default=0.5)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_profile)
 
-    p = sub.add_parser("lz", help="LZ78 parse table as CSV")
+
+def _args_bits(p: _Parser) -> None:
     p.add_argument("--bits")
     p.add_argument("--input")
+
+
+def _args_lz(p: _Parser) -> None:
+    _args_bits(p)
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_lz)
 
-    for name, fn in (("fst-run", cmd_fst_run), ("pdc-run", cmd_pdc_run)):
-        p = sub.add_parser(name, help=f"run a machine file on input bits")
-        p.add_argument("--machine", required=True)
-        p.add_argument("--bits")
-        p.add_argument("--input")
-        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("encode-fst", help="canonical description of a machine")
+def _args_machine_run(p: _Parser) -> None:
     p.add_argument("--machine", required=True)
-    p.set_defaults(fn=cmd_encode_fst)
+    _args_bits(p)
 
-    p = sub.add_parser("decode-fst", help="machine from a description")
-    p.add_argument("--bits")
-    p.add_argument("--input")
-    p.set_defaults(fn=cmd_decode_fst)
 
-    p = sub.add_parser("kfs", help="size-bounded machine complexity of bits")
-    p.add_argument("--bits")
-    p.add_argument("--input")
+def _args_encode_fst(p: _Parser) -> None:
+    p.add_argument("--machine", required=True)
+
+
+def _args_kfs(p: _Parser) -> None:
+    _args_bits(p)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_kfs)
 
-    p = sub.add_parser("compose", help="outer machine applied after an fst")
+
+def _args_compose(p: _Parser) -> None:
     p.add_argument("--outer", required=True, help="fst or pdc file")
     p.add_argument("--inner", required=True, help="fst file")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_compose)
+
+
+# name -> (handler, help line, a function that adds the command's arguments)
+COMMANDS = {
+    "generate": (cmd_generate, "write a recipe stream and manifest", _args_generate),
+    "profile": (cmd_profile, "weak/strong gap over a prefix grid", _args_profile),
+    "ratio": (cmd_profile, "output bits over n for one compressor", _args_ratio),
+    "lz": (cmd_lz, "LZ78 parse table as CSV", _args_lz),
+    "fst-run": (cmd_fst_run, "run a machine file on input bits", _args_machine_run),
+    "pdc-run": (cmd_pdc_run, "run a machine file on input bits", _args_machine_run),
+    "encode-fst": (
+        cmd_encode_fst, "canonical description of a machine", _args_encode_fst
+    ),
+    "decode-fst": (cmd_decode_fst, "machine from a description", _args_bits),
+    "kfs": (cmd_kfs, "size-bounded machine complexity of bits", _args_kfs),
+    "compose": (cmd_compose, "outer machine applied after an fst", _args_compose),
+}
+
+
+def build_parser() -> _Parser:
+    """The full parser: every command as a subparser."""
+    parser = _Parser(prog="depthlab")
+    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    for name, (fn, help_line, add_args) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_args(p)
+        p.set_defaults(fn=fn)
     return parser
 
 
+def _command_parser(name: str) -> _Parser:
+    """One command's parser, alike in prog, arguments and help to its
+    subparser in build_parser()."""
+    fn, _, add_args = COMMANDS[name]
+    p = _Parser(prog=f"depthlab {name}")
+    add_args(p)
+    p.set_defaults(fn=fn, command=name)
+    return p
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The Namespace that build_parser().parse_args(argv) gives. When argv
+    names a command and its parser takes every argument after the name,
+    only that parser is built; in every other case the full parser parses,
+    so its usage lines and error messages stay the same."""
+    if argv and argv[0] in COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     if not getattr(args, "fn", None):
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

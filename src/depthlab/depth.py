@@ -19,7 +19,9 @@ from .fst import FstSpec, fst_run, identity_fst, parse_fst, repeater_fst
 from .fscomplexity import enum_fsts, kfs_over_set
 from .lz78 import LzParser
 from .pushdown import (
+    Z0,
     PdcSpec,
+    _steps,
     build_half_compressor,
     identity_pdc,
     parse_pdc,
@@ -29,7 +31,8 @@ from .pushdown import (
 # The output bit count of one prefix, or why it has none.
 Measure = Union[int, StuckError]
 
-# Most multiplications parse_grid spends walking a geometric grid.
+# Most points of a linear grid, and most multiplications parse_grid spends
+# walking a geometric grid.
 MAX_GRID_STEPS = 10**6
 
 
@@ -71,22 +74,23 @@ class PdcCompressor(Compressor):
         self.spec = spec
 
     def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
-        # pdc_run closes over input-free moves on entry and after every bit,
-        # and a closed configuration closes to itself, so resuming from the
-        # last final (state, stack) runs exactly as a fresh run would.
-        q, st, total, prev = None, None, 0, 0
+        # The engine closes over input-free moves on entry and after every
+        # bit, and a closed configuration closes to itself, so resuming from
+        # the last (state, stack) runs exactly as a fresh run would. The
+        # stack stays one bottom-first bytearray from segment to segment.
+        q, buf, total, prev = self.spec.start, bytearray(Z0, "latin-1"), 0, 0
+        out: list[str] = []  # one segment's emissions, counted and dropped
         for i, n in enumerate(points):
-            try:
-                run = pdc_run(self.spec, bits[prev:n], state=q, stack=st)
-            except StuckError as exc:
+            pos, q = _steps(self.spec, bits[prev:n], q, buf, out)
+            if pos is not None:
                 # Every longer prefix sticks at the same bit.
-                pos = prev + exc.position
+                pos += prev
                 head = pdc_run(self.spec, bits[:pos]).output
-                stuck = StuckError(pos, exc.state, exc.top, head)
+                stuck = StuckError(pos, q, chr(buf[-1]), head)
                 yield from [stuck] * (len(points) - i)
                 return
-            q, st = run.final_state, run.final_stack
-            total, prev = total + len(run.output), n
+            total, prev = total + sum(map(len, out)), n
+            out.clear()
             yield total
 
 
@@ -217,6 +221,10 @@ def parse_grid(text: str) -> list[int]:
     else:
         if step < 1:
             raise ValidationError("step must be >= 1")
+        if (b - a) // step >= MAX_GRID_STEPS:
+            raise ValidationError(
+                f"linear grid {text!r} has over {MAX_GRID_STEPS} points"
+            )
         points = list(range(a, b + 1, step))
     if not points:
         raise ValidationError(f"empty grid {text!r}")

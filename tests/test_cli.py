@@ -1,14 +1,19 @@
 import hashlib
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_pdc
-from depthlab import format_fst, format_pdc, identity_fst, identity_pdc
+from depthlab import cli, format_fst, format_pdc, identity_fst, identity_pdc
 from depthlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,6 +314,11 @@ MALFORMED = {
         )
         for f in ("nan", "inf", "1e400", "1.0000000001", "1.0000000000000002")
     },
+    "grid-linear-over-cap": (
+        {"s.bits": "0110"},
+        ["ratio", "--input", "{tmp}/s.bits", "--compressor", "lz78",
+         "--grid", "1:1000001:1"], None, 2,
+    ),
     **{
         f"{cmd}-exponential-stage-4": (
             {}, [cmd, "--recipe", "a", "--growth", "exponential", "--stages", "4",
@@ -371,3 +381,102 @@ def test_malformed_input_gets_one_error_line(tmp_path, case):
             assert lines[0] == f"error: {tmp_path / name}: not UTF-8 text", r.stderr
     else:
         assert lines == [] and r.stdout.startswith("output 01\n")
+
+
+def readme_commands():
+    """The argv of every `depthlab` command in the README's shell blocks."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in text.splitlines()
+            if line.startswith("depthlab ")]
+
+
+def parse_outcome(parse, argv):
+    """The Namespace that parse gives argv (as a repr, so a NaN equals
+    itself), or its exit code, with what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            got = repr(sorted(vars(parse(list(argv))).items()))
+        except SystemExit as exc:
+            got = ("exit", exc.code)
+    return got, out.getvalue(), err.getvalue()
+
+
+def assert_parses_like_full_parser(argv):
+    full = parse_outcome(lambda a: cli.build_parser().parse_args(a), argv)
+    assert parse_outcome(cli.parse_args, argv) == full, argv
+
+
+PARSE_CORPUS = [
+    [], ["-h"], ["--help"], ["-h", "kfs"], ["nope"], ["nope", "--k", "3"],
+    ["--", "kfs"], ["kfs", "--", "--bits", "01"],
+    *([name, "-h"] for name in cli.COMMANDS),
+    ["kfs", "--bits", "0110", "--k", "12", "extra"],  # trailing arguments
+    ["kfs", "--bits", "0110", "--k", "12", "--k"],
+    ["kfs", "--bit", "0110", "--k", "12"],  # abbreviated flags
+    ["ratio", "--bits", "0101", "--recipe", "c", "--compressor", "lz78",
+     "--grid", "1:4:1"],
+    ["kfs", "--bits", "0110", "--k", "x"],
+    ["profile", "--weak", "lz78"],
+    ["generate", "--recipe", "d", "--out", "x"],
+]
+
+
+def test_command_parser_parses_like_the_full_parser(tmp_path):
+    readme = readme_commands()
+    assert {argv[0] for argv in readme} == set(cli.COMMANDS)
+    corpus = PARSE_CORPUS + readme + [
+        [a.format(tmp=tmp_path) for a in args] for _, args, _, _ in MALFORMED.values()
+    ]
+    for argv in corpus:
+        assert_parses_like_full_parser(argv)
+
+
+def declared_flags():
+    flags = set()
+    for name in cli.COMMANDS:
+        flags.update(cli._command_parser(name)._option_string_actions)
+    return sorted(flags)
+
+
+TOKENS = st.one_of(
+    st.sampled_from([*cli.COMMANDS, *declared_flags(), "--", "-h"]),
+    st.sampled_from(["0110", "12", "x", "", "-", "-x", "--bit", "--k=3",
+                     "--bits=01", "1:4:1", "a b", "-1", "lz78", "b"]),
+    st.text(alphabet="-kbx01 ", max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(TOKENS, max_size=8))
+def test_command_parser_parses_like_the_full_parser_fuzzed(argv):
+    assert_parses_like_full_parser(argv)
+
+
+def test_valid_commands_never_build_the_full_parser(tmp_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    (tmp_path / "ident.fst").write_text(format_fst(identity_fst()))
+    (tmp_path / "ident.pdc").write_text(format_pdc(identity_pdc()))
+    (tmp_path / "s.bits").write_text("01101001\n")
+    fst, pdc, bits = (str(tmp_path / n) for n in ("ident.fst", "ident.pdc", "s.bits"))
+    runs = [
+        ["generate", "--recipe", "b", "--k", "9", "--stages", "2",
+         "--out", str(tmp_path / "g.bits")],
+        ["profile", "--input", bits, "--weak", "identity-fst", "--strong", "lz78",
+         "--grid", "1:8:1"],
+        ["ratio", "--input", bits, "--compressor", "lz78", "--grid", "1:8:1"],
+        ["lz", "--bits", "010110"],
+        ["fst-run", "--machine", fst, "--bits", "0110"],
+        ["pdc-run", "--machine", pdc, "--input", bits],
+        ["encode-fst", "--machine", fst],
+        ["decode-fst", "--bits", "110101100100"],
+        ["kfs", "--bits", "0110", "--k", "12"],
+        ["compose", "--outer", pdc, "--inner", fst],
+    ]
+    assert [argv[0] for argv in runs] == list(cli.COMMANDS)
+    for argv in runs:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -35,12 +35,16 @@ def test_parse_grid_rejects():
                 "1:1:x1.0000000001"):
         with pytest.raises(ValidationError, match="over 1000000 steps"):
             parse_grid(bad)
+    for bad in ("1:1000001:1", "3:2000004:2", "1:99999999999:1"):
+        with pytest.raises(ValidationError, match="over 1000000 points"):
+            parse_grid(bad)
 
 
 def test_parse_grid_keeps_grids_under_the_step_limit():
     # log(4.5) / log(1.0000016) is about 940,000 steps.
     assert parse_grid("1:4:x1.0000016") == [1, 2, 3, 4]
     assert parse_grid("1:4:x1.0001") == [1, 2, 3, 4]
+    assert len(parse_grid("1:1000000:1")) == len(parse_grid("3:2000002:2")) == 10**6
 
 
 def test_equal_compressors_have_zero_gap():

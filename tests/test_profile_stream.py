@@ -142,12 +142,13 @@ def test_every_prefix_length_costs_one_pass(monkeypatch):
     bits = gen_recipe_b(9, stages=14, seed=7).bits
     assert len(bits) >= 5000
     fed = []
+    steps = depth._steps
 
-    def counting_run(C, x, *args, **kwargs):
+    def counting_steps(C, x, *args):
         fed.append(len(x))
-        return pdc_run(C, x, *args, **kwargs)
+        return steps(C, x, *args)
 
-    monkeypatch.setattr(depth, "pdc_run", counting_run)
+    monkeypatch.setattr(depth, "_steps", counting_steps)
     strong = make_compressor("half-compressor(9,9,0)")
     grid = list(range(1, len(bits) + 1))
     prof = compute_profile(bits, [make_compressor("identity-pdc"), strong], grid)
@@ -161,9 +162,9 @@ def test_every_prefix_length_costs_one_pass(monkeypatch):
 
 
 def test_deep_stack_profile_resumes_from_string_stacks():
-    # Each segment starts from the last final stack, a top-first string up
-    # to 100k symbols deep, and the second half of the stream reads all of
-    # it back: R 1^9 reverse(R) with flag-free R.
+    # Each segment resumes from the stack the last one left, up to 100k
+    # symbols deep, and the second half of the stream reads all of it
+    # back: R 1^9 reverse(R) with flag-free R.
     N = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
     r = flag_free_bits(99_999, 8)  # 9 divides |R|, so the flag is aligned
     bits = r + "1" * 9 + r[::-1]
@@ -174,3 +175,19 @@ def test_deep_stack_profile_resumes_from_string_stacks():
     rng = random.Random(13)
     for i in sorted(rng.sample(range(len(grid) - 1), 2)) + [len(grid) - 1]:
         assert got[i] == len(oracle_pdc_run(N, bits[: grid[i]]).output)
+
+
+def test_step_one_grid_on_a_deep_stack():
+    # Every prefix length of R 1^9 reverse(R): a grid point per bit while
+    # the stack holds up to 10k symbols, which a stack copy per point would
+    # make quadratic.
+    strong = make_compressor("half-compressor(9,9,0)")
+    r = flag_free_bits(9_999, 5)
+    bits = r + "1" * 9 + r[::-1]
+    grid = list(range(1, len(bits) + 1))
+    got = list(strong.lengths(bits, grid))
+    head = len(r) + 9
+    assert got == [n if n <= head else head + (n - head) // 9 for n in grid]
+    rng = random.Random(17)
+    for n in sorted(rng.sample(grid, 4)) + [head + 1, len(bits)]:
+        assert got[n - 1] == len(oracle_pdc_run(strong.spec, bits[:n]).output)

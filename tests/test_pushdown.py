@@ -340,16 +340,28 @@ def test_text_format_rejects_garbage():
 
 
 def chains_by_brute_force(C):
-    """Oracle for _lambda_chains: follow every chain of input-free moves
-    from every (state, top) node, one move at a time, with no memo."""
+    """Oracle for _lambda_chains: follow every chain of input-free moves,
+    one move at a time, with no memo. Walks start from the nodes that no
+    move enters, where every longest chain of an acyclic graph starts, then
+    from any node no walk has reached, so a cycle is still found."""
     tops = C.stack_symbols() + Z0
     moves = {(q, top): C.trans[(q, inp, top)] for q, inp, top in C.trans if inp == LAMBDA}
+
+    def successors(node):
+        tgt, push = moves[node]
+        return [(tgt, push[0])] if push else [(tgt, t) for t in tops]
+
+    entered = {s for node in moves for s in successors(node)}
+    reached = set()
     most_moves = most_pops = 0
-    for root in moves:
+    for root in [node for node in moves if node not in entered] + list(moves):
+        if root in reached:
+            continue
         chain, on_chain = [], set()  # nodes whose move the current chain took
         todo = [(root, 0, 0)]  # (node, moves so far, pops so far)
         while todo:
             node, n, p = todo.pop()
+            reached.add(node)
             for gone in chain[n:]:
                 on_chain.discard(gone)
             del chain[n:]
@@ -360,9 +372,8 @@ def chains_by_brute_force(C):
                 return None
             chain.append(node)
             on_chain.add(node)
-            tgt, push = moves[node]
-            nxt = [(tgt, push[0])] if push else [(tgt, t) for t in tops]
-            todo.extend((s, n + 1, p + (not push)) for s in nxt)
+            popped = not moves[node][1]
+            todo.extend((s, n + 1, p + popped) for s in successors(node))
     return most_moves, most_pops
 
 
