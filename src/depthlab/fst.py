@@ -2,12 +2,20 @@
 
 A transducer has states 1..m, a start state, and total transition/output
 maps on (state, bit). Running one on an input concatenates the per-step
-emissions. Everything here is a pure function over immutable specs, so
-concurrent use needs no coordination.
+emissions.
+
+`fst_run` reads its input in blocks of FST_BLOCK bits and looks each up
+in a memo the spec owns, keyed by (state, block), so a run costs one
+lookup per block rather than per bit. A miss runs the block one bit at
+a time and memoizes it until the memo holds BLOCK_MEMO_CAP entries; past
+that, blocks it lacks keep running one bit at a time. Everything else
+here is a pure function over immutable specs, and a memo entry is the
+same whichever run writes it, so concurrent use needs no coordination.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import ValidationError
@@ -17,6 +25,9 @@ BITS = ("0", "1")
 # Cap used by spec generators and enumeration-style tooling so machine
 # spaces stay finite; hand-built machines may exceed it.
 MAX_EMISSION_DEFAULT = 8
+
+FST_BLOCK = 8  # input bits per memoized block
+BLOCK_MEMO_CAP = 1 << 16  # most memoized blocks per spec, FST or PDC
 
 
 def check_bits(s: str, what: str) -> None:
@@ -29,7 +40,8 @@ class FstSpec:
     """A finite-state transducer: states 1..num_states, total on (state, bit).
 
     `next` maps (state, bit) -> state; `out` maps (state, bit) -> emitted
-    bits (possibly empty).
+    bits (possibly empty). Runs memoize blocks in `_blocks`, so the maps
+    must not change after the first run.
     """
 
     num_states: int
@@ -64,6 +76,12 @@ class FstSpec:
     def max_emission(self) -> int:
         return max(len(e) for e in self.out.values())
 
+    @cached_property
+    def _blocks(self) -> dict[tuple[int, str], tuple[int, str]]:
+        """The block memo, filled as runs go: (state, block) -> (state,
+        emission)."""
+        return {}
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -74,10 +92,23 @@ class RunResult:
 def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
     """Run T on x: output is the concatenation of per-step emissions."""
     q = T.start if start is None else start
+    blocks = T._blocks
     pieces = []
-    for b in x:
-        pieces.append(T.out[(q, b)])
-        q = T.next[(q, b)]
+    i, n = 0, len(x)
+    while i < n:
+        block = x[i : i + FST_BLOCK]
+        move = blocks.get((q, block))
+        if move is None:
+            q0, emitted = q, []
+            for b in block:
+                emitted.append(T.out[(q, b)])
+                q = T.next[(q, b)]
+            move = q, "".join(emitted)
+            if len(blocks) < BLOCK_MEMO_CAP:
+                blocks[(q0, block)] = move
+        q, e = move
+        pieces.append(e)
+        i += FST_BLOCK
     return RunResult("".join(pieces), q)
 
 

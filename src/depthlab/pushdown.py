@@ -13,6 +13,17 @@ byte per symbol (the character's code, so symbols must lie below U+0100),
 so a push or pop at the top costs O(1) amortized and a run is linear in
 its input whatever the stack height. Each spec compiles its maps once,
 on first run, into move tables keyed by (state, [bit,] top byte).
+
+A run reads its input in blocks of PDC_BLOCK bits and looks each up in a
+memo the spec owns, keyed by (state, block, top byte): a hit replaces
+the top with a pushed string and emits in one step, so a run costs one
+lookup per block rather than per bit. A miss builds the block by
+replaying it over the top alone (`_replay`). A block whose outcome could
+depend on deeper symbols, or that sticks or overruns the input-free
+budget, is memoized as no block and runs one bit at a time on the real
+stack, so stuck positions and errors are exactly those of a bit-by-bit
+run. Past BLOCK_MEMO_CAP entries a spec's memo stops growing, and blocks
+it lacks run one bit at a time.
 """
 from __future__ import annotations
 
@@ -21,12 +32,14 @@ from functools import cached_property
 from typing import Mapping, Optional
 
 from .errors import StuckError, ValidationError
-from .fst import BITS, FstSpec, check_bits
+from .fst import BITS, BLOCK_MEMO_CAP, FstSpec, check_bits
 
 Z0 = "z"
 LAMBDA = ""
 
 TransKey = tuple[int, str, str]  # (state, input bit or LAMBDA, stack top)
+
+PDC_BLOCK = 6  # input bits per memoized block
 
 
 @dataclass(frozen=True)
@@ -36,7 +49,8 @@ class PdcSpec:
     trans maps (state, input, top) -> (state, push string); the push
     replaces the consumed top, so an empty push is a pop. emit gives the
     bits written on the same keys (missing keys emit nothing). Both maps
-    are compiled on the first run, so they must not change after it.
+    are compiled on the first run, so they must not change after it, and
+    each spec memoizes the blocks its runs read (`_blocks`).
     """
 
     num_states: int
@@ -70,11 +84,14 @@ class PdcSpec:
         )
 
     @cached_property
-    def _moves(self) -> tuple[dict, dict]:
-        """(input-free moves, bit moves) for the run engine, built on first
-        use: (state, top byte) -> (target, push) and (state, bit, top byte)
-        -> (target, push, emission), each push reversed to bottom-first
-        bytes. A key whose top is not one symbol can never be read."""
+    def _moves(self) -> tuple[dict, dict, frozenset, bool]:
+        """The run engine's tables, built on first use: input-free moves
+        (state, top byte) -> (target, push); bit moves (state, bit, top
+        byte) -> (target, push, emission), each push reversed to
+        bottom-first bytes; the states with an input-free move; and whether
+        a move reads the _BELOW sentinel, which no block replay can then
+        tell from the unknown rest. A key whose top is not one symbol can
+        never be read."""
         free: dict[tuple[int, int], tuple[int, bytes]] = {}
         bit: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
         for key, (tgt, push) in self.trans.items():
@@ -86,7 +103,14 @@ class PdcSpec:
                 free[(q, ord(top))] = (tgt, code)
             else:
                 bit[(q, inp, ord(top))] = (tgt, code, self.emit.get(key, ""))
-        return free, bit
+        reads_below = any(key[-1] == _BELOW_BYTE for key in (*free, *bit))
+        return free, bit, frozenset(q for q, _ in free), reads_below
+
+    @cached_property
+    def _blocks(self) -> dict[tuple[int, str, int], tuple]:
+        """The block memo, filled as runs go: (state, block, top byte) ->
+        (state, bottom-first push, emission), or () for no block."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -221,15 +245,16 @@ def _close(C: PdcSpec, q: int, buf: bytearray) -> int:
     return q
 
 
-def _steps(
+def _bit_steps(
     C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
 ) -> tuple[Optional[int], int]:
-    """Run C on x from state q over the bottom-first stack buf, in place,
-    appending emissions to out. Returns (position, state): the position of
-    the bit that had no move, or None when all of x ran, and the state the
-    run ended in. Input-free moves go first, so they win over a bit move on
-    the same (state, top) as in an unvalidated spec."""
-    free, bit = C._moves
+    """Run C on x one bit at a time from state q over the bottom-first
+    stack buf, in place, appending emissions to out. Returns (position,
+    state): the position of the bit that had no move, or None when all of
+    x ran, and the state the run ended in. Input-free moves go first, so
+    they win over a bit move on the same (state, top) as in an unvalidated
+    spec."""
+    free, bit, _, _ = C._moves
     if (q, buf[-1]) in free:
         q = _close(C, q, buf)
     for i, b in enumerate(x):
@@ -246,6 +271,74 @@ def _steps(
     return None, q
 
 
+_BELOW = "?"  # ends a partial stack: the unknown rest, read by no move
+_UNDERFLOW = "underflow"
+_BELOW_BYTE = ord(_BELOW)
+
+
+def _replay(C: PdcSpec, qc: int, known: str, e: str):
+    """Run C on e from state qc over the top-first stack `known` + _BELOW.
+
+    Returns (state, bottom-first stack, output), or None when the run
+    sticks on a known top. Returns _UNDERFLOW when the outcome could depend
+    on symbols below `known`: the run sticks on _BELOW, which no move reads,
+    or ends on _BELOW alone in a state with an input-free move. A `known`
+    ending in the bottom marker never underflows.
+    """
+    buf = bytearray((known + _BELOW)[::-1], "latin-1")
+    out: list[str] = []
+    pos, q = _bit_steps(C, e, qc, buf, out)
+    if pos is not None:
+        return _UNDERFLOW if buf[-1] == _BELOW_BYTE else None
+    if len(buf) == 1 and q in C._moves[2]:  # only _BELOW is left
+        return _UNDERFLOW
+    return q, bytes(buf[1:]), "".join(out)
+
+
+def _steps(
+    C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
+) -> tuple[Optional[int], int]:
+    """`_bit_steps`, with the same result and effects, but one memo lookup
+    per block of PDC_BLOCK bits wherever the memo has the block."""
+    free = C._moves[0]
+    blocks = C._blocks
+    if (q, buf[-1]) in free:
+        q = _close(C, q, buf)
+    i, n = 0, len(x)
+    while i < n:
+        block = x[i : i + PDC_BLOCK]
+        key = (q, block, buf[-1])
+        move = blocks.get(key)
+        if move is None and len(blocks) < BLOCK_MEMO_CAP:
+            move = blocks[key] = _block_move(C, q, block, buf[-1])
+        if not move:  # no block, or not memoized
+            pos, q = _bit_steps(C, block, q, buf, out)
+            if pos is not None:
+                return i + pos, q
+        else:
+            q, push, e = move
+            del buf[-1]
+            buf += push
+            if e:
+                out.append(e)
+        i += PDC_BLOCK
+    return None, q
+
+
+def _block_move(C: PdcSpec, q: int, block: str, top: int) -> tuple:
+    """The memo entry of `block` read in closed state q over top byte
+    `top`: (state, bottom-first push, emission), or () for no block, when
+    the block sticks, overruns the input-free budget or could read below
+    the top."""
+    if C._moves[3]:
+        return ()
+    try:
+        got = _replay(C, q, chr(top), block)
+    except ValidationError:
+        return ()
+    return () if got is None or got is _UNDERFLOW else got
+
+
 def pdc_run(
     C: PdcSpec,
     x: str,
@@ -259,7 +352,13 @@ def pdc_run(
     after every bit. A missing bit transition raises StuckError naming the
     position.
     """
-    buf = bytearray(Z0 if stack is None else stack[::-1], "latin-1")
+    if stack is None:
+        stack = Z0
+    elif not stack:
+        raise ValidationError("stack must not be empty: it ends with the bottom marker")
+    elif max(stack) > "\xff":
+        raise ValidationError(f"stack symbol {max(stack)!r} is at or above U+0100")
+    buf = bytearray(stack[::-1], "latin-1")
     out: list[str] = []
     pos, q = _steps(C, x, C.start if state is None else state, buf, out)
     if pos is not None:
@@ -303,10 +402,6 @@ def identity_pdc() -> PdcSpec:
     return PdcSpec(1, 1, "unary", trans, emit, 0)
 
 
-_BELOW = "?"  # ends a partial stack: the unknown rest, read by no move
-_UNDERFLOW = "underflow"
-
-
 def compose_pdc_fst(
     C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000
 ) -> PdcSpec:
@@ -329,27 +424,6 @@ def compose_pdc_fst(
     pclose = _lambda_chains(C)[1]
     cap = pclose * (d + 1) + d
     syms = C.stack_symbols()
-    has_lambda_from = {q for (q, inp, _t) in C.trans if inp == LAMBDA}
-    below = ord(_BELOW)
-
-    def replay(qc: int, known: str, e: str):
-        """Run C on e from state qc over the stack `known` + _BELOW.
-
-        Returns (state, stack, output), or None when the run sticks on a
-        known top. Returns _UNDERFLOW when the outcome could depend on
-        symbols below `known`: the run sticks on _BELOW, which no move
-        reads, or ends on _BELOW alone in a state with an input-free
-        move. A `known` ending in the bottom marker never underflows.
-        """
-        buf = bytearray((known + _BELOW)[::-1], "latin-1")
-        out: list[str] = []
-        pos, q = _steps(C, e, qc, buf, out)
-        if pos is not None:
-            return _UNDERFLOW if buf[-1] == below else None
-        if len(buf) == 1 and q in has_lambda_from:  # only _BELOW is left
-            return _UNDERFLOW
-        return q, buf[:0:-1].decode("latin-1"), "".join(out)
-
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
 
@@ -369,7 +443,7 @@ def compose_pdc_fst(
     for idx, (qc, qt, buf) in enumerate(order, start=1):  # sees what ref() appends
         moves = {b: (T.out[(qt, b)], T.next[(qt, b)]) for b in BITS}
         for a in (Z0, *syms):  # this order fixes the product state numbering
-            results = {b: replay(qc, buf + a, e) for b, (e, _) in moves.items()}
+            results = {b: _replay(C, qc, buf + a, e) for b, (e, _) in moves.items()}
             if _UNDERFLOW in results.values():
                 if len(buf) >= cap:
                     raise AssertionError("buffer bound violated in composition")
@@ -379,6 +453,7 @@ def compose_pdc_fst(
                 if got is None:
                     continue
                 qc2, st2, outbits = got
+                st2 = st2[::-1].decode("latin-1")
                 trans[(idx, b, a)] = (ref((qc2, moves[b][1], "")), st2)
                 if outbits:
                     emit[(idx, b, a)] = outbits

@@ -10,6 +10,7 @@ from depthlab import (  # noqa: E402
     FstUniverse,
     PdcRun,
     PdcSpec,
+    RunResult,
     StuckError,
     ValidationError,
     decode_fst,
@@ -127,6 +128,16 @@ def brute_force_min_input(T: FstSpec, x: str, max_len: int):
             if fst_run(T, s).output == x:
                 return s
     return None
+
+
+def oracle_fst_run(T: FstSpec, x: str, start=None) -> RunResult:
+    """Oracle for fst_run: one map lookup per input bit, no block memo."""
+    q = T.start if start is None else start
+    pieces = []
+    for b in x:
+        pieces.append(T.out[(q, b)])
+        q = T.next[(q, b)]
+    return RunResult("".join(pieces), q)
 
 
 def oracle_closure(C: PdcSpec, q: int, stack: str) -> tuple[int, str]:

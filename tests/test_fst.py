@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_fst
+from conftest import oracle_fst_run, random_fst
 from depthlab import (
     FstSpec,
     ValidationError,
     format_fst,
+    fst,
     fst_compose,
     fst_run,
     identity_fst,
@@ -44,6 +45,25 @@ def test_empty_input():
     T = random_fst(random.Random(3))
     r = fst_run(T, "")
     assert (r.output, r.final_state) == ("", T.start)
+
+
+def test_block_run_matches_per_bit_oracle(monkeypatch):
+    # Every input length from 0 to 4 blocks + 1, from the start state and
+    # from every state, on a cold memo and then on a warm one; then the
+    # same with a memo capped at 5 entries.
+    rng = random.Random(29)
+    for cap in (fst.BLOCK_MEMO_CAP, 5):
+        monkeypatch.setattr(fst, "BLOCK_MEMO_CAP", cap)
+        for _ in range(60):
+            T = random_fst(rng, max_states=4)
+            T = FstSpec(T.num_states, T.start, T.next, T.out)  # a cold memo
+            for length in range(4 * fst.FST_BLOCK + 2):
+                x = "".join(rng.choice("01") for _ in range(length))
+                for _warm in range(2):
+                    assert fst_run(T, x) == oracle_fst_run(T, x)
+                    for q in range(1, T.num_states + 1):
+                        assert fst_run(T, x, start=q) == oracle_fst_run(T, x, start=q)
+            assert len(T._blocks) <= cap
 
 
 def test_spec_validation():

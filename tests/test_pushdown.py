@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -27,9 +28,10 @@ from depthlab import (
     pdc_il_check,
     pdc_run,
     pdc_validate,
+    pushdown,
     repeater_fst,
 )
-from depthlab.pushdown import _BELOW, LAMBDA, Z0, _lambda_chains
+from depthlab.pushdown import _BELOW, LAMBDA, PDC_BLOCK, Z0, _lambda_chains
 
 
 def all_inputs(max_len):
@@ -459,14 +461,20 @@ def test_engine_matches_string_stack_oracle():
 
 
 def test_engine_budget_overrun_matches_oracle():
-    C = chain_pdc(50, 48)
-    errors = []
-    for run in (pdc_run, oracle_pdc_run):
-        with pytest.raises(ValidationError) as info:
-            run(C, "01")
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("input-free moves exceeded the budget at run time")
+    # The second machine copies 0s in state 1 and enters the chain on a 1,
+    # so the overrun falls inside the first block.
+    late = chain_pdc(50, 47)
+    late = PdcSpec(51, 51, "unary", {**late.trans, (51, "0", Z0): (51, Z0),
+                                     (51, "1", Z0): (1, Z0)}, late.emit, 47)
+    for C, x in ((chain_pdc(50, 48), "01"), (late, "0001")):
+        errors = []
+        for run in (pdc_run, oracle_pdc_run):
+            with pytest.raises(ValidationError) as info:
+                run(C, x)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("input-free moves exceeded the budget at run time")
+    assert late._blocks == {(51, "0001", ord(Z0)): ()}
 
 
 def test_input_free_move_wins_over_bit_move():
@@ -496,3 +504,83 @@ def test_deep_stack_run():
     r = pdc_run(build_half_compressor(9, 9, 0), x)
     assert r.output == x
     assert r.final_stack == x[::-1] + Z0
+
+
+def cold_copy(C):
+    """C with the same maps, but no compiled tables and an empty memo."""
+    return PdcSpec(C.num_states, C.start, C.stack_kind, C.trans, C.emit, C.lambda_budget)
+
+
+def test_block_engine_matches_oracle_cold_and_warm():
+    # Every input length from 0 to 4 blocks + 1, from a mid-run state over a
+    # stack ending in z or _BELOW. Each spec runs twice from the same state
+    # and top: first on a cold memo, then on the memo that run filled, with
+    # a different rest of the stack, so a block memoized on a symbol below
+    # the top would show.
+    rng = random.Random(93)
+    kinds = Counter()
+    stuck_offsets = set()
+    for i in range(120):
+        kind = "unary" if i % 2 else "binary"
+        C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=(0.2, 0.6)[i // 2 % 2])
+        syms = C.stack_symbols()
+
+        def rest():
+            body = "".join(rng.choice(syms) for _ in range(rng.randint(0, 12)))
+            return body + rng.choice([Z0, _BELOW])
+
+        for spec in (C, drop_bit_move(rng, C)):
+            for length in range(4 * PDC_BLOCK + 2):
+                x = "".join(rng.choice("01") for _ in range(length))
+                state, top = rng.randint(1, spec.num_states), rng.choice(syms)
+                spec = cold_copy(spec)
+                for stack in (top + rest(), top + rest()):
+                    got = run_outcome(pdc_run, spec, x, state, stack)
+                    assert got == run_outcome(oracle_pdc_run, spec, x, state, stack)
+                    on_below = got[0] == "stuck" and got[3] == _BELOW
+                    kinds["stuck on _BELOW" if on_below else got[0]] += 1
+                    if got[0] == "stuck":
+                        stuck_offsets.add(got[1] % PDC_BLOCK)
+                kinds["blocks memoized"] += sum(map(bool, spec._blocks.values()))
+    assert min(kinds.values()) > 500, kinds
+    assert stuck_offsets == set(range(PDC_BLOCK))
+
+
+def test_block_memo_stays_under_its_cap(monkeypatch):
+    N = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
+    assert N.num_states == 1552
+    rng = random.Random(19)
+    x = "".join(rng.choice("01") for _ in range(20_000))
+    want = oracle_pdc_run(N, x)
+    uncapped = cold_copy(N)
+    assert pdc_run(uncapped, x) == want
+    cap = len(uncapped._blocks) // 3
+    monkeypatch.setattr(pushdown, "BLOCK_MEMO_CAP", cap)
+    for _ in range(2):  # on a cold memo, then on the full one
+        assert pdc_run(N, x) == want
+        assert len(N._blocks) == cap
+
+
+def test_pdc_run_rejects_an_empty_stack():
+    with pytest.raises(ValidationError, match="stack must not be empty"):
+        pdc_run(identity_pdc(), "01", stack="")
+
+
+def test_pdc_run_rejects_a_stack_symbol_from_u0100_up():
+    with pytest.raises(ValidationError, match="stack symbol 'ā' is at or above U\\+0100"):
+        pdc_run(identity_pdc(), "01", stack="āz")
+
+
+def test_spec_reading_the_below_sentinel_memoizes_no_block():
+    # Unvalidated: a move on "?", so a replay over top + _BELOW would read
+    # the sentinel as a real symbol.
+    trans = {(1, b, t): (1, t) for b in "01" for t in (Z0, _BELOW)}
+    trans[(1, "1", "0")] = (1, "")
+    emit = {(1, b, t): b for b in "01" for t in (Z0, _BELOW)}
+    C = PdcSpec(1, 1, "binary", trans, emit, 0)
+    x = "1" * (2 * PDC_BLOCK)
+    stack = "0" + _BELOW + Z0
+    assert run_outcome(pdc_run, C, x, 1, stack) == run_outcome(
+        oracle_pdc_run, C, x, 1, stack
+    )
+    assert set(C._blocks.values()) == {()}
