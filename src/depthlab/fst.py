@@ -92,6 +92,8 @@ class RunResult:
 def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
     """Run T on x: output is the concatenation of per-step emissions."""
     q = T.start if start is None else start
+    if not 1 <= q <= T.num_states:
+        raise ValidationError(f"state {q} out of range 1..{T.num_states}")
     blocks = T._blocks
     pieces = []
     i, n = 0, len(x)

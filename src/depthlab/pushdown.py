@@ -24,15 +24,25 @@ budget, is memoized as no block and runs one bit at a time on the real
 stack, so stuck positions and errors are exactly those of a bit-by-bit
 run. Past BLOCK_MEMO_CAP entries a spec's memo stops growing, and blocks
 it lacks run one bit at a time.
+
+A replay that needs the symbol below its top has, at that point, nothing
+left on its stack but the unknown rest. So it stops with a continuation
+(state, unread input, output so far) that runs on over the next symbol
+down exactly as a replay over both symbols would. Composition relies on
+this to replay each (state, top, unread input) once, however deep its
+buffer: the product state that pops a symbol resumes its parent's
+continuations. Resuming restarts the count of back-to-back input-free
+moves, which is safe only for a validated spec, where no chain can
+overrun the budget.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import StuckError, ValidationError
-from .fst import BITS, BLOCK_MEMO_CAP, FstSpec, check_bits
+from .fst import BITS, BLOCK_MEMO_CAP, FstSpec
 
 Z0 = "z"
 LAMBDA = ""
@@ -130,7 +140,7 @@ def pdc_validate(C: PdcSpec) -> list[str]:
     """
     problems = []
     syms = C.stack_symbols()
-    tops = syms + Z0
+    tops = (*syms, Z0)
     for key, (tgt, push) in C.trans.items():
         q, inp, top = key
         if not 1 <= q <= C.num_states:
@@ -149,23 +159,19 @@ def pdc_validate(C: PdcSpec) -> list[str]:
             body = push
             if Z0 in push:
                 problems.append(f"bottom marker pushed mid-stack in {key}")
-        if any(c not in syms for c in body):
+        if body.lstrip(syms):
             problems.append(f"push alphabet violation in {key}")
     for key, bits in C.emit.items():
         if key not in C.trans:
             problems.append(f"emission on undefined transition {key}")
-        try:
-            check_bits(bits, f"emission {key}")
-        except ValidationError as exc:
-            problems.append(str(exc))
+        if bits.strip("01"):
+            problems.append(f"emission {key} must be a string over 0/1, got {bits!r}")
         if key[1] == LAMBDA and bits:
             problems.append(f"input-free move must not emit: {key}")
-    by_pair: dict[tuple[int, str], set[str]] = {}
-    for q, inp, top in C.trans:
-        by_pair.setdefault((q, top), set()).add(inp)
-    for pair, inputs in sorted(by_pair.items()):
-        if LAMBDA in inputs and len(inputs) > 1:
-            problems.append(f"both input-free and bit moves on {pair}")
+    free = {(q, top) for q, inp, top in C.trans if inp == LAMBDA}
+    read = {(q, top) for q, inp, top in C.trans if inp != LAMBDA}
+    for pair in sorted(free & read):
+        problems.append(f"both input-free and bit moves on {pair}")
 
     chains = _lambda_chains(C)
     if chains is None or chains[0] > C.lambda_budget:
@@ -194,6 +200,8 @@ def _lambda_chains(C: PdcSpec) -> Optional[tuple[int, int]]:
     best: dict[tuple[int, str], tuple[int, int]] = {}  # finished nodes
     on_path: set[tuple[int, str]] = set()
     for root in edges:
+        if root in best:
+            continue
         todo = [root]
         while todo:
             node = todo[-1]
@@ -210,8 +218,14 @@ def _lambda_chains(C: PdcSpec) -> Optional[tuple[int, int]]:
                 todo.pop()
                 on_path.discard(node)
                 pops, nxt = edges[node]
-                moves_below, pops_below = zip(*(best.get(s, (0, 0)) for s in nxt))
-                best[node] = (1 + max(moves_below), pops + max(pops_below))
+                moves_below = pops_below = 0
+                for s in nxt:
+                    m, p = best.get(s, (0, 0))
+                    if m > moves_below:
+                        moves_below = m
+                    if p > pops_below:
+                        pops_below = p
+                best[node] = (1 + moves_below, pops + pops_below)
     return (
         max((m for m, _ in best.values()), default=0),
         max((p for _, p in best.values()), default=0),
@@ -272,26 +286,39 @@ def _bit_steps(
 
 
 _BELOW = "?"  # ends a partial stack: the unknown rest, read by no move
-_UNDERFLOW = "underflow"
 _BELOW_BYTE = ord(_BELOW)
 
 
-def _replay(C: PdcSpec, qc: int, known: str, e: str):
-    """Run C on e from state qc over the top-first stack `known` + _BELOW.
+class _Resume(NamedTuple):
+    """A replay stopped for want of the symbol below its stack."""
+
+    state: int
+    rest: str  # the input it has not read
+    out: str  # what it emitted so far
+
+
+def _replay(C: PdcSpec, q: int, top: int, e: str):
+    """Run C on e from state q over the stack of top byte `top` + _BELOW.
 
     Returns (state, bottom-first stack, output), or None when the run
-    sticks on a known top. Returns _UNDERFLOW when the outcome could depend
-    on symbols below `known`: the run sticks on _BELOW, which no move reads,
-    or ends on _BELOW alone in a state with an input-free move. A `known`
-    ending in the bottom marker never underflows.
+    sticks on `top` or a symbol pushed over it. When the outcome could
+    depend on the symbols below `top` (the run sticks on _BELOW, which no
+    move reads, or ends on _BELOW alone in a state with an input-free
+    move), returns the continuation _Resume(state, unread rest of e,
+    output so far). Only _BELOW is left on the stack then, so replaying
+    the continuation over the next symbol down goes on exactly as a replay
+    over both symbols would, except that it counts the input-free moves of
+    a chain that spans the two afresh: resume only for a validated spec,
+    where no chain can overrun the budget. A bottom-marker `top` never
+    needs more.
     """
-    buf = bytearray((known + _BELOW)[::-1], "latin-1")
+    buf = bytearray((_BELOW_BYTE, top))
     out: list[str] = []
-    pos, q = _bit_steps(C, e, qc, buf, out)
+    pos, q = _bit_steps(C, e, q, buf, out)
     if pos is not None:
-        return _UNDERFLOW if buf[-1] == _BELOW_BYTE else None
+        return _Resume(q, e[pos:], "".join(out)) if buf[-1] == _BELOW_BYTE else None
     if len(buf) == 1 and q in C._moves[2]:  # only _BELOW is left
-        return _UNDERFLOW
+        return _Resume(q, "", "".join(out))
     return q, bytes(buf[1:]), "".join(out)
 
 
@@ -333,10 +360,10 @@ def _block_move(C: PdcSpec, q: int, block: str, top: int) -> tuple:
     if C._moves[3]:
         return ()
     try:
-        got = _replay(C, q, chr(top), block)
+        got = _replay(C, q, top, block)
     except ValidationError:
         return ()
-    return () if got is None or got is _UNDERFLOW else got
+    return () if got is None or type(got) is _Resume else got
 
 
 def pdc_run(
@@ -352,6 +379,9 @@ def pdc_run(
     after every bit. A missing bit transition raises StuckError naming the
     position.
     """
+    q = C.start if state is None else state
+    if not 1 <= q <= C.num_states:
+        raise ValidationError(f"state {q} out of range 1..{C.num_states}")
     if stack is None:
         stack = Z0
     elif not stack:
@@ -360,7 +390,7 @@ def pdc_run(
         raise ValidationError(f"stack symbol {max(stack)!r} is at or above U+0100")
     buf = bytearray(stack[::-1], "latin-1")
     out: list[str] = []
-    pos, q = _steps(C, x, C.start if state is None else state, buf, out)
+    pos, q = _steps(C, x, q, buf, out)
     if pos is not None:
         raise StuckError(pos, q, chr(buf[-1]), "".join(out))
     return PdcRun("".join(out), q, buf[::-1].decode("latin-1"))
@@ -414,8 +444,13 @@ def compose_pdc_fst(
     input-free move. The buffer never needs to exceed (1 + worst pops per
     closure) symbols per emitted bit, so filling terminates. Unary stacks
     stay unary. Raises when the reachable product exceeds state_ceiling.
+
+    A product state that buffers a symbol keeps its parent's replays, per
+    bit: finished, stuck, or a continuation (`_Resume`) that runs on over
+    the new top. Each (state, top, unread input) is replayed once per call,
+    so a state costs a lookup per top and bit, not a walk over its buffer.
     """
-    validate_strict(C)
+    validate_strict(C)  # so resuming a replay cannot overrun the budget
     d = T.max_emission()
     # Worst pops per replay: one closure before the first bit (only the
     # start state can be unclosed, but unreachable product states are
@@ -426,8 +461,9 @@ def compose_pdc_fst(
     syms = C.stack_symbols()
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
+    kept: dict[int, tuple] = {}  # product states not yet built: parent's replays
 
-    def ref(key: tuple[int, int, str]) -> int:
+    def ref(key: tuple[int, int, str], replays: tuple = ()) -> int:
         if key not in index:
             if len(order) >= state_ceiling:
                 raise ValidationError(
@@ -435,26 +471,51 @@ def compose_pdc_fst(
                 )
             index[key] = len(order) + 1
             order.append(key)
+            if replays:
+                kept[index[key]] = replays
         return index[key]
+
+    memo: dict[tuple[int, str, str], object] = {}
+
+    def resume(got, a: str):
+        """A replay carried on over the next symbol down, a: a finished one
+        keeps a below what it leaves, and a continuation runs on over a."""
+        if got is None:
+            return None
+        if type(got) is not _Resume:
+            return got[0], got[1] + a, got[2]
+        key = (got.state, a, got.rest)
+        if key not in memo:
+            new = _replay(C, got.state, ord(a), got.rest)
+            if new and type(new) is not _Resume:
+                new = (new[0], new[1][::-1].decode("latin-1"), new[2])
+            memo[key] = new
+        new = memo[key]
+        if not new or not got.out:
+            return new
+        if type(new) is _Resume:
+            return _Resume(new.state, new.rest, got.out + new.out)
+        return new[0], new[1], got.out + new[2]
 
     trans: dict[TransKey, tuple[int, str]] = {}
     emit: dict[TransKey, str] = {}
     start = ref((C.start, T.start, ""))
     for idx, (qc, qt, buf) in enumerate(order, start=1):  # sees what ref() appends
-        moves = {b: (T.out[(qt, b)], T.next[(qt, b)]) for b in BITS}
+        replays = kept.pop(idx, None) or tuple(
+            _Resume(qc, T.out[(qt, b)], "") for b in BITS
+        )
         for a in (Z0, *syms):  # this order fixes the product state numbering
-            results = {b: _replay(C, qc, buf + a, e) for b, (e, _) in moves.items()}
-            if _UNDERFLOW in results.values():
+            results = tuple(resume(got, a) for got in replays)  # one per bit
+            if _Resume in map(type, results):
                 if len(buf) >= cap:
                     raise AssertionError("buffer bound violated in composition")
-                trans[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a)), "")
+                trans[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a), results), "")
                 continue
-            for b, got in results.items():
+            for b, got in zip(BITS, results):
                 if got is None:
                     continue
-                qc2, st2, outbits = got
-                st2 = st2[::-1].decode("latin-1")
-                trans[(idx, b, a)] = (ref((qc2, moves[b][1], "")), st2)
+                qc2, push, outbits = got
+                trans[(idx, b, a)] = (ref((qc2, T.next[(qt, b)], "")), push)
                 if outbits:
                     emit[(idx, b, a)] = outbits
     return validate_strict(

@@ -17,8 +17,8 @@ from depthlab import (  # noqa: E402
     fst_run,
     pdc_validate,
 )
-from depthlab.fst import MAX_EMISSION_DEFAULT  # noqa: E402
-from depthlab.pushdown import LAMBDA, Z0  # noqa: E402
+from depthlab.fst import MAX_EMISSION_DEFAULT, check_bits  # noqa: E402
+from depthlab.pushdown import _BELOW, LAMBDA, Z0  # noqa: E402
 
 BITS = ("0", "1")
 
@@ -174,3 +174,154 @@ def oracle_pdc_run(C: PdcSpec, x: str, state=None, stack=None) -> PdcRun:
         q = tgt
         q, st = oracle_closure(C, q, st)
     return PdcRun("".join(out), q, st)
+
+
+def chains_by_brute_force(C):
+    """Oracle for _lambda_chains: follow every chain of input-free moves,
+    one move at a time, with no memo. Walks start from the nodes that no
+    move enters, where every longest chain of an acyclic graph starts, then
+    from any node no walk has reached, so a cycle is still found."""
+    tops = C.stack_symbols() + Z0
+    moves = {(q, top): C.trans[(q, inp, top)] for q, inp, top in C.trans if inp == LAMBDA}
+
+    def successors(node):
+        tgt, push = moves[node]
+        return [(tgt, push[0])] if push else [(tgt, t) for t in tops]
+
+    entered = {s for node in moves for s in successors(node)}
+    reached = set()
+    most_moves = most_pops = 0
+    for root in [node for node in moves if node not in entered] + list(moves):
+        if root in reached:
+            continue
+        chain, on_chain = [], set()  # nodes whose move the current chain took
+        todo = [(root, 0, 0)]  # (node, moves so far, pops so far)
+        while todo:
+            node, n, p = todo.pop()
+            reached.add(node)
+            for gone in chain[n:]:
+                on_chain.discard(gone)
+            del chain[n:]
+            if node not in moves:
+                most_moves, most_pops = max(most_moves, n), max(most_pops, p)
+                continue
+            if node in on_chain:
+                return None
+            chain.append(node)
+            on_chain.add(node)
+            popped = not moves[node][1]
+            todo.extend((s, n + 1, p + popped) for s in successors(node))
+    return most_moves, most_pops
+
+
+def oracle_pdc_validate(C: PdcSpec) -> list[str]:
+    """Oracle for pdc_validate: one check at a time, every emission run
+    through check_bits, conflicts found by grouping the inputs of every
+    (state, top), and chains measured by chains_by_brute_force."""
+    problems = []
+    syms = C.stack_symbols()
+    tops = (*syms, Z0)
+    for key, (tgt, push) in C.trans.items():
+        q, inp, top = key
+        if not 1 <= q <= C.num_states:
+            problems.append(f"state out of range in {key}")
+        if inp not in (LAMBDA, "0", "1"):
+            problems.append(f"bad input symbol in {key}")
+        if top not in tops:
+            problems.append(f"bad stack top in {key}")
+        if not 1 <= tgt <= C.num_states:
+            problems.append(f"target state out of range in {key}")
+        if top == Z0:
+            if not push.endswith(Z0) or Z0 in push[:-1]:
+                problems.append(f"bottom marker not preserved in {key}")
+            body = push[:-1]
+        else:
+            body = push
+            if Z0 in push:
+                problems.append(f"bottom marker pushed mid-stack in {key}")
+        if any(c not in syms for c in body):
+            problems.append(f"push alphabet violation in {key}")
+    for key, bits in C.emit.items():
+        if key not in C.trans:
+            problems.append(f"emission on undefined transition {key}")
+        try:
+            check_bits(bits, f"emission {key}")
+        except ValidationError as exc:
+            problems.append(str(exc))
+        if key[1] == LAMBDA and bits:
+            problems.append(f"input-free move must not emit: {key}")
+    by_pair: dict[tuple[int, str], set[str]] = {}
+    for q, inp, top in C.trans:
+        by_pair.setdefault((q, top), set()).add(inp)
+    for pair, inputs in sorted(by_pair.items()):
+        if LAMBDA in inputs and len(inputs) > 1:
+            problems.append(f"both input-free and bit moves on {pair}")
+    chains = chains_by_brute_force(C)
+    if chains is None or chains[0] > C.lambda_budget:
+        problems.append(
+            f"input-free moves can chain beyond budget {C.lambda_budget}"
+        )
+    return problems
+
+
+def oracle_replay(C: PdcSpec, qc: int, known: str, e: str):
+    """Run C on e from state qc over the top-first stack `known` + _BELOW
+    with oracle_pdc_run: (state, top-first stack left of `known`, output),
+    None when the run sticks on a known top, or "underflow" when it sticks
+    on _BELOW or ends on _BELOW alone in a state with an input-free move."""
+    try:
+        r = oracle_pdc_run(C, e, state=qc, stack=known + _BELOW)
+    except StuckError as exc:
+        return "underflow" if exc.top == _BELOW else None
+    free_states = {q for q, inp, _ in C.trans if inp == LAMBDA}
+    if r.final_stack == _BELOW and r.final_state in free_states:
+        return "underflow"
+    return r.final_state, r.final_stack[:-1], r.output
+
+
+def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000) -> PdcSpec:
+    """Oracle for compose_pdc_fst: every product state (state of C, state
+    of T, buffered stack prefix) replays C over its whole buffer plus the
+    top, for each top and bit, with no memo and no continuation."""
+    problems = oracle_pdc_validate(C)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    d = T.max_emission()
+    cap = chains_by_brute_force(C)[1] * (d + 1) + d
+    syms = C.stack_symbols()
+    index: dict[tuple[int, int, str], int] = {}
+    order: list[tuple[int, int, str]] = []
+
+    def ref(key):
+        if key not in index:
+            if len(order) >= state_ceiling:
+                raise ValidationError(
+                    f"composition exceeds state ceiling {state_ceiling}"
+                )
+            index[key] = len(order) + 1
+            order.append(key)
+        return index[key]
+
+    trans, emit = {}, {}
+    start = ref((C.start, T.start, ""))
+    for idx, (qc, qt, buf) in enumerate(order, start=1):
+        moves = {b: (T.out[(qt, b)], T.next[(qt, b)]) for b in BITS}
+        for a in (Z0, *syms):
+            results = {b: oracle_replay(C, qc, buf + a, e) for b, (e, _) in moves.items()}
+            if "underflow" in results.values():
+                if len(buf) >= cap:
+                    raise AssertionError("buffer bound violated in composition")
+                trans[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a)), "")
+                continue
+            for b, got in results.items():
+                if got is None:
+                    continue
+                qc2, st2, outbits = got
+                trans[(idx, b, a)] = (ref((qc2, moves[b][1], "")), st2)
+                if outbits:
+                    emit[(idx, b, a)] = outbits
+    N = PdcSpec(len(order), start, C.stack_kind, trans, emit, cap)
+    problems = oracle_pdc_validate(N)
+    if problems:
+        raise ValidationError("; ".join(problems))
+    return N

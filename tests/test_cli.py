@@ -228,6 +228,13 @@ def test_pdc_run_and_stuck_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_pdc_run_rejects_a_multi_symbol_top(tmp_path, capsys):
+    machine = tmp_path / "m.pdc"
+    machine.write_text("pdc 1 1 binary 0\n1 0 z -> 1 z 0\n1 0 01 -> 1 - 0\n")
+    assert main(["pdc-run", "--machine", str(machine), "--bits", "0"]) == 2
+    assert capsys.readouterr().err == "error: bad stack top in (1, '0', '01')\n"
+
+
 def test_validation_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.fst"
     bad.write_text("fst 1 1\n1 0 -> 1 -\n")  # missing the (1,1) entry
@@ -353,6 +360,10 @@ MALFORMED = {
             ("ratio", ["--compressor", "lz78"]),
         )
     },
+    "pdc-multi-symbol-top": (
+        {"m.pdc": "pdc 1 1 binary 0\n1 0 z -> 1 z 0\n1 0 01 -> 1 - 0\n"},
+        ["pdc-run", "--machine", "{tmp}/m.pdc", "--bits", "0"], None, 2,
+    ),
     "chain-600-within-budget": (
         {"c.pdc": format_pdc(chain_pdc(600, 599))},
         ["pdc-run", "--machine", "{tmp}/c.pdc", "--bits", "01"], None, 0,

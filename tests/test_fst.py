@@ -47,6 +47,12 @@ def test_empty_input():
     assert (r.output, r.final_state) == ("", T.start)
 
 
+def test_run_rejects_a_start_out_of_range():
+    for start in (0, 5):
+        with pytest.raises(ValidationError, match=f"^state {start} out of range 1..1$"):
+            fst_run(identity_fst(), "01", start=start)
+
+
 def test_block_run_matches_per_bit_oracle(monkeypatch):
     # Every input length from 0 to 4 blocks + 1, from the start state and
     # from every state, on a cold memo and then on a warm one; then the

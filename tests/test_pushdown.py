@@ -7,10 +7,13 @@ import pytest
 
 from conftest import (
     chain_pdc,
+    chains_by_brute_force,
     drop_bit_move,
     flag_free_bits,
     oracle_closure,
+    oracle_compose_pdc_fst,
     oracle_pdc_run,
+    oracle_pdc_validate,
     random_fst,
     random_pdc,
 )
@@ -243,6 +246,108 @@ def test_compose_state_ceiling():
         compose_pdc_fst(C, identity_fst(), state_ceiling=10)
 
 
+def compose_outcome(compose, C, T, ceiling):
+    """The composed machine's text, or the type and message of the error."""
+    try:
+        return format_pdc(compose(C, T, state_ceiling=ceiling))
+    except (ValidationError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_compose_matches_whole_buffer_oracle():
+    rng = random.Random(111)
+    kinds = Counter()
+    for i in range(600):
+        kind = "unary" if i % 2 else "binary"
+        lambda_prob = (0.0, 0.2, 0.4, 0.6, 0.8)[i // 2 % 5]
+        C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=lambda_prob)
+        T = random_fst(rng, max_states=3, max_emit=2)
+        ceiling = rng.choice([4, 12, 200_000])
+        got = compose_outcome(compose_pdc_fst, C, T, ceiling)
+        assert got == compose_outcome(oracle_compose_pdc_fst, C, T, ceiling), (C, T)
+        if isinstance(got, str):  # N's input-free moves each buffer a symbol
+            kinds[f"buffers {min(_lambda_chains(parse_pdc(got))[0], 2)}"] += 1
+        else:
+            assert got[1].startswith("composition exceeds state ceiling"), got
+            kinds["ceiling"] += 1
+    assert kinds.keys() == {"buffers 0", "buffers 1", "buffers 2", "ceiling"}, kinds
+    assert min(kinds.values()) > 20, kinds
+
+
+def mutate(rng, C):
+    """C with one random defect of a kind pdc_validate reports; a defect
+    can bring others with it, such as a bit move next to an input-free one."""
+    m, syms = C.num_states, C.stack_symbols()
+    trans, emit, budget = dict(C.trans), dict(C.emit), C.lambda_budget
+    key = rng.choice(sorted(trans))
+    q, inp, top = key
+    tgt, push = trans[key]
+    kind = rng.randrange(13)
+    if kind == 0:
+        trans[(rng.choice([0, m + 1]), inp, top)] = (tgt, push)
+    elif kind == 1:
+        trans[(q, rng.choice(["2", "01", "a"]), top)] = (tgt, push)
+    elif kind == 2:
+        trans[(q, inp, rng.choice(["01", "1z", "zz", "1", "?", ""]))] = (tgt, "")
+    elif kind == 3:
+        trans[key] = (rng.choice([0, m + 1]), push)
+    elif kind == 4:
+        zkey = rng.choice([k for k in sorted(trans) if k[2] == Z0])
+        trans[zkey] = (trans[zkey][0], rng.choice(["", "0", Z0 + Z0, Z0 + "0" + Z0]))
+    elif kind == 5:
+        trans[key] = (tgt, rng.choice([Z0, "0" + Z0 + "0", Z0 + push]))
+    elif kind == 6:
+        trans[key] = (tgt, rng.choice(["1", "x", "2" + Z0]) + push)
+    elif kind == 7:
+        emit[(m + 1, rng.choice("01"), top)] = rng.choice(["", "1"])
+    elif kind == 8:
+        emit[key] = rng.choice(["2", "0a", " ", "1 0"])
+    elif kind == 9:
+        trans[(q, LAMBDA, top)] = (tgt, push)
+        emit[(q, LAMBDA, top)] = rng.choice(["0", "11"])
+    elif kind == 10:
+        trans[(q, LAMBDA if inp else "0", top)] = (tgt, push)
+    elif kind == 11:  # an input-free move back to its own (state, top): a cycle
+        trans[(q, LAMBDA, top)] = (q, top)
+    else:  # over budget wherever an input-free move is left
+        budget = 0
+    return PdcSpec(m, C.start, C.stack_kind, trans, emit, budget)
+
+
+PROBLEM_KINDS = (
+    "state out of range", "bad input symbol", "bad stack top",
+    "target state out of range", "bottom marker not preserved",
+    "bottom marker pushed mid-stack", "push alphabet violation",
+    "emission on undefined transition", "must be a string over 0/1",
+    "input-free move must not emit", "both input-free and bit moves",
+)
+
+
+def test_validate_matches_oracle_on_mutated_machines():
+    rng = random.Random(112)
+    seen = Counter()
+    for i in range(1500):
+        kind = "unary" if i % 2 else "binary"
+        M = random_pdc(rng, kind=kind, max_states=4, lambda_prob=rng.choice([0.2, 0.6]))
+        for _ in range(rng.randint(1, 3)):
+            M = mutate(rng, M)
+        got = pdc_validate(M)
+        assert got == oracle_pdc_validate(M), M
+        chains = _lambda_chains(M)
+        assert chains == chains_by_brute_force(M), M
+        seen.update(k for k in PROBLEM_KINDS for p in got if k in p)
+        if got and "chain beyond budget" in got[-1]:
+            seen["cycle" if chains is None else "over budget"] += 1
+    assert min(seen[k] for k in (*PROBLEM_KINDS, "cycle", "over budget")) > 50, seen
+
+
+def test_validate_rejects_a_multi_symbol_top():
+    # `top not in "01z"` was a substring test, so these tops passed.
+    for top in ("01", "1z", ""):
+        C = PdcSpec(1, 1, "binary", {(1, "0", Z0): (1, Z0), (1, "0", top): (1, "")}, {}, 0)
+        assert pdc_validate(C) == [f"bad stack top in {(1, '0', top)}"]
+
+
 def test_half_compressor_shape():
     C = build_half_compressor(9, 9, 0)
     assert pdc_validate(C) == []
@@ -339,44 +444,6 @@ def test_text_format_rejects_garbage():
         parse_pdc("pdc 1 1 binary")
     with pytest.raises(ValidationError):
         parse_pdc("pdc 1 1 ternary 0\n1 0 z -> 1 z -")
-
-
-def chains_by_brute_force(C):
-    """Oracle for _lambda_chains: follow every chain of input-free moves,
-    one move at a time, with no memo. Walks start from the nodes that no
-    move enters, where every longest chain of an acyclic graph starts, then
-    from any node no walk has reached, so a cycle is still found."""
-    tops = C.stack_symbols() + Z0
-    moves = {(q, top): C.trans[(q, inp, top)] for q, inp, top in C.trans if inp == LAMBDA}
-
-    def successors(node):
-        tgt, push = moves[node]
-        return [(tgt, push[0])] if push else [(tgt, t) for t in tops]
-
-    entered = {s for node in moves for s in successors(node)}
-    reached = set()
-    most_moves = most_pops = 0
-    for root in [node for node in moves if node not in entered] + list(moves):
-        if root in reached:
-            continue
-        chain, on_chain = [], set()  # nodes whose move the current chain took
-        todo = [(root, 0, 0)]  # (node, moves so far, pops so far)
-        while todo:
-            node, n, p = todo.pop()
-            reached.add(node)
-            for gone in chain[n:]:
-                on_chain.discard(gone)
-            del chain[n:]
-            if node not in moves:
-                most_moves, most_pops = max(most_moves, n), max(most_pops, p)
-                continue
-            if node in on_chain:
-                return None
-            chain.append(node)
-            on_chain.add(node)
-            popped = not moves[node][1]
-            todo.extend((s, n + 1, p + popped) for s in successors(node))
-    return most_moves, most_pops
 
 
 def test_lambda_chains_match_brute_force_random():
@@ -559,6 +626,12 @@ def test_block_memo_stays_under_its_cap(monkeypatch):
     for _ in range(2):  # on a cold memo, then on the full one
         assert pdc_run(N, x) == want
         assert len(N._blocks) == cap
+
+
+def test_pdc_run_rejects_a_state_out_of_range():
+    for state in (0, 7):
+        with pytest.raises(ValidationError, match=f"^state {state} out of range 1..1$"):
+            pdc_run(identity_pdc(), "", state=state)
 
 
 def test_pdc_run_rejects_an_empty_stack():
