@@ -13,10 +13,6 @@ from .codec import (
     encode_fst,
     fst_size,
     nat_bin,
-    nat_string,
-    reverse_bits,
-    tuple_decode,
-    tuple_encode,
 )
 from .depth import (
     Compressor,
@@ -30,13 +26,10 @@ from .fscomplexity import (
     ComplexityResult,
     FstUniverse,
     INFINITE,
-    build_pad_combiner,
     enum_fsts,
     kfs_complexity,
     kfs_over_set,
     min_input_for_output,
-    pad_blocks,
-    unpad_blocks,
 )
 from .fst import (
     FstSpec,
@@ -48,9 +41,7 @@ from .fst import (
     il_check,
     parse_fst,
     repeater_fst,
-    shift_start,
     silent_fst,
-    verify_inverse_pair,
 )
 from .lz78 import (
     LzParse,

@@ -14,7 +14,7 @@ same whichever run writes it, so concurrent use needs no coordination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -167,34 +167,6 @@ def fst_compose(A: FstSpec, B: FstSpec) -> FstSpec:
             next_map[(index[(qa, qb)], b)] = index[pair]
             out_map[(index[(qa, qb)], b)] = ra.output
     return FstSpec(len(order), 1, next_map, out_map)
-
-
-def shift_start(T: FstSpec, w: str) -> FstSpec:
-    """T with its start state moved to wherever T lands after reading w."""
-    return replace(T, start=fst_run(T, w).final_state)
-
-
-def verify_inverse_pair(
-    T: FstSpec, Tinv: FstSpec, c: int, L: int
-) -> Optional[str]:
-    """Check that Tinv undoes T up to c trailing bits, for all |x| <= L.
-
-    Passing means x[:|x|-c] is a prefix of Tinv(T(x)) which is a prefix of
-    x. Returns None on pass, else the first failing input.
-    """
-    if c < 0 or L < 1:
-        raise ValidationError("need c >= 0 and L >= 1")
-    frontier = [""]
-    for _ in range(L + 1):
-        for x in frontier:
-            y = fst_run(Tinv, fst_run(T, x).output).output
-            want = x[: max(len(x) - c, 0)]
-            if not (y.startswith(want) and x.startswith(y)):
-                return x
-        frontier = [x + b for x in frontier for b in BITS]
-        if len(frontier[0]) > L:
-            break
-    return None
 
 
 # Common machines, also exposed as CLI builtins.

@@ -15,15 +15,18 @@ its input whatever the stack height. Each spec compiles its maps once,
 on first run, into move tables keyed by (state, [bit,] top byte).
 
 A run reads its input in blocks of PDC_BLOCK bits and looks each up in a
-memo the spec owns, keyed by (state, block, top byte): a hit replaces
-the top with a pushed string and emits in one step, so a run costs one
+memo the spec owns, keyed by (state, block, top byte): a hit pops
+symbols, pushes a string and emits in one step, so a run costs one
 lookup per block rather than per bit. A miss builds the block by
-replaying it over the top alone (`_replay`). A block whose outcome could
-depend on deeper symbols, or that sticks or overruns the input-free
-budget, is memoized as no block and runs one bit at a time on the real
-stack, so stuck positions and errors are exactly those of a bit-by-bit
-run. Past BLOCK_MEMO_CAP entries a spec's memo stops growing, and blocks
-it lacks run one bit at a time.
+replaying it over the top alone (`_replay`). A block whose outcome
+depends on deeper symbols, as in a matching phase that pops one symbol
+per bit, is marked _DEEP there and looked up again under (state, block,
+top PDC_WINDOW symbols), built by a replay over that window. A block
+that sticks, overruns the input-free budget or reads below its window is
+memoized as no block and runs one bit at a time on the real stack, so
+stuck positions and errors are exactly those of a bit-by-bit run. Past
+BLOCK_MEMO_CAP entries of either kind a spec's memo stops growing, and
+blocks it lacks run one bit at a time.
 
 A replay that needs the symbol below its top has, at that point, nothing
 left on its stack but the unknown rest. So it stops with a continuation
@@ -50,6 +53,9 @@ LAMBDA = ""
 TransKey = tuple[int, str, str]  # (state, input bit or LAMBDA, stack top)
 
 PDC_BLOCK = 6  # input bits per memoized block
+# Stack symbols a popping block is keyed on: one pop per bit, as in a
+# matching phase, plus the new top that the closure after the block reads.
+PDC_WINDOW = PDC_BLOCK + 1
 
 
 @dataclass(frozen=True)
@@ -117,9 +123,12 @@ class PdcSpec:
         return free, bit, frozenset(q for q, _ in free), reads_below
 
     @cached_property
-    def _blocks(self) -> dict[tuple[int, str, int], tuple]:
-        """The block memo, filled as runs go: (state, block, top byte) ->
-        (state, bottom-first push, emission), or () for no block."""
+    def _blocks(self) -> dict[tuple, tuple]:
+        """The block memo, filled as runs go. (state, block, top byte) ->
+        (state, slice of the top symbols popped, bottom-first push,
+        emission), () for no block, or _DEEP when the block reads below
+        the top; then (state, block, bottom-first bytes of the top
+        PDC_WINDOW symbols) -> an entry that pops them all, or ()."""
         return {}
 
 
@@ -297,22 +306,22 @@ class _Resume(NamedTuple):
     out: str  # what it emitted so far
 
 
-def _replay(C: PdcSpec, q: int, top: int, e: str):
-    """Run C on e from state q over the stack of top byte `top` + _BELOW.
+def _replay(C: PdcSpec, q: int, known: bytes, e: str):
+    """Run C on e from state q over the bottom-first stack _BELOW + known.
 
-    Returns (state, bottom-first stack, output), or None when the run
-    sticks on `top` or a symbol pushed over it. When the outcome could
-    depend on the symbols below `top` (the run sticks on _BELOW, which no
-    move reads, or ends on _BELOW alone in a state with an input-free
-    move), returns the continuation _Resume(state, unread rest of e,
-    output so far). Only _BELOW is left on the stack then, so replaying
-    the continuation over the next symbol down goes on exactly as a replay
-    over both symbols would, except that it counts the input-free moves of
-    a chain that spans the two afresh: resume only for a validated spec,
-    where no chain can overrun the budget. A bottom-marker `top` never
-    needs more.
+    Returns (state, bottom-first stack left above _BELOW, output), or None
+    when the run sticks on a known symbol or one pushed over it. When the
+    outcome could depend on the symbols below `known` (the run sticks on
+    _BELOW, which no move reads, or ends on _BELOW alone in a state with
+    an input-free move), returns the continuation _Resume(state, unread
+    rest of e, output so far). Only _BELOW is left on the stack then, so
+    replaying the continuation over the next symbol down goes on exactly
+    as a replay over all of them would, except that it counts the
+    input-free moves of a chain that spans the two afresh: resume only for
+    a validated spec, where no chain can overrun the budget. A known stack
+    that starts with the bottom marker never needs more.
     """
-    buf = bytearray((_BELOW_BYTE, top))
+    buf = bytearray((_BELOW_BYTE, *known))
     out: list[str] = []
     pos, q = _bit_steps(C, e, q, buf, out)
     if pos is not None:
@@ -322,48 +331,73 @@ def _replay(C: PdcSpec, q: int, top: int, e: str):
     return q, bytes(buf[1:]), "".join(out)
 
 
+# Memo marker: the block reads below the top, so look up its window. It is
+# falsy, so the one test for a miss on the hot path also catches it.
+_DEEP = False
+
+
 def _steps(
     C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
 ) -> tuple[Optional[int], int]:
     """`_bit_steps`, with the same result and effects, but one memo lookup
-    per block of PDC_BLOCK bits wherever the memo has the block."""
+    per block of PDC_BLOCK bits (two if it pops below the top) wherever
+    the memo has the block. A move that empties the stack by popping the
+    bottom marker raises ValidationError."""
     free = C._moves[0]
     blocks = C._blocks
-    if (q, buf[-1]) in free:
-        q = _close(C, q, buf)
-    i, n = 0, len(x)
-    while i < n:
-        block = x[i : i + PDC_BLOCK]
-        key = (q, block, buf[-1])
-        move = blocks.get(key)
-        if move is None and len(blocks) < BLOCK_MEMO_CAP:
-            move = blocks[key] = _block_move(C, q, block, buf[-1])
-        if not move:  # no block, or not memoized
-            pos, q = _bit_steps(C, block, q, buf, out)
-            if pos is not None:
-                return i + pos, q
-        else:
-            q, push, e = move
-            del buf[-1]
+    try:
+        if (q, buf[-1]) in free:
+            q = _close(C, q, buf)
+        for i in range(0, len(x), PDC_BLOCK):
+            block = x[i : i + PDC_BLOCK]
+            key = (q, block, buf[-1])
+            move = blocks.get(key)
+            if not move:  # not memoized, no block, or _DEEP
+                if move is None and len(blocks) < BLOCK_MEMO_CAP:
+                    move = blocks[key] = _block_move(C, q, block, buf[-1:])
+                if move is _DEEP:
+                    key = (q, block, bytes(buf[-PDC_WINDOW:]))
+                    move = blocks.get(key)
+                    if move is None and len(blocks) < BLOCK_MEMO_CAP:
+                        move = blocks[key] = _block_move(C, q, block, key[2]) or ()
+                if not move:
+                    pos, q = _bit_steps(C, block, q, buf, out)
+                    if pos is not None:
+                        return i + pos, q
+                    continue
+            q, popped, push, e = move
+            del buf[popped]
             buf += push
             if e:
                 out.append(e)
-        i += PDC_BLOCK
+    except IndexError:  # only an empty stack has no top
+        raise ValidationError(
+            "a move popped the bottom marker at run time; "
+            "run pdc_validate on this machine"
+        ) from None
     return None, q
 
 
-def _block_move(C: PdcSpec, q: int, block: str, top: int) -> tuple:
-    """The memo entry of `block` read in closed state q over top byte
-    `top`: (state, bottom-first push, emission), or () for no block, when
-    the block sticks, overruns the input-free budget or could read below
-    the top."""
+def _block_move(C: PdcSpec, q: int, block: str, known: bytes) -> tuple:
+    """The memo entry of `block` read in closed state q over `known`, the
+    top symbols of the stack, bottom-first: (state, the slice `known`
+    fills, built once rather than per hit, the bottom-first symbols that
+    replace them, emission); _DEEP when the outcome could depend on the
+    symbols below `known`; or () for no block, when the block sticks,
+    overruns the input-free budget or leaves nothing in place of `known`,
+    which may be the whole stack: a bit-by-bit run reads the top of an
+    emptied stack at once, and fails."""
     if C._moves[3]:
         return ()
     try:
-        got = _replay(C, q, top, block)
+        got = _replay(C, q, known, block)
     except ValidationError:
         return ()
-    return () if got is None or type(got) is _Resume else got
+    if type(got) is _Resume:
+        return _DEEP
+    if got is None or not got[1]:
+        return ()
+    return got[0], slice(-len(known), None), got[1], got[2]
 
 
 def pdc_run(
@@ -486,7 +520,7 @@ def compose_pdc_fst(
             return got[0], got[1] + a, got[2]
         key = (got.state, a, got.rest)
         if key not in memo:
-            new = _replay(C, got.state, ord(a), got.rest)
+            new = _replay(C, got.state, a.encode(), got.rest)
             if new and type(new) is not _Resume:
                 new = (new[0], new[1][::-1].decode("latin-1"), new[2])
             memo[key] = new

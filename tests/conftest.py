@@ -163,16 +163,22 @@ def oracle_pdc_run(C: PdcSpec, x: str, state=None, stack=None) -> PdcRun:
     q = C.start if state is None else state
     st = Z0 if stack is None else stack
     out: list[str] = []
-    q, st = oracle_closure(C, q, st)
-    for i, b in enumerate(x):
-        key = (q, b, st[0])
-        if key not in C.trans:
-            raise StuckError(i, q, st[0], "".join(out))
-        tgt, push = C.trans[key]
-        out.append(C.emit.get(key, ""))
-        st = push + st[1:]
-        q = tgt
+    try:
         q, st = oracle_closure(C, q, st)
+        for i, b in enumerate(x):
+            key = (q, b, st[0])
+            if key not in C.trans:
+                raise StuckError(i, q, st[0], "".join(out))
+            tgt, push = C.trans[key]
+            out.append(C.emit.get(key, ""))
+            st = push + st[1:]
+            q = tgt
+            q, st = oracle_closure(C, q, st)
+    except IndexError:  # every move is followed by a closure, which reads st[0]
+        raise ValidationError(
+            "a move popped the bottom marker at run time; "
+            "run pdc_validate on this machine"
+        ) from None
     return PdcRun("".join(out), q, st)
 
 

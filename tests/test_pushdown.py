@@ -25,6 +25,7 @@ from depthlab import (
     compose_pdc_fst,
     format_pdc,
     fst_run,
+    gen_recipe_b,
     identity_fst,
     identity_pdc,
     parse_pdc,
@@ -34,7 +35,16 @@ from depthlab import (
     pushdown,
     repeater_fst,
 )
-from depthlab.pushdown import _BELOW, LAMBDA, PDC_BLOCK, Z0, _lambda_chains
+from depthlab.depth import PdcCompressor
+from depthlab.pushdown import (
+    _BELOW,
+    _DEEP,
+    LAMBDA,
+    PDC_BLOCK,
+    PDC_WINDOW,
+    Z0,
+    _lambda_chains,
+)
 
 
 def all_inputs(max_len):
@@ -578,12 +588,29 @@ def cold_copy(C):
     return PdcSpec(C.num_states, C.start, C.stack_kind, C.trans, C.emit, C.lambda_budget)
 
 
+def popping(rng, C):
+    """C with half its bit moves on a stack symbol turned into pops, so
+    runs pop below the top within a block."""
+    trans = dict(C.trans)
+    for key in sorted(trans):
+        if key[1] != LAMBDA and key[2] != Z0 and rng.random() < 0.5:
+            trans[key] = (trans[key][0], "")
+    return PdcSpec(C.num_states, C.start, C.stack_kind, trans, C.emit, C.lambda_budget)
+
+
+def window_keys(C):
+    """The memo keys of C that carry a stack window, not a top byte."""
+    return [key for key in C._blocks if isinstance(key[2], bytes)]
+
+
 def test_block_engine_matches_oracle_cold_and_warm():
     # Every input length from 0 to 4 blocks + 1, from a mid-run state over a
-    # stack ending in z or _BELOW. Each spec runs twice from the same state
-    # and top: first on a cold memo, then on the memo that run filled, with
-    # a different rest of the stack, so a block memoized on a symbol below
-    # the top would show.
+    # stack ending in z or _BELOW, for random machines, copies that can
+    # stick, and popping-heavy copies. Each spec runs twice from the same
+    # state and top symbols (one, or fewer or more than a window): first on
+    # a cold memo, then on the memo that run filled, with a different rest
+    # of the stack, so a block memoized on a symbol below the top, or below
+    # its window, would show.
     rng = random.Random(93)
     kinds = Counter()
     stuck_offsets = set()
@@ -592,40 +619,149 @@ def test_block_engine_matches_oracle_cold_and_warm():
         C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=(0.2, 0.6)[i // 2 % 2])
         syms = C.stack_symbols()
 
-        def rest():
-            body = "".join(rng.choice(syms) for _ in range(rng.randint(0, 12)))
-            return body + rng.choice([Z0, _BELOW])
+        def symbols(n):
+            return "".join(rng.choice(syms) for _ in range(n))
 
-        for spec in (C, drop_bit_move(rng, C)):
+        def rest():
+            return symbols(rng.randint(0, 12)) + rng.choice([Z0, _BELOW])
+
+        for spec in (C, drop_bit_move(rng, C), popping(rng, C)):
             for length in range(4 * PDC_BLOCK + 2):
                 x = "".join(rng.choice("01") for _ in range(length))
-                state, top = rng.randint(1, spec.num_states), rng.choice(syms)
+                state = rng.randint(1, spec.num_states)
+                top = symbols(rng.choice([1, rng.randint(2, PDC_WINDOW - 1),
+                                          rng.randint(PDC_WINDOW, 3 * PDC_WINDOW)]))
                 spec = cold_copy(spec)
                 for stack in (top + rest(), top + rest()):
                     got = run_outcome(pdc_run, spec, x, state, stack)
                     assert got == run_outcome(oracle_pdc_run, spec, x, state, stack)
                     on_below = got[0] == "stuck" and got[3] == _BELOW
                     kinds["stuck on _BELOW" if on_below else got[0]] += 1
+                    kinds["shorter" if len(stack) < PDC_WINDOW else "taller"] += 1
                     if got[0] == "stuck":
                         stuck_offsets.add(got[1] % PDC_BLOCK)
                 kinds["blocks memoized"] += sum(map(bool, spec._blocks.values()))
+                windows = [spec._blocks[key] for key in window_keys(spec)]
+                kinds["window blocks"] += sum(map(bool, windows))
+                kinds["window no-blocks"] += windows.count(())
+                kinds["deep markers"] += list(spec._blocks.values()).count(_DEEP)
     assert min(kinds.values()) > 500, kinds
     assert stuck_offsets == set(range(PDC_BLOCK))
 
 
 def test_block_memo_stays_under_its_cap(monkeypatch):
+    # Both kinds of key count toward the cap: the composed machine on
+    # random bits, and the half-compressor, whose matching phases pop one
+    # symbol per bit, on recipe b.
     N = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
     assert N.num_states == 1552
     rng = random.Random(19)
-    x = "".join(rng.choice("01") for _ in range(20_000))
-    want = oracle_pdc_run(N, x)
-    uncapped = cold_copy(N)
-    assert pdc_run(uncapped, x) == want
-    cap = len(uncapped._blocks) // 3
-    monkeypatch.setattr(pushdown, "BLOCK_MEMO_CAP", cap)
-    for _ in range(2):  # on a cold memo, then on the full one
-        assert pdc_run(N, x) == want
-        assert len(N._blocks) == cap
+    cases = [
+        (N, "".join(rng.choice("01") for _ in range(20_000))),
+        (build_half_compressor(9, 9, 0), gen_recipe_b(9, stages=12, seed=4).bits),
+    ]
+    for C, x in cases:
+        want = oracle_pdc_run(C, x)
+        uncapped = cold_copy(C)
+        assert pdc_run(uncapped, x) == want
+        assert window_keys(uncapped)
+        cap = len(uncapped._blocks) // 3
+        with monkeypatch.context() as patch:
+            patch.setattr(pushdown, "BLOCK_MEMO_CAP", cap)
+            for _ in range(2):  # on a cold memo, then on the full one
+                assert pdc_run(C, x) == want
+                assert len(C._blocks) == cap
+    assert window_keys(cases[1][0])
+
+
+def pop_machine(extra_trans=(), budget=0, drop=None):
+    """Binary, state 1 pops its top on either bit and copies the bit; on
+    the bottom marker it copies and keeps the stack. extra_trans adds
+    moves, and drop removes one."""
+    trans = {(1, b, t): (1, "") for b in "01" for t in "01"}
+    trans.update({(1, b, Z0): (1, Z0) for b in "01"})
+    trans.update(extra_trans)
+    trans.pop(drop, None)
+    emit = {key: key[1] for key in trans if key[1] != LAMBDA}
+    return PdcSpec(max(q for q, _, _ in trans), 1, "binary", trans, emit, budget)
+
+
+def test_popping_blocks_stick_and_overrun_as_bit_by_bit():
+    stack = "0001000" + "01" + Z0
+    window = bytes(stack[:PDC_WINDOW][::-1], "latin-1")
+    # Six pops from a full window: one entry, which a different rest of the
+    # stack then reuses.
+    C = pop_machine()
+    assert pdc_validate(C) == []
+    for rest in ("01" + Z0, "1" * 40 + Z0):
+        st = stack[:PDC_WINDOW] + rest
+        assert run_outcome(pdc_run, C, "000000", 1, st) == run_outcome(
+            oracle_pdc_run, C, "000000", 1, st
+        )
+    assert C._blocks == {
+        (1, "000000", ord("0")): _DEEP,
+        (1, "000000", window): (1, slice(-PDC_WINDOW, None), b"0", "000000"),
+    }
+    # A bit with no move on top 1: the fourth bit of the block sticks.
+    stuck = pop_machine(drop=(1, "1", "1"))
+    got = run_outcome(pdc_run, stuck, "111111", 1, stack)
+    assert got == run_outcome(oracle_pdc_run, stuck, "111111", 1, stack)
+    assert got[:4] == ("stuck", 3, 1, "1")
+    assert stuck._blocks[(1, "111111", window)] == ()
+    # A 1 on top 1 enters an input-free chain one move over budget.
+    chain = {(1, "1", "1"): (2, "")}
+    chain.update({(q, LAMBDA, "0"): (q + 1, "0") for q in range(2, 6)})
+    chain.update({(6, b, t): (6, t) for b in "01" for t in "01" + Z0})
+    over = pop_machine(chain, budget=3)
+    errors = []
+    for run in (pdc_run, oracle_pdc_run):
+        with pytest.raises(ValidationError) as info:
+            run(over, "000100", state=1, stack=stack)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("input-free moves exceeded the budget at run time")
+    assert over._blocks[(1, "000100", window)] == ()
+
+
+def test_pdc_run_reports_a_popped_bottom_marker():
+    # Unvalidated: the bottom marker is popped, at once or after a move
+    # that replaced it with a 0.
+    pops_z = PdcSpec(1, 1, "binary", {(1, "0", Z0): (1, "")}, {}, 0)
+    swaps_z = PdcSpec(1, 1, "binary", {(1, "1", Z0): (1, "0"), (1, "0", "0"): (1, "")}, {}, 0)
+    message = (
+        "^a move popped the bottom marker at run time; "
+        "run pdc_validate on this machine$"
+    )
+    for C, x in ((pops_z, "00"), (pops_z, "0"), (swaps_z, "10"), (swaps_z, "10" + "1" * 12)):
+        for run in (pdc_run, oracle_pdc_run):
+            with pytest.raises(ValidationError, match=message):
+                run(cold_copy(C), x)
+        with pytest.raises(ValidationError, match=message):
+            list(PdcCompressor(cold_copy(C), "c").lengths(x, [len(x)]))
+
+
+def test_matching_phase_runs_in_blocks(monkeypatch):
+    # The engine's shape, not its time: on recipe b the half-compressor
+    # spends most bits in matching phases, which pop one symbol per bit.
+    # Measured share of bits stepped one at a time, replays included:
+    # 7,236 of 107,019 (6.8 %) on a cold memo, 240 (0.2 %) on a warm one;
+    # 54 % when popping blocks ran bit by bit.
+    bits = gen_recipe_b(9, stages=81, seed=1).bits
+    stepped = []
+    bit_steps = pushdown._bit_steps
+
+    def counting(C, x, *args):
+        stepped.append(len(x))
+        return bit_steps(C, x, *args)
+
+    monkeypatch.setattr(pushdown, "_bit_steps", counting)
+    C = build_half_compressor(9, 9, 0)
+    out = pdc_run(C, bits).output
+    assert sum(stepped) < 0.08 * len(bits)  # 6.8 %, plus room for ~1,300 bits
+    stepped.clear()
+    assert pdc_run(C, bits).output == out
+    assert sum(stepped) < 0.005 * len(bits)  # 0.2 %, plus room for ~300 bits
+    assert out == oracle_pdc_run(C, bits).output
 
 
 def test_pdc_run_rejects_a_state_out_of_range():
