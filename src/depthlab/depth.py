@@ -19,6 +19,7 @@ from .fst import FstSpec, fst_run, identity_fst, parse_fst, repeater_fst
 from .fscomplexity import enum_fsts, kfs_over_set
 from .lz78 import LzParser
 from .pushdown import (
+    PDC_BLOCK,
     Z0,
     PdcSpec,
     _steps,
@@ -78,17 +79,22 @@ class PdcCompressor(Compressor):
         # bit, and a closed configuration closes to itself, so resuming from
         # the last (state, stack) runs exactly as a fresh run would. The
         # stack stays one bottom-first bytearray from segment to segment.
+        # Each segment first runs up to the next multiple of PDC_BLOCK, so
+        # blocks start at the same stream offsets whatever the grid, and a
+        # profile memoizes the blocks of a single run.
         q, buf, total, prev = self.spec.start, bytearray(Z0, "latin-1"), 0, 0
         out: list[str] = []  # one segment's emissions, counted and dropped
         for i, n in enumerate(points):
-            pos, q = _steps(self.spec, bits[prev:n], q, buf, out)
-            if pos is not None:
-                # Every longer prefix sticks at the same bit.
-                pos += prev
-                head = pdc_run(self.spec, bits[:pos]).output
-                stuck = StuckError(pos, q, chr(buf[-1]), head)
-                yield from [stuck] * (len(points) - i)
-                return
+            cut = min(n, -(-prev // PDC_BLOCK) * PDC_BLOCK)
+            for a, b in ((prev, cut), (cut, n)):
+                pos, q = _steps(self.spec, bits[a:b], q, buf, out)
+                if pos is not None:
+                    # Every longer prefix sticks at the same bit.
+                    pos += a
+                    head = pdc_run(self.spec, bits[:pos]).output
+                    stuck = StuckError(pos, q, chr(buf[-1]), head)
+                    yield from [stuck] * (len(points) - i)
+                    return
             total, prev = total + sum(map(len, out)), n
             out.clear()
             yield total

@@ -185,9 +185,9 @@ def kfs_over_set(
     return ComplexityResult(length, Witness(desc, y, idx))
 
 
-def kfs_complexity(x: str, k: int, ceiling: int = ENUM_CEILING) -> ComplexityResult:
+def kfs_complexity(x: str, k: int) -> ComplexityResult:
     """Minimum input length over every machine described in <= k bits."""
-    universe = enum_fsts(k, ceiling=ceiling)
+    universe = enum_fsts(k)
     if not universe.entries:
         return ComplexityResult(INFINITE, None)
     descs = [d for d, _ in universe.entries]

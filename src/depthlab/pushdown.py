@@ -3,8 +3,11 @@
 A spec carries partial transition/output maps keyed by (state, input
 symbol, stack top), where the input symbol may be the empty string for a
 move that consumes no input. Such moves never emit, and at most
-`lambda_budget` of them may run back to back; validation checks this
-statically so runs are total on defined transitions.
+`lambda_budget` of them may run back to back. A spec is checked against
+these rules when it is built (`pdc_validate`), and an invalid one raises
+ValidationError, so a run over any spec either reads all of its input or
+sticks on a bit with no move: it never loses the bottom marker and never
+loops on input-free moves.
 
 At the public boundary (`pdc_run`'s `stack` argument and
 `PdcRun.final_stack`) a stack is a top-first string whose last character
@@ -22,11 +25,10 @@ replaying it over the top alone (`_replay`). A block whose outcome
 depends on deeper symbols, as in a matching phase that pops one symbol
 per bit, is marked _DEEP there and looked up again under (state, block,
 top PDC_WINDOW symbols), built by a replay over that window. A block
-that sticks, overruns the input-free budget or reads below its window is
-memoized as no block and runs one bit at a time on the real stack, so
-stuck positions and errors are exactly those of a bit-by-bit run. Past
-BLOCK_MEMO_CAP entries of either kind a spec's memo stops growing, and
-blocks it lacks run one bit at a time.
+that sticks or reads below its window is memoized as no block and runs
+one bit at a time on the real stack, so stuck positions are exactly
+those of a bit-by-bit run. Past BLOCK_MEMO_CAP entries of either kind a
+spec's memo stops growing, and blocks it lacks run one bit at a time.
 
 A replay that needs the symbol below its top has, at that point, nothing
 left on its stack but the unknown rest. So it stops with a continuation
@@ -34,9 +36,7 @@ left on its stack but the unknown rest. So it stops with a continuation
 down exactly as a replay over both symbols would. Composition relies on
 this to replay each (state, top, unread input) once, however deep its
 buffer: the product state that pops a symbol resumes its parent's
-continuations. Resuming restarts the count of back-to-back input-free
-moves, which is safe only for a validated spec, where no chain can
-overrun the budget.
+continuations.
 """
 from __future__ import annotations
 
@@ -85,6 +85,9 @@ class PdcSpec:
             raise ValidationError(f"unknown stack kind {self.stack_kind!r}")
         if self.lambda_budget < 0:
             raise ValidationError("lambda_budget must be >= 0")
+        problems = pdc_validate(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     def stack_symbols(self) -> str:
         return "01" if self.stack_kind == "binary" else "0"
@@ -100,27 +103,21 @@ class PdcSpec:
         )
 
     @cached_property
-    def _moves(self) -> tuple[dict, dict, frozenset, bool]:
+    def _moves(self) -> tuple[dict, dict, frozenset]:
         """The run engine's tables, built on first use: input-free moves
         (state, top byte) -> (target, push); bit moves (state, bit, top
         byte) -> (target, push, emission), each push reversed to
-        bottom-first bytes; the states with an input-free move; and whether
-        a move reads the _BELOW sentinel, which no block replay can then
-        tell from the unknown rest. A key whose top is not one symbol can
-        never be read."""
+        bottom-first bytes; and the states with an input-free move."""
         free: dict[tuple[int, int], tuple[int, bytes]] = {}
         bit: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
         for key, (tgt, push) in self.trans.items():
             q, inp, top = key
-            if len(top) != 1:
-                continue
             code = push[::-1].encode("latin-1")
             if inp == LAMBDA:
                 free[(q, ord(top))] = (tgt, code)
             else:
                 bit[(q, inp, ord(top))] = (tgt, code, self.emit.get(key, ""))
-        reads_below = any(key[-1] == _BELOW_BYTE for key in (*free, *bit))
-        return free, bit, frozenset(q for q, _ in free), reads_below
+        return free, bit, frozenset(q for q, _ in free)
 
     @cached_property
     def _blocks(self) -> dict[tuple, tuple]:
@@ -141,6 +138,7 @@ class PdcRun:
 
 def pdc_validate(C: PdcSpec) -> list[str]:
     """All invariant violations, each naming the offending key; [] passes.
+    A spec runs this when it is built, so for a built spec it gives [].
 
     Checks key well-formedness, determinism per (state, top), bottom-marker
     preservation, silence of input-free moves, unary stack discipline, and
@@ -182,7 +180,7 @@ def pdc_validate(C: PdcSpec) -> list[str]:
     for pair in sorted(free & read):
         problems.append(f"both input-free and bit moves on {pair}")
 
-    chains = _lambda_chains(C)
+    chains = _lambda_chains(C.trans, syms + Z0)
     if chains is None or chains[0] > C.lambda_budget:
         problems.append(
             f"input-free moves can chain beyond budget {C.lambda_budget}"
@@ -190,17 +188,20 @@ def pdc_validate(C: PdcSpec) -> list[str]:
     return problems
 
 
-def _lambda_chains(C: PdcSpec) -> Optional[tuple[int, int]]:
-    """(most moves, most pops) over chains of input-free moves, or None
-    when the move graph has a cycle, so chains are unbounded.
+def _lambda_chains(
+    trans: Mapping[TransKey, tuple[int, str]], tops: str
+) -> Optional[tuple[int, int]]:
+    """(most moves, most pops) over chains of the input-free moves in
+    trans, or None when the move graph has a cycle, so chains are
+    unbounded.
 
     Nodes are (state, top). A push leads to its first pushed symbol; a
-    pure pop leaves the next top unknown, so it fans out to every symbol.
-    The walk is iterative, so chain length is not limited by recursion.
+    pure pop leaves the next top unknown, so it fans out to every symbol
+    of `tops`. The walk is iterative, so chain length is not limited by
+    recursion.
     """
-    tops = C.stack_symbols() + Z0
     edges: dict[tuple[int, str], tuple[int, list[tuple[int, str]]]] = {}
-    for (q, inp, top), (tgt, push) in C.trans.items():
+    for (q, inp, top), (tgt, push) in trans.items():
         if inp == LAMBDA:
             if push:
                 edges[(q, top)] = (0, [(tgt, push[0])])
@@ -241,26 +242,12 @@ def _lambda_chains(C: PdcSpec) -> Optional[tuple[int, int]]:
     )
 
 
-def validate_strict(C: PdcSpec) -> PdcSpec:
-    problems = pdc_validate(C)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return C
-
-
 def _close(C: PdcSpec, q: int, buf: bytearray) -> int:
     """Apply input-free moves from state q to the bottom-first stack buf,
     in place, until none applies; returns the state reached."""
     free = C._moves[0]
     move = free.get((q, buf[-1]))
-    steps = 0
     while move is not None:
-        steps += 1
-        if steps > C.lambda_budget:
-            raise ValidationError(
-                "input-free moves exceeded the budget at run time; "
-                "run pdc_validate on this machine"
-            )
         q, push = move
         del buf[-1]
         buf += push
@@ -274,10 +261,8 @@ def _bit_steps(
     """Run C on x one bit at a time from state q over the bottom-first
     stack buf, in place, appending emissions to out. Returns (position,
     state): the position of the bit that had no move, or None when all of
-    x ran, and the state the run ended in. Input-free moves go first, so
-    they win over a bit move on the same (state, top) as in an unvalidated
-    spec."""
-    free, bit, _, _ = C._moves
+    x ran, and the state the run ended in."""
+    free, bit, _ = C._moves
     if (q, buf[-1]) in free:
         q = _close(C, q, buf)
     for i, b in enumerate(x):
@@ -316,10 +301,8 @@ def _replay(C: PdcSpec, q: int, known: bytes, e: str):
     an input-free move), returns the continuation _Resume(state, unread
     rest of e, output so far). Only _BELOW is left on the stack then, so
     replaying the continuation over the next symbol down goes on exactly
-    as a replay over all of them would, except that it counts the
-    input-free moves of a chain that spans the two afresh: resume only for
-    a validated spec, where no chain can overrun the budget. A known stack
-    that starts with the bottom marker never needs more.
+    as a replay over all of them would. A known stack that starts with the
+    bottom marker never needs more.
     """
     buf = bytearray((_BELOW_BYTE, *known))
     out: list[str] = []
@@ -341,40 +324,33 @@ def _steps(
 ) -> tuple[Optional[int], int]:
     """`_bit_steps`, with the same result and effects, but one memo lookup
     per block of PDC_BLOCK bits (two if it pops below the top) wherever
-    the memo has the block. A move that empties the stack by popping the
-    bottom marker raises ValidationError."""
+    the memo has the block."""
     free = C._moves[0]
     blocks = C._blocks
-    try:
-        if (q, buf[-1]) in free:
-            q = _close(C, q, buf)
-        for i in range(0, len(x), PDC_BLOCK):
-            block = x[i : i + PDC_BLOCK]
-            key = (q, block, buf[-1])
-            move = blocks.get(key)
-            if not move:  # not memoized, no block, or _DEEP
+    if (q, buf[-1]) in free:
+        q = _close(C, q, buf)
+    for i in range(0, len(x), PDC_BLOCK):
+        block = x[i : i + PDC_BLOCK]
+        key = (q, block, buf[-1])
+        move = blocks.get(key)
+        if not move:  # not memoized, no block, or _DEEP
+            if move is None and len(blocks) < BLOCK_MEMO_CAP:
+                move = blocks[key] = _block_move(C, q, block, buf[-1:])
+            if move is _DEEP:
+                key = (q, block, bytes(buf[-PDC_WINDOW:]))
+                move = blocks.get(key)
                 if move is None and len(blocks) < BLOCK_MEMO_CAP:
-                    move = blocks[key] = _block_move(C, q, block, buf[-1:])
-                if move is _DEEP:
-                    key = (q, block, bytes(buf[-PDC_WINDOW:]))
-                    move = blocks.get(key)
-                    if move is None and len(blocks) < BLOCK_MEMO_CAP:
-                        move = blocks[key] = _block_move(C, q, block, key[2]) or ()
-                if not move:
-                    pos, q = _bit_steps(C, block, q, buf, out)
-                    if pos is not None:
-                        return i + pos, q
-                    continue
-            q, popped, push, e = move
-            del buf[popped]
-            buf += push
-            if e:
-                out.append(e)
-    except IndexError:  # only an empty stack has no top
-        raise ValidationError(
-            "a move popped the bottom marker at run time; "
-            "run pdc_validate on this machine"
-        ) from None
+                    move = blocks[key] = _block_move(C, q, block, key[2]) or ()
+            if not move:
+                pos, q = _bit_steps(C, block, q, buf, out)
+                if pos is not None:
+                    return i + pos, q
+                continue
+        q, popped, push, e = move
+        del buf[popped]
+        buf += push
+        if e:
+            out.append(e)
     return None, q
 
 
@@ -383,19 +359,11 @@ def _block_move(C: PdcSpec, q: int, block: str, known: bytes) -> tuple:
     top symbols of the stack, bottom-first: (state, the slice `known`
     fills, built once rather than per hit, the bottom-first symbols that
     replace them, emission); _DEEP when the outcome could depend on the
-    symbols below `known`; or () for no block, when the block sticks,
-    overruns the input-free budget or leaves nothing in place of `known`,
-    which may be the whole stack: a bit-by-bit run reads the top of an
-    emptied stack at once, and fails."""
-    if C._moves[3]:
-        return ()
-    try:
-        got = _replay(C, q, known, block)
-    except ValidationError:
-        return ()
+    symbols below `known`; or () for no block, when the block sticks."""
+    got = _replay(C, q, known, block)
     if type(got) is _Resume:
         return _DEEP
-    if got is None or not got[1]:
+    if got is None:
         return ()
     return got[0], slice(-len(known), None), got[1], got[2]
 
@@ -418,8 +386,8 @@ def pdc_run(
         raise ValidationError(f"state {q} out of range 1..{C.num_states}")
     if stack is None:
         stack = Z0
-    elif not stack:
-        raise ValidationError("stack must not be empty: it ends with the bottom marker")
+    elif not stack.endswith(Z0):
+        raise ValidationError(f"stack must end with the bottom marker {Z0!r}")
     elif max(stack) > "\xff":
         raise ValidationError(f"stack symbol {max(stack)!r} is at or above U+0100")
     buf = bytearray(stack[::-1], "latin-1")
@@ -484,15 +452,14 @@ def compose_pdc_fst(
     the new top. Each (state, top, unread input) is replayed once per call,
     so a state costs a lookup per top and bit, not a walk over its buffer.
     """
-    validate_strict(C)  # so resuming a replay cannot overrun the budget
     d = T.max_emission()
+    syms = C.stack_symbols()
     # Worst pops per replay: one closure before the first bit (only the
     # start state can be unclosed, but unreachable product states are
     # built from arbitrary configurations) plus, per emitted bit, one
     # bit-move pop and one closure.
-    pclose = _lambda_chains(C)[1]
+    pclose = _lambda_chains(C.trans, syms + Z0)[1]
     cap = pclose * (d + 1) + d
-    syms = C.stack_symbols()
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
     kept: dict[int, tuple] = {}  # product states not yet built: parent's replays
@@ -552,9 +519,7 @@ def compose_pdc_fst(
                 trans[(idx, b, a)] = (ref((qc2, T.next[(qt, b)], "")), push)
                 if outbits:
                     emit[(idx, b, a)] = outbits
-    return validate_strict(
-        PdcSpec(len(order), start, C.stack_kind, trans, emit, cap)
-    )
+    return PdcSpec(len(order), start, C.stack_kind, trans, emit, cap)
 
 
 def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
@@ -638,9 +603,7 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
             trans[(idx[("match", i)], b, Z0)] = (idx[fam], b + Z0)
             emit[(idx[("match", i)], b, Z0)] = b
 
-    return validate_strict(
-        PdcSpec(len(names), idx[("count", 0)], "binary", trans, emit, k + 2)
-    )
+    return PdcSpec(len(names), idx[("count", 0)], "binary", trans, emit, k + 2)
 
 
 # Textual format: header "pdc m start kind budget", then lines
@@ -689,4 +652,4 @@ def parse_pdc(text: str) -> PdcSpec:
         trans[key] = (tgt, push)
         if em:
             emit[key] = em
-    return validate_strict(PdcSpec(m, start, kind, trans, emit, budget))
+    return PdcSpec(m, start, kind, trans, emit, budget)

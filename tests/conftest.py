@@ -15,7 +15,6 @@ from depthlab import (  # noqa: E402
     ValidationError,
     decode_fst,
     fst_run,
-    pdc_validate,
 )
 from depthlab.fst import MAX_EMISSION_DEFAULT, check_bits  # noqa: E402
 from depthlab.pushdown import _BELOW, LAMBDA, Z0  # noqa: E402
@@ -71,9 +70,7 @@ def random_pdc(
                 e = "".join(rng.choice(BITS) for _ in range(rng.randint(0, 2)))
                 if e:
                     emit[(q, b, top)] = e
-    spec = PdcSpec(m, rng.randint(1, m), kind, trans, emit, m + 1)
-    assert pdc_validate(spec) == [], pdc_validate(spec)
-    return spec
+    return PdcSpec(m, rng.randint(1, m), kind, trans, emit, m + 1)
 
 
 def drop_bit_move(rng: random.Random, C: PdcSpec) -> PdcSpec:
@@ -91,6 +88,15 @@ def chain_pdc(n: int, budget: int) -> PdcSpec:
     trans.update({(n, b, Z0): (n, Z0) for b in BITS})
     emit = {(n, b, Z0): b for b in BITS}
     return PdcSpec(n, 1, "unary", trans, emit, budget)
+
+
+def chain_pdc_text(n: int, budget: int) -> str:
+    """chain_pdc(n, budget) in the textual format, written line by line,
+    so an over-budget chain can be written to a file."""
+    lines = [f"pdc {n} 1 unary {budget}"]
+    lines += [f"{q} - z -> {q + 1} z -" for q in range(1, n)]
+    lines += [f"{n} {b} z -> {n} z {b}" for b in BITS]
+    return "\n".join(lines) + "\n"
 
 
 def flag_free_bits(n: int, seed: int) -> str:
@@ -143,17 +149,10 @@ def oracle_fst_run(T: FstSpec, x: str, start=None) -> RunResult:
 def oracle_closure(C: PdcSpec, q: int, stack: str) -> tuple[int, str]:
     """Oracle for the engine's input-free closure, on a top-first string
     stack that is copied at every move."""
-    steps = 0
     while (q, LAMBDA, stack[0]) in C.trans:
         tgt, push = C.trans[(q, LAMBDA, stack[0])]
         stack = push + stack[1:]
         q = tgt
-        steps += 1
-        if steps > C.lambda_budget:
-            raise ValidationError(
-                "input-free moves exceeded the budget at run time; "
-                "run pdc_validate on this machine"
-            )
     return q, stack
 
 
@@ -163,32 +162,25 @@ def oracle_pdc_run(C: PdcSpec, x: str, state=None, stack=None) -> PdcRun:
     q = C.start if state is None else state
     st = Z0 if stack is None else stack
     out: list[str] = []
-    try:
+    q, st = oracle_closure(C, q, st)
+    for i, b in enumerate(x):
+        key = (q, b, st[0])
+        if key not in C.trans:
+            raise StuckError(i, q, st[0], "".join(out))
+        tgt, push = C.trans[key]
+        out.append(C.emit.get(key, ""))
+        st = push + st[1:]
+        q = tgt
         q, st = oracle_closure(C, q, st)
-        for i, b in enumerate(x):
-            key = (q, b, st[0])
-            if key not in C.trans:
-                raise StuckError(i, q, st[0], "".join(out))
-            tgt, push = C.trans[key]
-            out.append(C.emit.get(key, ""))
-            st = push + st[1:]
-            q = tgt
-            q, st = oracle_closure(C, q, st)
-    except IndexError:  # every move is followed by a closure, which reads st[0]
-        raise ValidationError(
-            "a move popped the bottom marker at run time; "
-            "run pdc_validate on this machine"
-        ) from None
     return PdcRun("".join(out), q, st)
 
 
-def chains_by_brute_force(C):
+def chains_by_brute_force(trans, tops):
     """Oracle for _lambda_chains: follow every chain of input-free moves,
     one move at a time, with no memo. Walks start from the nodes that no
     move enters, where every longest chain of an acyclic graph starts, then
     from any node no walk has reached, so a cycle is still found."""
-    tops = C.stack_symbols() + Z0
-    moves = {(q, top): C.trans[(q, inp, top)] for q, inp, top in C.trans if inp == LAMBDA}
+    moves = {(q, top): trans[(q, inp, top)] for q, inp, top in trans if inp == LAMBDA}
 
     def successors(node):
         tgt, push = moves[node]
@@ -220,22 +212,23 @@ def chains_by_brute_force(C):
     return most_moves, most_pops
 
 
-def oracle_pdc_validate(C: PdcSpec) -> list[str]:
-    """Oracle for pdc_validate: one check at a time, every emission run
-    through check_bits, conflicts found by grouping the inputs of every
-    (state, top), and chains measured by chains_by_brute_force."""
+def oracle_pdc_validate(num_states, start, stack_kind, trans, emit, budget) -> list[str]:
+    """Oracle for pdc_validate, on the fields of a spec that need not
+    build: one check at a time, every emission run through check_bits,
+    conflicts found by grouping the inputs of every (state, top), and
+    chains measured by chains_by_brute_force."""
     problems = []
-    syms = C.stack_symbols()
+    syms = "01" if stack_kind == "binary" else "0"
     tops = (*syms, Z0)
-    for key, (tgt, push) in C.trans.items():
+    for key, (tgt, push) in trans.items():
         q, inp, top = key
-        if not 1 <= q <= C.num_states:
+        if not 1 <= q <= num_states:
             problems.append(f"state out of range in {key}")
         if inp not in (LAMBDA, "0", "1"):
             problems.append(f"bad input symbol in {key}")
         if top not in tops:
             problems.append(f"bad stack top in {key}")
-        if not 1 <= tgt <= C.num_states:
+        if not 1 <= tgt <= num_states:
             problems.append(f"target state out of range in {key}")
         if top == Z0:
             if not push.endswith(Z0) or Z0 in push[:-1]:
@@ -247,8 +240,8 @@ def oracle_pdc_validate(C: PdcSpec) -> list[str]:
                 problems.append(f"bottom marker pushed mid-stack in {key}")
         if any(c not in syms for c in body):
             problems.append(f"push alphabet violation in {key}")
-    for key, bits in C.emit.items():
-        if key not in C.trans:
+    for key, bits in emit.items():
+        if key not in trans:
             problems.append(f"emission on undefined transition {key}")
         try:
             check_bits(bits, f"emission {key}")
@@ -257,16 +250,14 @@ def oracle_pdc_validate(C: PdcSpec) -> list[str]:
         if key[1] == LAMBDA and bits:
             problems.append(f"input-free move must not emit: {key}")
     by_pair: dict[tuple[int, str], set[str]] = {}
-    for q, inp, top in C.trans:
+    for q, inp, top in trans:
         by_pair.setdefault((q, top), set()).add(inp)
     for pair, inputs in sorted(by_pair.items()):
         if LAMBDA in inputs and len(inputs) > 1:
             problems.append(f"both input-free and bit moves on {pair}")
-    chains = chains_by_brute_force(C)
-    if chains is None or chains[0] > C.lambda_budget:
-        problems.append(
-            f"input-free moves can chain beyond budget {C.lambda_budget}"
-        )
+    chains = chains_by_brute_force(trans, syms + Z0)
+    if chains is None or chains[0] > budget:
+        problems.append(f"input-free moves can chain beyond budget {budget}")
     return problems
 
 
@@ -289,12 +280,9 @@ def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000)
     """Oracle for compose_pdc_fst: every product state (state of C, state
     of T, buffered stack prefix) replays C over its whole buffer plus the
     top, for each top and bit, with no memo and no continuation."""
-    problems = oracle_pdc_validate(C)
-    if problems:
-        raise ValidationError("; ".join(problems))
-    d = T.max_emission()
-    cap = chains_by_brute_force(C)[1] * (d + 1) + d
     syms = C.stack_symbols()
+    d = T.max_emission()
+    cap = chains_by_brute_force(C.trans, syms + Z0)[1] * (d + 1) + d
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
 
@@ -326,8 +314,8 @@ def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000)
                 trans[(idx, b, a)] = (ref((qc2, moves[b][1], "")), st2)
                 if outbits:
                     emit[(idx, b, a)] = outbits
-    N = PdcSpec(len(order), start, C.stack_kind, trans, emit, cap)
-    problems = oracle_pdc_validate(N)
+    fields = (len(order), start, C.stack_kind, trans, emit, cap)
+    problems = oracle_pdc_validate(*fields)
     if problems:
         raise ValidationError("; ".join(problems))
-    return N
+    return PdcSpec(*fields)

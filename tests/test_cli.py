@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_pdc
+from conftest import chain_pdc, chain_pdc_text
 from depthlab import cli, format_fst, format_pdc, identity_fst, identity_pdc
 from depthlab.cli import main
 
@@ -369,7 +369,7 @@ MALFORMED = {
         ["pdc-run", "--machine", "{tmp}/c.pdc", "--bits", "01"], None, 0,
     ),
     "chain-600-over-budget": (
-        {"c.pdc": format_pdc(chain_pdc(600, 598))},
+        {"c.pdc": chain_pdc_text(600, 598)},
         ["pdc-run", "--machine", "{tmp}/c.pdc", "--bits", "01"], None, 2,
     ),
 }

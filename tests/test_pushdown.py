@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     chain_pdc,
+    chain_pdc_text,
     chains_by_brute_force,
     drop_bit_move,
     flag_free_bits,
@@ -53,6 +54,14 @@ def all_inputs(max_len):
             yield "".join(xs)
 
 
+def refused(*fields):
+    """The message of the ValidationError that building a spec from
+    fields raises."""
+    with pytest.raises(ValidationError) as info:
+        PdcSpec(*fields)
+    return str(info.value)
+
+
 def test_identity_run():
     r = pdc_run(identity_pdc(), "0101")
     assert (r.output, r.final_state, r.final_stack) == ("0101", 1, "z")
@@ -74,14 +83,32 @@ def test_validate_determinism_violation():
         (1, "0", Z0): (1, Z0),
         (1, "1", Z0): (1, Z0),
     }
-    C = PdcSpec(1, 1, "binary", trans, {}, 1)
-    assert any("input-free and bit moves" in p for p in pdc_validate(C))
+    assert refused(1, 1, "binary", trans, {}, 1) == (
+        "both input-free and bit moves on (1, 'z'); "
+        "input-free moves can chain beyond budget 1"
+    )
+    # An input-free pop and bit moves on (1, top 0), with no cycle.
+    trans = {
+        (1, "0", Z0): (1, "0" + Z0),
+        (1, "1", Z0): (1, "0" + Z0),
+        (1, LAMBDA, "0"): (2, ""),
+        (1, "0", "0"): (1, "00"),
+        (1, "1", "0"): (1, "00"),
+        (2, "0", Z0): (2, Z0),
+        (2, "1", Z0): (2, Z0),
+    }
+    emit = {(1, "0", Z0): "1", (1, "1", Z0): "1", (2, "0", Z0): "0", (2, "1", Z0): "1",
+            (1, "0", "0"): "0", (1, "1", "0"): "0"}
+    assert refused(2, 1, "binary", trans, emit, 1) == (
+        "both input-free and bit moves on (1, '0')"
+    )
 
 
 def test_validate_budget_violation_cycle():
     trans = {(1, LAMBDA, "0"): (1, "0")}
-    C = PdcSpec(1, 1, "binary", trans, {}, 3)
-    assert any("chain beyond budget" in p for p in pdc_validate(C))
+    assert refused(1, 1, "binary", trans, {}, 3) == (
+        "input-free moves can chain beyond budget 3"
+    )
 
 
 def test_validate_budget_violation_chain():
@@ -89,28 +116,43 @@ def test_validate_budget_violation_chain():
         (1, LAMBDA, "0"): (2, "0"),
         (2, LAMBDA, "0"): (3, "0"),
     }
-    C = PdcSpec(3, 1, "binary", trans, {}, 1)
-    assert any("chain beyond budget" in p for p in pdc_validate(C))
+    assert refused(3, 1, "binary", trans, {}, 1) == (
+        "input-free moves can chain beyond budget 1"
+    )
 
 
 def test_validate_bottom_marker_rules():
-    C = PdcSpec(1, 1, "binary", {(1, "0", Z0): (1, "")}, {}, 0)
-    assert any("bottom marker" in p for p in pdc_validate(C))
-    C2 = PdcSpec(1, 1, "binary", {(1, "0", "0"): (1, Z0 + "0")}, {}, 0)
-    assert any("bottom marker" in p for p in pdc_validate(C2))
+    assert refused(1, 1, "binary", {(1, "0", Z0): (1, "")}, {}, 0) == (
+        "bottom marker not preserved in (1, '0', 'z')"
+    )
+    assert refused(1, 1, "binary", {(1, "0", "0"): (1, Z0 + "0")}, {}, 0) == (
+        "bottom marker pushed mid-stack in (1, '0', '0'); "
+        "push alphabet violation in (1, '0', '0')"
+    )
 
 
 def test_validate_unary_alphabet():
-    C = PdcSpec(1, 1, "unary", {(1, "0", Z0): (1, "1" + Z0)}, {}, 0)
-    assert any("push alphabet" in p for p in pdc_validate(C))
-    C2 = PdcSpec(1, 1, "unary", {(1, "0", "1"): (1, "1")}, {}, 0)
-    assert any("bad stack top" in p for p in pdc_validate(C2))
+    assert refused(1, 1, "unary", {(1, "0", Z0): (1, "1" + Z0)}, {}, 0) == (
+        "push alphabet violation in (1, '0', 'z')"
+    )
+    assert refused(1, 1, "unary", {(1, "0", "1"): (1, "1")}, {}, 0) == (
+        "bad stack top in (1, '0', '1'); push alphabet violation in (1, '0', '1')"
+    )
+
+
+def test_validate_push_alphabet_from_u0100_up():
+    # A symbol no stack byte can hold is refused, not met at run time.
+    assert refused(1, 1, "binary", {(1, "0", Z0): (1, "āz")}, {}, 0) == (
+        "push alphabet violation in (1, '0', 'z')"
+    )
 
 
 def test_validate_silent_lambda_moves():
     trans = {(1, LAMBDA, "0"): (1, "")}
-    C = PdcSpec(1, 1, "binary", trans, {(1, LAMBDA, "0"): "1"}, 1)
-    assert any("must not emit" in p for p in pdc_validate(C))
+    assert refused(1, 1, "binary", trans, {(1, LAMBDA, "0"): "1"}, 1) == (
+        "input-free move must not emit: (1, '', '0'); "
+        "input-free moves can chain beyond budget 1"
+    )
 
 
 def test_stuck_names_position():
@@ -276,7 +318,9 @@ def test_compose_matches_whole_buffer_oracle():
         got = compose_outcome(compose_pdc_fst, C, T, ceiling)
         assert got == compose_outcome(oracle_compose_pdc_fst, C, T, ceiling), (C, T)
         if isinstance(got, str):  # N's input-free moves each buffer a symbol
-            kinds[f"buffers {min(_lambda_chains(parse_pdc(got))[0], 2)}"] += 1
+            N = parse_pdc(got)
+            chains = _lambda_chains(N.trans, N.stack_symbols() + Z0)
+            kinds[f"buffers {min(chains[0], 2)}"] += 1
         else:
             assert got[1].startswith("composition exceeds state ceiling"), got
             kinds["ceiling"] += 1
@@ -284,11 +328,12 @@ def test_compose_matches_whole_buffer_oracle():
     assert min(kinds.values()) > 20, kinds
 
 
-def mutate(rng, C):
-    """C with one random defect of a kind pdc_validate reports; a defect
-    can bring others with it, such as a bit move next to an input-free one."""
-    m, syms = C.num_states, C.stack_symbols()
-    trans, emit, budget = dict(C.trans), dict(C.emit), C.lambda_budget
+def mutate(rng, fields):
+    """The fields of a spec with one more random defect of a kind
+    pdc_validate reports; a defect can bring others with it, such as a bit
+    move next to an input-free one."""
+    m, start, stack_kind, trans, emit, budget = fields
+    trans, emit = dict(trans), dict(emit)
     key = rng.choice(sorted(trans))
     q, inp, top = key
     tgt, push = trans[key]
@@ -321,7 +366,7 @@ def mutate(rng, C):
         trans[(q, LAMBDA, top)] = (q, top)
     else:  # over budget wherever an input-free move is left
         budget = 0
-    return PdcSpec(m, C.start, C.stack_kind, trans, emit, budget)
+    return m, start, stack_kind, trans, emit, budget
 
 
 PROBLEM_KINDS = (
@@ -334,17 +379,23 @@ PROBLEM_KINDS = (
 
 
 def test_validate_matches_oracle_on_mutated_machines():
+    # Building the spec raises the oracle's problems, joined in order.
     rng = random.Random(112)
     seen = Counter()
     for i in range(1500):
         kind = "unary" if i % 2 else "binary"
-        M = random_pdc(rng, kind=kind, max_states=4, lambda_prob=rng.choice([0.2, 0.6]))
+        C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=rng.choice([0.2, 0.6]))
+        M = (C.num_states, C.start, C.stack_kind, C.trans, C.emit, C.lambda_budget)
         for _ in range(rng.randint(1, 3)):
             M = mutate(rng, M)
-        got = pdc_validate(M)
-        assert got == oracle_pdc_validate(M), M
-        chains = _lambda_chains(M)
-        assert chains == chains_by_brute_force(M), M
+        got = oracle_pdc_validate(*M)
+        if got:
+            assert refused(*M) == "; ".join(got), M
+        else:
+            PdcSpec(*M)  # builds
+        tops = C.stack_symbols() + Z0
+        chains = _lambda_chains(M[3], tops)
+        assert chains == chains_by_brute_force(M[3], tops), M
         seen.update(k for k in PROBLEM_KINDS for p in got if k in p)
         if got and "chain beyond budget" in got[-1]:
             seen["cycle" if chains is None else "over budget"] += 1
@@ -352,10 +403,11 @@ def test_validate_matches_oracle_on_mutated_machines():
 
 
 def test_validate_rejects_a_multi_symbol_top():
-    # `top not in "01z"` was a substring test, so these tops passed.
-    for top in ("01", "1z", ""):
-        C = PdcSpec(1, 1, "binary", {(1, "0", Z0): (1, Z0), (1, "0", top): (1, "")}, {}, 0)
-        assert pdc_validate(C) == [f"bad stack top in {(1, '0', top)}"]
+    # `top not in "01z"` was a substring test, so these tops passed. The
+    # sentinel _BELOW is no stack symbol either, so no move reads it.
+    for top in ("01", "1z", "", _BELOW):
+        trans = {(1, "0", Z0): (1, Z0), (1, "0", top): (1, "")}
+        assert refused(1, 1, "binary", trans, {}, 0) == f"bad stack top in {(1, '0', top)}"
 
 
 def test_half_compressor_shape():
@@ -461,14 +513,18 @@ def test_lambda_chains_match_brute_force_random():
     for i in range(300):
         kind = "unary" if i % 2 else "binary"
         C = random_pdc(rng, kind=kind, max_states=5, lambda_prob=rng.choice([0.3, 0.8]))
-        assert _lambda_chains(C) == chains_by_brute_force(C)
-        assert _lambda_chains(C) is not None
+        tops = C.stack_symbols() + Z0
+        assert _lambda_chains(C.trans, tops) == chains_by_brute_force(C.trans, tops)
+        assert _lambda_chains(C.trans, tops) is not None
 
 
 def test_lambda_chains_self_loop_is_a_cycle():
-    C = PdcSpec(1, 1, "binary", {(1, LAMBDA, "0"): (1, "0")}, {}, 5)
-    assert _lambda_chains(C) is None
-    assert chains_by_brute_force(C) is None
+    trans = {(1, LAMBDA, "0"): (1, "0")}
+    assert _lambda_chains(trans, "01z") is None
+    assert chains_by_brute_force(trans, "01z") is None
+    assert refused(1, 1, "binary", trans, {}, 5) == (
+        "input-free moves can chain beyond budget 5"
+    )
 
 
 def test_lambda_chains_pure_pop_fans_out():
@@ -485,21 +541,26 @@ def test_lambda_chains_pure_pop_fans_out():
     # Most pops: states 1, 2, 3, 4 over tops 1, 0, 0 (three of each).
     # Most moves: states 1, 2, 5, 6, 7, 8 over tops 1, z, 0, 0, 0 (five
     # moves, one pop).
-    assert _lambda_chains(C) == chains_by_brute_force(C) == (5, 3)
+    assert _lambda_chains(trans, "01z") == chains_by_brute_force(trans, "01z") == (5, 3)
     assert pdc_validate(C) == []
-    short = PdcSpec(8, 1, "binary", trans, {}, 4)
-    assert pdc_validate(short) == ["input-free moves can chain beyond budget 4"]
+    assert refused(8, 1, "binary", trans, {}, 4) == (
+        "input-free moves can chain beyond budget 4"
+    )
 
 
 def test_long_input_free_chain():
     C = chain_pdc(2000, 1999)
-    assert _lambda_chains(C) == chains_by_brute_force(C) == (1999, 0)
+    assert _lambda_chains(C.trans, "0z") == chains_by_brute_force(C.trans, "0z") == (1999, 0)
     assert pdc_validate(C) == []
+    assert format_pdc(C) == chain_pdc_text(2000, 1999)
     r = pdc_run(C, "01")
     assert (r.output, r.final_state, r.final_stack) == ("01", 2000, Z0)
-    assert pdc_validate(chain_pdc(2000, 1998)) == [
-        "input-free moves can chain beyond budget 1998"
-    ]
+    with pytest.raises(ValidationError) as info:
+        chain_pdc(2000, 1998)
+    assert str(info.value) == "input-free moves can chain beyond budget 1998"
+    with pytest.raises(ValidationError) as info:
+        parse_pdc(chain_pdc_text(2000, 1998))
+    assert str(info.value) == "input-free moves can chain beyond budget 1998"
 
 
 def run_outcome(run, C, x, state=None, stack=None):
@@ -512,8 +573,9 @@ def run_outcome(run, C, x, state=None, stack=None):
 
 
 def test_engine_matches_string_stack_oracle():
-    # Mid-run configurations: any state, stacks of up to 50 symbols that end
-    # in the bottom marker or in _BELOW (which no move reads, as in compose).
+    # Mid-run configurations: any state, stacks of up to 50 symbols over
+    # the bottom marker, or over _BELOW (which no move reads, as in
+    # compose) and the bottom marker.
     rng = random.Random(77)
     kinds = {"ran": 0, "stuck": 0, "stuck on _BELOW": 0}
     for i in range(500):
@@ -529,7 +591,7 @@ def test_engine_matches_string_stack_oracle():
                     state = rng.randint(1, spec.num_states)
                     height = rng.choice([rng.randint(0, 3), rng.randint(0, 50)])
                     body = "".join(rng.choice(syms) for _ in range(height))
-                    stack = body + rng.choice([Z0, _BELOW])
+                    stack = body + rng.choice([Z0, _BELOW + Z0])
                 got = run_outcome(pdc_run, spec, x, state, stack)
                 assert got == run_outcome(oracle_pdc_run, spec, x, state, stack)
                 on_below = got[0] == "stuck" and got[3] == _BELOW
@@ -537,42 +599,18 @@ def test_engine_matches_string_stack_oracle():
     assert min(kinds.values()) > 100, kinds
 
 
-def test_engine_budget_overrun_matches_oracle():
-    # The second machine copies 0s in state 1 and enters the chain on a 1,
-    # so the overrun falls inside the first block.
-    late = chain_pdc(50, 47)
-    late = PdcSpec(51, 51, "unary", {**late.trans, (51, "0", Z0): (51, Z0),
-                                     (51, "1", Z0): (1, Z0)}, late.emit, 47)
-    for C, x in ((chain_pdc(50, 48), "01"), (late, "0001")):
-        errors = []
-        for run in (pdc_run, oracle_pdc_run):
-            with pytest.raises(ValidationError) as info:
-                run(C, x)
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
-        assert errors[0].startswith("input-free moves exceeded the budget at run time")
-    assert late._blocks == {(51, "0001", ord(Z0)): ()}
-
-
-def test_input_free_move_wins_over_bit_move():
-    # Unvalidated: on (1, top 0) both an input-free pop and bit moves exist.
-    trans = {
-        (1, "0", Z0): (1, "0" + Z0),
-        (1, "1", Z0): (1, "0" + Z0),
-        (1, LAMBDA, "0"): (2, ""),
-        (1, "0", "0"): (1, "00"),
-        (1, "1", "0"): (1, "00"),
-        (2, "0", Z0): (2, Z0),
-        (2, "1", Z0): (2, Z0),
-    }
-    emit = {(1, "0", Z0): "1", (1, "1", Z0): "1", (2, "0", Z0): "0", (2, "1", Z0): "1",
-            (1, "0", "0"): "0", (1, "1", "0"): "0"}
-    C = PdcSpec(2, 1, "binary", trans, emit, 1)
-    assert "both input-free and bit moves on (1, '0')" in pdc_validate(C)
-    r = pdc_run(C, "01")
-    assert (r.output, r.final_state, r.final_stack) == ("11", 2, Z0)
-    assert run_outcome(pdc_run, C, "0110", 1, "0" + Z0) == run_outcome(
-        oracle_pdc_run, C, "0110", 1, "0" + Z0
+def test_engine_runs_input_free_chains_at_their_budget():
+    # The second machine copies 0s in state 51 and enters the chain on a 1,
+    # so the whole chain runs inside the first block's replay. One move
+    # less of budget, and the machine is refused when it is built.
+    chain = chain_pdc(50, 49)
+    trans = {**chain.trans, (51, "0", Z0): (51, Z0), (51, "1", Z0): (1, Z0)}
+    late = PdcSpec(51, 51, "unary", trans, chain.emit, 49)
+    for C, x in ((chain, "01"), (late, "0001")):
+        assert run_outcome(pdc_run, C, x) == run_outcome(oracle_pdc_run, C, x)
+    assert late._blocks == {(51, "0001", ord(Z0)): (50, slice(-1, None), b"z", "")}
+    assert refused(51, 51, "unary", trans, chain.emit, 48) == (
+        "input-free moves can chain beyond budget 48"
     )
 
 
@@ -605,7 +643,7 @@ def window_keys(C):
 
 def test_block_engine_matches_oracle_cold_and_warm():
     # Every input length from 0 to 4 blocks + 1, from a mid-run state over a
-    # stack ending in z or _BELOW, for random machines, copies that can
+    # stack ending in z or _BELOW + z, for random machines, copies that can
     # stick, and popping-heavy copies. Each spec runs twice from the same
     # state and top symbols (one, or fewer or more than a window): first on
     # a cold memo, then on the memo that run filled, with a different rest
@@ -623,7 +661,7 @@ def test_block_engine_matches_oracle_cold_and_warm():
             return "".join(rng.choice(syms) for _ in range(n))
 
         def rest():
-            return symbols(rng.randint(0, 12)) + rng.choice([Z0, _BELOW])
+            return symbols(rng.randint(0, 12)) + rng.choice([Z0, _BELOW + Z0])
 
         for spec in (C, drop_bit_move(rng, C), popping(rng, C)):
             for length in range(4 * PDC_BLOCK + 2):
@@ -686,7 +724,7 @@ def pop_machine(extra_trans=(), budget=0, drop=None):
     return PdcSpec(max(q for q, _, _ in trans), 1, "binary", trans, emit, budget)
 
 
-def test_popping_blocks_stick_and_overrun_as_bit_by_bit():
+def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     stack = "0001000" + "01" + Z0
     window = bytes(stack[:PDC_WINDOW][::-1], "latin-1")
     # Six pops from a full window: one entry, which a different rest of the
@@ -708,36 +746,32 @@ def test_popping_blocks_stick_and_overrun_as_bit_by_bit():
     assert got == run_outcome(oracle_pdc_run, stuck, "111111", 1, stack)
     assert got[:4] == ("stuck", 3, 1, "1")
     assert stuck._blocks[(1, "111111", window)] == ()
-    # A 1 on top 1 enters an input-free chain one move over budget.
+    # A 1 on top 1 enters a chain of four input-free moves inside the
+    # block, which a budget of 3 refuses when the machine is built.
     chain = {(1, "1", "1"): (2, "")}
     chain.update({(q, LAMBDA, "0"): (q + 1, "0") for q in range(2, 6)})
     chain.update({(6, b, t): (6, t) for b in "01" for t in "01" + Z0})
-    over = pop_machine(chain, budget=3)
-    errors = []
-    for run in (pdc_run, oracle_pdc_run):
-        with pytest.raises(ValidationError) as info:
-            run(over, "000100", state=1, stack=stack)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
-    assert errors[0].startswith("input-free moves exceeded the budget at run time")
-    assert over._blocks[(1, "000100", window)] == ()
+    with pytest.raises(ValidationError, match="^input-free moves can chain beyond budget 3$"):
+        pop_machine(chain, budget=3)
+    chained = pop_machine(chain, budget=4)
+    got = run_outcome(pdc_run, chained, "000100", 1, stack)
+    assert got == run_outcome(oracle_pdc_run, chained, "000100", 1, stack)
+    assert got == ("ran", "000100", 6, "000" + "01" + Z0)
+    assert chained._blocks[(1, "000100", window)] == (
+        6, slice(-PDC_WINDOW, None), b"000", "000100"
+    )
 
 
 def test_pdc_run_reports_a_popped_bottom_marker():
-    # Unvalidated: the bottom marker is popped, at once or after a move
-    # that replaced it with a 0.
-    pops_z = PdcSpec(1, 1, "binary", {(1, "0", Z0): (1, "")}, {}, 0)
-    swaps_z = PdcSpec(1, 1, "binary", {(1, "1", Z0): (1, "0"), (1, "0", "0"): (1, "")}, {}, 0)
-    message = (
-        "^a move popped the bottom marker at run time; "
-        "run pdc_validate on this machine$"
-    )
-    for C, x in ((pops_z, "00"), (pops_z, "0"), (swaps_z, "10"), (swaps_z, "10" + "1" * 12)):
-        for run in (pdc_run, oracle_pdc_run):
+    # A built spec keeps the bottom marker, so only a stack given without
+    # one could be popped empty, as pop_machine's first bit would pop "0".
+    # pdc_run refuses such a stack before it runs.
+    message = "^stack must end with the bottom marker 'z'$"
+    for C in (pop_machine(), identity_pdc(), build_half_compressor(9, 9, 0)):
+        for x, stack in (("00", "0"), ("0", "0"), ("1" * 13, "10"), ("", "z0")):
             with pytest.raises(ValidationError, match=message):
-                run(cold_copy(C), x)
-        with pytest.raises(ValidationError, match=message):
-            list(PdcCompressor(cold_copy(C), "c").lengths(x, [len(x)]))
+                pdc_run(C, x, stack=stack)
+        assert not C._blocks
 
 
 def test_matching_phase_runs_in_blocks(monkeypatch):
@@ -764,6 +798,20 @@ def test_matching_phase_runs_in_blocks(monkeypatch):
     assert out == oracle_pdc_run(C, bits).output
 
 
+def test_profile_keeps_block_alignment_across_grid_points():
+    # A grid step that is not a multiple of PDC_BLOCK: if each segment
+    # started its own blocks, the profile would memoize 2.9 times the
+    # entries of one run over the stream.
+    bits = gen_recipe_b(9, stages=81, seed=1).bits
+    assert 1000 % PDC_BLOCK
+    points = list(range(1000, len(bits) + 1, 1000))
+    single, profiled = build_half_compressor(9, 9, 0), build_half_compressor(9, 9, 0)
+    out = pdc_run(single, bits[: points[-1]]).output
+    *_, last = PdcCompressor(profiled, "half").lengths(bits, points)
+    assert last == len(out)
+    assert len(profiled._blocks) < 1.5 * len(single._blocks)
+
+
 def test_pdc_run_rejects_a_state_out_of_range():
     for state in (0, 7):
         with pytest.raises(ValidationError, match=f"^state {state} out of range 1..1$"):
@@ -771,7 +819,7 @@ def test_pdc_run_rejects_a_state_out_of_range():
 
 
 def test_pdc_run_rejects_an_empty_stack():
-    with pytest.raises(ValidationError, match="stack must not be empty"):
+    with pytest.raises(ValidationError, match="^stack must end with the bottom marker 'z'$"):
         pdc_run(identity_pdc(), "01", stack="")
 
 
@@ -779,17 +827,3 @@ def test_pdc_run_rejects_a_stack_symbol_from_u0100_up():
     with pytest.raises(ValidationError, match="stack symbol 'ā' is at or above U\\+0100"):
         pdc_run(identity_pdc(), "01", stack="āz")
 
-
-def test_spec_reading_the_below_sentinel_memoizes_no_block():
-    # Unvalidated: a move on "?", so a replay over top + _BELOW would read
-    # the sentinel as a real symbol.
-    trans = {(1, b, t): (1, t) for b in "01" for t in (Z0, _BELOW)}
-    trans[(1, "1", "0")] = (1, "")
-    emit = {(1, b, t): b for b in "01" for t in (Z0, _BELOW)}
-    C = PdcSpec(1, 1, "binary", trans, emit, 0)
-    x = "1" * (2 * PDC_BLOCK)
-    stack = "0" + _BELOW + Z0
-    assert run_outcome(pdc_run, C, x, 1, stack) == run_outcome(
-        oracle_pdc_run, C, x, 1, stack
-    )
-    assert set(C._blocks.values()) == {()}
