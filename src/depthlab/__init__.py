@@ -41,7 +41,6 @@ from .fst import (
     il_check,
     parse_fst,
     repeater_fst,
-    silent_fst,
 )
 from .lz78 import (
     LzParse,

@@ -126,6 +126,8 @@ def _compressor_name(args, name: str) -> str:
 def _check_tail(tail: float) -> None:
     if not math.isfinite(tail):
         raise ValidationError(f"--tail must be a finite fraction, got {tail}")
+    if not 0 <= tail <= 1:
+        raise ValidationError(f"--tail must lie in [0, 1], got {tail}")
 
 
 def cmd_profile(args) -> int:

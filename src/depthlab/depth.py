@@ -5,7 +5,8 @@ Output lengths are counted in emitted bits for machines and in coded bits
 for LZ78. Each compressor walks the stream once, in grid order, resuming
 from its own checkpoint at every grid point, so a profile costs one pass
 per compressor whatever the grid (kfs(k) still searches every prefix
-afresh). Rows always come out sorted by n.
+afresh). A pushdown machine's resumption lives in `pushdown.pdc_lengths`.
+Rows always come out sorted by n.
 """
 from __future__ import annotations
 
@@ -19,14 +20,11 @@ from .fst import FstSpec, fst_run, identity_fst, parse_fst, repeater_fst
 from .fscomplexity import enum_fsts, kfs_over_set
 from .lz78 import LzParser
 from .pushdown import (
-    PDC_BLOCK,
-    Z0,
     PdcSpec,
-    _steps,
     build_half_compressor,
     identity_pdc,
     parse_pdc,
-    pdc_run,
+    pdc_lengths,
 )
 
 # The output bit count of one prefix, or why it has none.
@@ -75,29 +73,7 @@ class PdcCompressor(Compressor):
         self.spec = spec
 
     def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
-        # The engine closes over input-free moves on entry and after every
-        # bit, and a closed configuration closes to itself, so resuming from
-        # the last (state, stack) runs exactly as a fresh run would. The
-        # stack stays one bottom-first bytearray from segment to segment.
-        # Each segment first runs up to the next multiple of PDC_BLOCK, so
-        # blocks start at the same stream offsets whatever the grid, and a
-        # profile memoizes the blocks of a single run.
-        q, buf, total, prev = self.spec.start, bytearray(Z0, "latin-1"), 0, 0
-        out: list[str] = []  # one segment's emissions, counted and dropped
-        for i, n in enumerate(points):
-            cut = min(n, -(-prev // PDC_BLOCK) * PDC_BLOCK)
-            for a, b in ((prev, cut), (cut, n)):
-                pos, q = _steps(self.spec, bits[a:b], q, buf, out)
-                if pos is not None:
-                    # Every longer prefix sticks at the same bit.
-                    pos += a
-                    head = pdc_run(self.spec, bits[:pos]).output
-                    stuck = StuckError(pos, q, chr(buf[-1]), head)
-                    yield from [stuck] * (len(points) - i)
-                    return
-            total, prev = total + sum(map(len, out)), n
-            out.clear()
-            yield total
+        return pdc_lengths(self.spec, bits, points)
 
 
 class LzCompressor(Compressor):
@@ -126,12 +102,11 @@ class KfsCompressor(Compressor):
         if not universe.entries:
             raise ValidationError(f"no machines with descriptions <= {k} bits")
         self.k = k
-        self.machines = universe.machines
-        self.descriptions = [d for d, _ in universe.entries]
+        self.entries = universe.entries
 
     def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
         for n in points:
-            value = kfs_over_set(bits[:n], self.machines, self.descriptions).value
+            value = kfs_over_set(bits[:n], self.entries).value
             yield UnreachableError(self.k, n) if math.isinf(value) else int(value)
 
 

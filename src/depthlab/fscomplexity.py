@@ -15,7 +15,7 @@ from functools import cache
 from itertools import product
 from typing import Optional, Sequence
 
-from .codec import diamond, double_bits, encode_fst, nat_bin, target_code
+from .codec import diamond, double_bits, nat_bin, target_code
 from .errors import ValidationError
 from .fst import BITS, FstSpec
 
@@ -33,10 +33,6 @@ class FstUniverse:
 
     k: int
     entries: tuple[tuple[str, FstSpec], ...]
-
-    @property
-    def machines(self) -> list[FstSpec]:
-        return [spec for _, spec in self.entries]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -57,15 +53,15 @@ class ComplexityResult:
     witness: Optional[Witness]
 
 
-def enum_fsts(k: int, ceiling: int = ENUM_CEILING) -> FstUniverse:
+def enum_fsts(k: int) -> FstUniverse:
     """Every machine with a canonical description of at most k bits.
 
-    Refuses k beyond `ceiling`. The universe for each k is built once per
-    process and shared, so callers must not mutate its machines.
+    Refuses k beyond ENUM_CEILING. The universe for each k is built once
+    per process and shared, so callers must not mutate its machines.
     """
-    if k > ceiling:
+    if k > ENUM_CEILING:
         raise ValidationError(
-            f"enumeration bound {k} exceeds ceiling {ceiling} "
+            f"enumeration bound {k} exceeds ceiling {ENUM_CEILING} "
             f"(the machine count grows exponentially in k)"
         )
     return _universe(k)
@@ -159,19 +155,18 @@ def min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:
 
 
 def kfs_over_set(
-    x: str,
-    machines: Sequence[FstSpec],
-    descriptions: Optional[Sequence[str]] = None,
+    x: str, entries: Sequence[tuple[str, FstSpec]]
 ) -> ComplexityResult:
-    """Exact minimum input length over an explicit machine list.
+    """Exact minimum input length over an explicit list of (description,
+    machine) entries.
 
-    Ties resolve to the earliest machine in the list (callers pass lists
+    Ties resolve to the earliest entry in the list (callers pass lists
     ordered by description), and within a machine to the lex-least input.
     """
-    if not machines:
+    if not entries:
         raise ValidationError("machine list must be nonempty")
     best: Optional[tuple[int, str, int]] = None
-    for idx, T in enumerate(machines):
+    for idx, (_, T) in enumerate(entries):
         found = min_input_for_output(T, x)
         if found is None:
             continue
@@ -181,8 +176,7 @@ def kfs_over_set(
     if best is None:
         return ComplexityResult(INFINITE, None)
     length, y, idx = best
-    desc = descriptions[idx] if descriptions else encode_fst(machines[idx])
-    return ComplexityResult(length, Witness(desc, y, idx))
+    return ComplexityResult(length, Witness(entries[idx][0], y, idx))
 
 
 def kfs_complexity(x: str, k: int) -> ComplexityResult:
@@ -190,5 +184,4 @@ def kfs_complexity(x: str, k: int) -> ComplexityResult:
     universe = enum_fsts(k)
     if not universe.entries:
         return ComplexityResult(INFINITE, None)
-    descs = [d for d, _ in universe.entries]
-    return kfs_over_set(x, universe.machines, descs)
+    return kfs_over_set(x, universe.entries)

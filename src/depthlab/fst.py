@@ -22,10 +22,6 @@ from .errors import ValidationError
 
 BITS = ("0", "1")
 
-# Cap used by spec generators and enumeration-style tooling so machine
-# spaces stay finite; hand-built machines may exceed it.
-MAX_EMISSION_DEFAULT = 8
-
 FST_BLOCK = 8  # input bits per memoized block
 BLOCK_MEMO_CAP = 1 << 16  # most memoized blocks per spec, FST or PDC
 
@@ -63,15 +59,6 @@ class FstSpec:
                 raise ValidationError(f"next{key} -> {tgt} out of range 1..{m}")
         for key, e in self.out.items():
             check_bits(e, f"out{key}")
-
-    def canonical_key(self):
-        """Hashable value identity, independent of dict insertion order."""
-        return (
-            self.num_states,
-            self.start,
-            tuple(sorted(self.next.items())),
-            tuple(sorted(self.out.items())),
-        )
 
     def max_emission(self) -> int:
         return max(len(e) for e in self.out.values())
@@ -179,10 +166,6 @@ def repeater_fst(r: str) -> FstSpec:
     """Single state, emits r on every input bit: T(x) = r^|x|."""
     check_bits(r, "repeater emission")
     return FstSpec(1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): r, (1, "1"): r})
-
-
-def silent_fst() -> FstSpec:
-    return repeater_fst("")
 
 
 # Textual machine format: header "fst m start", then one line per entry

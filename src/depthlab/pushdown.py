@@ -37,12 +37,16 @@ down exactly as a replay over both symbols would. Composition relies on
 this to replay each (state, top, unread input) once, however deep its
 buffer: the product state that pops a symbol resumes its parent's
 continuations.
+
+`pdc_lengths` runs a spec over a stream's prefixes in one pass, resuming
+from its (state, stack) at every grid point, and reruns only a prefix
+that sticks, for the output before the stuck bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
 from .fst import BITS, BLOCK_MEMO_CAP, FstSpec
@@ -56,6 +60,7 @@ PDC_BLOCK = 6  # input bits per memoized block
 # Stack symbols a popping block is keyed on: one pop per bit, as in a
 # matching phase, plus the new top that the closure after the block reads.
 PDC_WINDOW = PDC_BLOCK + 1
+COMPOSE_STATE_CEILING = 200_000  # most product states compose_pdc_fst builds
 
 
 @dataclass(frozen=True)
@@ -91,16 +96,6 @@ class PdcSpec:
 
     def stack_symbols(self) -> str:
         return "01" if self.stack_kind == "binary" else "0"
-
-    def canonical_key(self):
-        return (
-            self.num_states,
-            self.start,
-            self.stack_kind,
-            self.lambda_budget,
-            tuple(sorted(self.trans.items())),
-            tuple(sorted((k, v) for k, v in self.emit.items() if v)),
-        )
 
     @cached_property
     def _moves(self) -> tuple[dict, dict, frozenset]:
@@ -398,6 +393,37 @@ def pdc_run(
     return PdcRun("".join(out), q, buf[::-1].decode("latin-1"))
 
 
+def pdc_lengths(
+    C: PdcSpec, bits: str, points: Sequence[int]
+) -> Iterator[Union[int, StuckError]]:
+    """The output bit count of C on bits[:n] for each n of the ascending
+    `points` (all <= len(bits)), or the StuckError that stops it, which
+    every later point repeats."""
+    # The engine closes over input-free moves on entry and after every
+    # bit, and a closed configuration closes to itself, so resuming from
+    # the last (state, stack) runs exactly as a fresh run would. The
+    # stack stays one bottom-first bytearray from segment to segment.
+    # Each segment first runs up to the next multiple of PDC_BLOCK, so
+    # blocks start at the same stream offsets whatever the grid, and a
+    # profile memoizes the blocks of a single run.
+    q, buf, total, prev = C.start, bytearray(Z0, "latin-1"), 0, 0
+    out: list[str] = []  # one segment's emissions, counted and dropped
+    for i, n in enumerate(points):
+        cut = min(n, -(-prev // PDC_BLOCK) * PDC_BLOCK)
+        for a, b in ((prev, cut), (cut, n)):
+            pos, q = _steps(C, bits[a:b], q, buf, out)
+            if pos is not None:
+                # Every longer prefix sticks at the same bit.
+                pos += a
+                head = pdc_run(C, bits[:pos]).output
+                stuck = StuckError(pos, q, chr(buf[-1]), head)
+                yield from [stuck] * (len(points) - i)
+                return
+        total, prev = total + sum(map(len, out)), n
+        out.clear()
+        yield total
+
+
 def pdc_il_check(C: PdcSpec, L: int) -> Optional[tuple[str, str]]:
     """Bounded losslessness: None when x -> (output, final state) is
     injective for all |x| <= L, else the first colliding pair found.
@@ -434,9 +460,7 @@ def identity_pdc() -> PdcSpec:
     return PdcSpec(1, 1, "unary", trans, emit, 0)
 
 
-def compose_pdc_fst(
-    C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000
-) -> PdcSpec:
+def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     """A compressor N with N(x) = C(T(x)) for every x.
 
     Product states are (state of C, state of T, buffered stack prefix).
@@ -445,7 +469,8 @@ def compose_pdc_fst(
     known region, N instead pops one more symbol into its buffer with an
     input-free move. The buffer never needs to exceed (1 + worst pops per
     closure) symbols per emitted bit, so filling terminates. Unary stacks
-    stay unary. Raises when the reachable product exceeds state_ceiling.
+    stay unary. Raises when the reachable product exceeds
+    COMPOSE_STATE_CEILING states.
 
     A product state that buffers a symbol keeps its parent's replays, per
     bit: finished, stuck, or a continuation (`_Resume`) that runs on over
@@ -466,9 +491,9 @@ def compose_pdc_fst(
 
     def ref(key: tuple[int, int, str], replays: tuple = ()) -> int:
         if key not in index:
-            if len(order) >= state_ceiling:
+            if len(order) >= COMPOSE_STATE_CEILING:
                 raise ValidationError(
-                    f"composition exceeds state ceiling {state_ceiling}"
+                    f"composition exceeds state ceiling {COMPOSE_STATE_CEILING}"
                 )
             index[key] = len(order) + 1
             order.append(key)

@@ -23,6 +23,8 @@ EXPONENTIAL_GROWTH = "exponential"
 SCALED_GROWTH = "scaled"
 # Longest interval a schedule may hold: random.getrandbits takes a C int.
 MAX_INTERVAL_BITS = 2**31 - 1
+SAMPLE_RETRIES = 64  # rejected draws of a recipe-b R before it is forced
+MAX_CANDIDATES = 4096  # most strings a certified fs_random_string tries
 
 
 def _subseed(seed: int, *tags) -> int:
@@ -48,11 +50,6 @@ class IntervalPartition:
     mode: str
     g: int = 0
     truncated: bool = False
-
-    def bounds(self, j: int) -> tuple[int, int]:
-        """(min, max) of the j-th interval, 1-based."""
-        lo = sum(self.lengths[: j - 1])
-        return lo, lo + self.lengths[j - 1] - 1
 
 
 def intervals(
@@ -103,14 +100,14 @@ def fs_random_string(
     k: int,
     mode: str = "surrogate",
     seed: int = 0,
-    max_candidates: int = 4096,
 ) -> tuple[str, Certificate]:
     """A length-bit string that small machines cannot compress.
 
     Certified mode searches seeded candidates for one whose 3k-bounded
     machine complexity is at least length - 4k and records the measured
-    value; it requires 3k inside the enumeration ceiling. Surrogate mode
-    returns seeded pseudorandom bits with no certificate value.
+    value, trying at most MAX_CANDIDATES; it requires 3k inside the
+    enumeration ceiling. Surrogate mode returns seeded pseudorandom bits
+    with no certificate value.
     """
     rng = random.Random(_subseed(seed, "fsr", k, length))
     bound = length - 4 * k
@@ -122,14 +119,14 @@ def fs_random_string(
         raise ValidationError(
             f"certified mode needs 3k <= {ENUM_CEILING}, got k={k}"
         )
-    for _ in range(max_candidates):
+    for _ in range(MAX_CANDIDATES):
         r = random_bits(rng, length)
         value = kfs_complexity(r, 3 * k).value
         if value >= bound:
             return r, Certificate("certified", k, bound, value)
     raise ValidationError(
         f"no certified string of length {length} found in "
-        f"{max_candidates} candidates"
+        f"{MAX_CANDIDATES} candidates"
     )
 
 
@@ -175,8 +172,6 @@ class SequenceRecipe:
                 certify=self.certify,
             )
         if self.kind == "b":
-            if self.stages is None and self.bit_budget is None:
-                raise ValidationError("recipe b needs stages or a bit budget")
             return gen_recipe_b(
                 self.k, stages=self.stages, seed=self.seed,
                 bit_budget=self.bit_budget,
@@ -255,15 +250,16 @@ def gen_recipe_b(
     stages: Optional[int] = None,
     seed: int = 0,
     bit_budget: Optional[int] = None,
-    sample_retries: int = 64,
 ) -> GeneratedStream:
     """Stages R_j 1^k reverse(R_j) with |R_j| = k * (smallest power of k
     that is >= j) and R_j free of any 1^k substring.
 
-    R_j is drawn seeded-uniformly by rejection; after `sample_retries`
+    R_j is drawn seeded-uniformly by rejection; after SAMPLE_RETRIES
     misses, every k-th bit of the draw is forced to 0 instead. A stage
     over MAX_INTERVAL_BITS bits is refused before it is drawn.
     """
+    if stages is None and bit_budget is None:
+        raise ValidationError("recipe b needs stages or a bit budget")
     if k <= 8:
         raise ValidationError("need k > 8")
     pieces: list[str] = []
@@ -285,11 +281,11 @@ def gen_recipe_b(
         flag = "1" * k
         rng = random.Random(_subseed(seed, "b", k, j))
         fallback = False
-        for attempt in range(sample_retries + 1):
+        for attempt in range(SAMPLE_RETRIES + 1):
             r = random_bits(rng, rlen)
             if flag not in r:
                 break
-            if attempt == sample_retries:
+            if attempt == SAMPLE_RETRIES:
                 r = "".join(
                     "0" if i % k == k - 1 else c for i, c in enumerate(r)
                 )

@@ -14,12 +14,45 @@ from depthlab import (  # noqa: E402
     StuckError,
     ValidationError,
     decode_fst,
+    encode_fst,
     fst_run,
+    repeater_fst,
 )
-from depthlab.fst import MAX_EMISSION_DEFAULT, check_bits  # noqa: E402
+from depthlab.fst import check_bits  # noqa: E402
 from depthlab.pushdown import _BELOW, LAMBDA, Z0  # noqa: E402
 
 BITS = ("0", "1")
+
+MAX_EMISSION_DEFAULT = 8  # longest emission random_fst draws
+
+
+def silent_fst() -> FstSpec:
+    return repeater_fst("")
+
+
+def fst_key(T: FstSpec):
+    """Hashable value identity, independent of dict insertion order."""
+    return (
+        T.num_states,
+        T.start,
+        tuple(sorted(T.next.items())),
+        tuple(sorted(T.out.items())),
+    )
+
+
+def described(*specs: FstSpec) -> list[tuple[str, FstSpec]]:
+    """(description, machine) entries, as kfs_over_set takes them."""
+    return [(encode_fst(T), T) for T in specs]
+
+
+def machines(universe: FstUniverse) -> list[FstSpec]:
+    return [T for _, T in universe.entries]
+
+
+def pdc_fields(C: PdcSpec) -> tuple:
+    """The six fields a PdcSpec is built from, as oracle_pdc_validate
+    takes them."""
+    return C.num_states, C.start, C.stack_kind, C.trans, C.emit, C.lambda_budget
 
 
 def random_fst(rng: random.Random, max_states: int = 3, max_emit: int = 2) -> FstSpec:
@@ -118,7 +151,7 @@ def enum_fsts_by_decoding(k: int) -> FstUniverse:
             spec = decode_fst(desc)
             if spec is None:
                 continue
-            key = spec.canonical_key()
+            key = fst_key(spec)
             if key not in seen:
                 seen[key] = (desc, spec)
     entries = sorted(seen.values(), key=lambda e: (len(e[0]), e[0]))

@@ -9,7 +9,15 @@ import time
 from itertools import product
 from pathlib import Path
 
-from conftest import brute_force_min_input, random_fst, random_pdc
+from conftest import (
+    brute_force_min_input,
+    described,
+    machines,
+    oracle_pdc_validate,
+    pdc_fields,
+    random_fst,
+    random_pdc,
+)
 from depthlab import (
     FstSpec,
     build_half_compressor,
@@ -36,7 +44,6 @@ from depthlab import (
     parse_grid,
     pdc_il_check,
     pdc_run,
-    pdc_validate,
     random_bits,
     repeat_bound,
     repeater_fst,
@@ -126,7 +133,7 @@ def test_criterion_3_codec_roundtrip():
 def test_criterion_4_kfs_oracle_and_split_inequality():
     t0 = time.time()
     universe = enum_fsts(12)
-    for T in universe.machines:
+    for T in machines(universe):
         for x in all_inputs(5):
             got = min_input_for_output(T, x)
             brute = brute_force_min_input(T, x, 6)
@@ -168,7 +175,7 @@ def test_criterion_5_composition_oracle():
     assert unary_count >= 5
     for C, T in pairs:
         N = compose_pdc_fst(C, T)
-        assert pdc_validate(N) == []
+        assert oracle_pdc_validate(*pdc_fields(N)) == []
         for x in all_inputs(8):
             want = pdc_run(C, fst_run(T, x).output).output
             assert pdc_run(N, x).output == want
@@ -177,7 +184,7 @@ def test_criterion_5_composition_oracle():
 
 def test_criterion_6_half_compressor_behavior():
     C = build_half_compressor(9, 9, 0)
-    assert pdc_validate(C) == []
+    assert oracle_pdc_validate(*pdc_fields(C)) == []
     assert pdc_il_check(C, 12) is None
 
     stream = gen_recipe_b(9, stages=24, seed=42)
@@ -238,12 +245,12 @@ def test_criterion_8_certified_randomness_mechanism():
     assert len(u6) == 0
     assert kfs_complexity(r, 6).value == math.inf
     assert all(
-        brute_force_min_input(T, r, 6) is None for T in u6.machines
+        brute_force_min_input(T, r, 6) is None for T in machines(u6)
     )
 
-    Tr = repeater_fst(r)
+    Tr = described(repeater_fst(r))
     for t in range(9):
-        assert kfs_over_set(r * t, [Tr]).value == t
+        assert kfs_over_set(r * t, Tr).value == t
     report(8, "certified randomness and repeater complexity")
 
 

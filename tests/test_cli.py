@@ -337,6 +337,10 @@ MALFORMED = {
                          "--grid", "1:10:1"]),
         )
     },
+    "generate-recipe-b-without-stages-or-budget": (
+        {}, ["generate", "--recipe", "b", "--k", "9", "--out", "{tmp}/b.bits"],
+        None, 2,
+    ),
     **{
         f"{cmd}-recipe-b-oversized-stage": (
             {}, [cmd, "--recipe", "b", "--k", "3000000000", "--stages", "1",
@@ -354,7 +358,7 @@ MALFORMED = {
             [cmd, "--input", "{tmp}/s.bits", *flags, "--grid", "1:4:1",
              "--tail", t], None, 2,
         )
-        for t in ("nan", "inf")
+        for t in ("nan", "inf", "-1", "2")
         for cmd, flags in (
             ("profile", ["--weak", "identity-fst", "--strong", "lz78"]),
             ("ratio", ["--compressor", "lz78"]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_fst
+from conftest import random_fst, silent_fst
 from depthlab import (
     FstSpec,
     ValidationError,
@@ -17,7 +17,6 @@ from depthlab import (
     fst_size,
     identity_fst,
     nat_bin,
-    silent_fst,
 )
 
 

@@ -6,20 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_min_input, enum_fsts_by_decoding, random_fst
+from conftest import (
+    brute_force_min_input,
+    described,
+    enum_fsts_by_decoding,
+    fst_key,
+    machines,
+    random_fst,
+    silent_fst,
+)
 from depthlab import (
     FstSpec,
     ValidationError,
     decode_fst,
     encode_fst,
     enum_fsts,
+    fscomplexity,
     fst_run,
     identity_fst,
     kfs_complexity,
     kfs_over_set,
     min_input_for_output,
     repeater_fst,
-    silent_fst,
 )
 from depthlab.fst import BITS
 
@@ -33,7 +41,7 @@ def all_inputs(max_len):
 def test_enum_small_universes():
     assert len(enum_fsts(7)) == 0
     u8 = enum_fsts(8)
-    assert u8.machines == [silent_fst()]
+    assert machines(u8) == [silent_fst()]
     sizes = [len(enum_fsts(k)) for k in range(8, 15)]
     assert sizes == sorted(sizes)
 
@@ -49,12 +57,13 @@ UNIVERSE_SIZES = [0] * 8 + [1, 1, 5, 5, 18, 18, 61, 61, 211]
 
 
 @pytest.mark.parametrize("k", range(17))
-def test_enum_matches_decoding_oracle(k):
-    u, oracle = enum_fsts(k, ceiling=16), enum_fsts_by_decoding(k)
+def test_enum_matches_decoding_oracle(k, monkeypatch):
+    monkeypatch.setattr(fscomplexity, "ENUM_CEILING", 16)
+    u, oracle = enum_fsts(k), enum_fsts_by_decoding(k)
     assert u.k == k and len(u) == UNIVERSE_SIZES[k]
     assert u.entries == oracle.entries
-    keys = [spec.canonical_key() for _, spec in u.entries]
-    assert keys == [spec.canonical_key() for _, spec in oracle.entries]
+    keys = [fst_key(spec) for _, spec in u.entries]
+    assert keys == [fst_key(spec) for _, spec in oracle.entries]
     for desc, spec in u.entries:
         assert encode_fst(spec) == desc
         assert decode_fst(desc) == spec
@@ -63,21 +72,22 @@ def test_enum_matches_decoding_oracle(k):
 @pytest.mark.parametrize("k", range(8, 15))
 def test_kfs_matches_decoding_oracle(k):
     oracle = enum_fsts_by_decoding(k)
-    descs = [desc for desc, _ in oracle.entries]
     rng = random.Random(2011)
     for _ in range(200):
         x = "".join(rng.choice("01") for _ in range(rng.randint(0, 24)))
-        assert kfs_complexity(x, k) == kfs_over_set(x, oracle.machines, descs)
+        assert kfs_complexity(x, k) == kfs_over_set(x, oracle.entries)
 
 
-def test_enum_cache_keeps_ceiling():
-    u14 = enum_fsts(14)
+def test_enum_cache_keeps_ceiling(monkeypatch):
+    u12, u14 = enum_fsts(12), enum_fsts(14)
     with pytest.raises(ValidationError):
         enum_fsts(15)
+    monkeypatch.setattr(fscomplexity, "ENUM_CEILING", 12)
     with pytest.raises(ValidationError):
-        enum_fsts(14, ceiling=12)
+        enum_fsts(14)
+    assert enum_fsts(12) == u12
+    monkeypatch.undo()
     assert enum_fsts(14) == u14
-    assert enum_fsts(12, ceiling=12) == enum_fsts(12)
 
 
 def test_enum_dedup_keeps_shortest_description():
@@ -94,7 +104,7 @@ def test_kfs_empty_target():
 
 def test_kfs_identity_bound():
     u = enum_fsts(12)
-    assert identity_fst() in u.machines
+    assert identity_fst() in machines(u)
     rng = random.Random(4)
     for _ in range(20):
         x = "".join(rng.choice("01") for _ in range(rng.randint(0, 10)))
@@ -103,13 +113,13 @@ def test_kfs_identity_bound():
 
 
 def test_kfs_over_set_identity_and_repeater():
-    assert kfs_over_set("0110", [identity_fst()]).value == 4
-    tr = repeater_fst("10")
+    assert kfs_over_set("0110", described(identity_fst())).value == 4
+    tr = described(repeater_fst("10"))
     for t in range(9):
-        r = kfs_over_set("10" * t, [tr])
+        r = kfs_over_set("10" * t, tr)
         assert r.value == t
-    assert kfs_over_set("1011", [tr]).value == math.inf
-    assert kfs_over_set("1011", [tr]).witness is None
+    assert kfs_over_set("1011", tr).value == math.inf
+    assert kfs_over_set("1011", tr).witness is None
 
 
 def test_witness_replays_to_target():
@@ -120,7 +130,8 @@ def test_witness_replays_to_target():
         r = kfs_complexity(x, 12)
         if r.witness is None:
             continue
-        T = u.machines[r.witness.machine_index]
+        desc, T = u.entries[r.witness.machine_index]
+        assert r.witness.description == desc
         assert fst_run(T, r.witness.input_bits).output == x
         assert len(r.witness.input_bits) == r.value
 
@@ -350,7 +361,7 @@ def test_pad_combiner_witnesses_concat_bound():
     for _ in range(20):
         x = "".join(rng.choice("01") for _ in range(rng.randint(b * b, 40)))
         y = "".join(rng.choice("01") for _ in range(rng.randint(0, 12)))
-        dx = kfs_over_set(x, [A]).value
-        dy = kfs_over_set(y, [B]).value
-        got = kfs_over_set(x + y, [M]).value
+        dx = kfs_over_set(x, described(A)).value
+        dy = kfs_over_set(y, described(B)).value
+        got = kfs_over_set(x + y, described(M)).value
         assert got <= (1 + eps) * dx + dy + 2

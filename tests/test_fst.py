@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_fst_run, random_fst
+from conftest import oracle_fst_run, random_fst, silent_fst
 from depthlab import (
     FstSpec,
     ValidationError,
@@ -18,7 +18,6 @@ from depthlab import (
     il_check,
     parse_fst,
     repeater_fst,
-    silent_fst,
 )
 from depthlab.fst import BITS
 

@@ -20,7 +20,7 @@ from depthlab import (
     pdc_run,
     random_bits,
 )
-from depthlab import depth
+from depthlab import pushdown
 from depthlab.depth import DepthProfile, FstCompressor, LzCompressor, PdcCompressor
 from depthlab.pushdown import Z0
 
@@ -142,13 +142,13 @@ def test_every_prefix_length_costs_one_pass(monkeypatch):
     bits = gen_recipe_b(9, stages=14, seed=7).bits
     assert len(bits) >= 5000
     fed = []
-    steps = depth._steps
+    steps = pushdown._steps
 
     def counting_steps(C, x, *args):
         fed.append(len(x))
         return steps(C, x, *args)
 
-    monkeypatch.setattr(depth, "_steps", counting_steps)
+    monkeypatch.setattr(pushdown, "_steps", counting_steps)
     strong = make_compressor("half-compressor(9,9,0)")
     grid = list(range(1, len(bits) + 1))
     prof = compute_profile(bits, [make_compressor("identity-pdc"), strong], grid)

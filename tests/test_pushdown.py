@@ -15,6 +15,7 @@ from conftest import (
     oracle_compose_pdc_fst,
     oracle_pdc_run,
     oracle_pdc_validate,
+    pdc_fields,
     random_fst,
     random_pdc,
 )
@@ -32,7 +33,6 @@ from depthlab import (
     parse_pdc,
     pdc_il_check,
     pdc_run,
-    pdc_validate,
     pushdown,
     repeater_fst,
 )
@@ -72,7 +72,7 @@ def test_push_then_pop_matcher():
     trans = {(1, b, t): (1, b + t) for b in "01" for t in ("0", "1", Z0)}
     emit = {k: k[1] for k in trans}
     C = PdcSpec(1, 1, "binary", trans, emit, 0)
-    assert pdc_validate(C) == []
+    assert oracle_pdc_validate(*pdc_fields(C)) == []
     r = pdc_run(C, "01")
     assert (r.output, r.final_stack) == ("01", "10z")
 
@@ -277,7 +277,7 @@ def test_compose_matches_oracle_random():
         T = random_fst(rng, max_states=2)
         N = compose_pdc_fst(C, T)
         assert N.stack_kind == kind
-        assert pdc_validate(N) == []
+        assert oracle_pdc_validate(*pdc_fields(N)) == []
         for x in all_inputs(7):
             want = pdc_run(C, fst_run(T, x).output).output
             assert pdc_run(N, x).output == want
@@ -292,21 +292,22 @@ def test_compose_half_compressor_text_pinned():
     )
 
 
-def test_compose_state_ceiling():
+def test_compose_state_ceiling(monkeypatch):
     C = build_half_compressor(9, 9, 0)
+    monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", 10)
     with pytest.raises(ValidationError):
-        compose_pdc_fst(C, identity_fst(), state_ceiling=10)
+        compose_pdc_fst(C, identity_fst())
 
 
-def compose_outcome(compose, C, T, ceiling):
+def compose_outcome(compose, *args):
     """The composed machine's text, or the type and message of the error."""
     try:
-        return format_pdc(compose(C, T, state_ceiling=ceiling))
+        return format_pdc(compose(*args))
     except (ValidationError, AssertionError) as exc:
         return type(exc).__name__, str(exc)
 
 
-def test_compose_matches_whole_buffer_oracle():
+def test_compose_matches_whole_buffer_oracle(monkeypatch):
     rng = random.Random(111)
     kinds = Counter()
     for i in range(600):
@@ -315,7 +316,8 @@ def test_compose_matches_whole_buffer_oracle():
         C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=lambda_prob)
         T = random_fst(rng, max_states=3, max_emit=2)
         ceiling = rng.choice([4, 12, 200_000])
-        got = compose_outcome(compose_pdc_fst, C, T, ceiling)
+        monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", ceiling)
+        got = compose_outcome(compose_pdc_fst, C, T)
         assert got == compose_outcome(oracle_compose_pdc_fst, C, T, ceiling), (C, T)
         if isinstance(got, str):  # N's input-free moves each buffer a symbol
             N = parse_pdc(got)
@@ -412,7 +414,7 @@ def test_validate_rejects_a_multi_symbol_top():
 
 def test_half_compressor_shape():
     C = build_half_compressor(9, 9, 0)
-    assert pdc_validate(C) == []
+    assert oracle_pdc_validate(*pdc_fields(C)) == []
     # count0, scan, 2k flag states, k+1 pop states, v+1 match states, error
     assert C.num_states == 2 + 18 + 10 + 10 + 1
 
@@ -490,13 +492,26 @@ def test_half_compressor_counts_prefix():
     assert r.output == "111" + R + "1" * 9 + "0" * (len(R) // 9)
 
 
+def pdc_key(C: PdcSpec):
+    """Hashable value identity, independent of dict insertion order and of
+    empty emissions."""
+    return (
+        C.num_states,
+        C.start,
+        C.stack_kind,
+        C.lambda_budget,
+        tuple(sorted(C.trans.items())),
+        tuple(sorted((k, v) for k, v in C.emit.items() if v)),
+    )
+
+
 def test_text_format_roundtrip():
     rng = random.Random(6)
     for _ in range(20):
         C = random_pdc(rng, kind="binary" if rng.random() < 0.5 else "unary")
-        assert parse_pdc(format_pdc(C)).canonical_key() == C.canonical_key()
+        assert pdc_key(parse_pdc(format_pdc(C))) == pdc_key(C)
     big = build_half_compressor(9, 9, 0)
-    assert parse_pdc(format_pdc(big)).canonical_key() == big.canonical_key()
+    assert pdc_key(parse_pdc(format_pdc(big))) == pdc_key(big)
 
 
 def test_text_format_rejects_garbage():
@@ -542,7 +557,7 @@ def test_lambda_chains_pure_pop_fans_out():
     # Most moves: states 1, 2, 5, 6, 7, 8 over tops 1, z, 0, 0, 0 (five
     # moves, one pop).
     assert _lambda_chains(trans, "01z") == chains_by_brute_force(trans, "01z") == (5, 3)
-    assert pdc_validate(C) == []
+    assert oracle_pdc_validate(*pdc_fields(C)) == []
     assert refused(8, 1, "binary", trans, {}, 4) == (
         "input-free moves can chain beyond budget 4"
     )
@@ -551,7 +566,7 @@ def test_lambda_chains_pure_pop_fans_out():
 def test_long_input_free_chain():
     C = chain_pdc(2000, 1999)
     assert _lambda_chains(C.trans, "0z") == chains_by_brute_force(C.trans, "0z") == (1999, 0)
-    assert pdc_validate(C) == []
+    assert oracle_pdc_validate(*pdc_fields(C)) == []
     assert format_pdc(C) == chain_pdc_text(2000, 1999)
     r = pdc_run(C, "01")
     assert (r.output, r.final_state, r.final_stack) == ("01", 2000, Z0)
@@ -730,7 +745,7 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     # Six pops from a full window: one entry, which a different rest of the
     # stack then reuses.
     C = pop_machine()
-    assert pdc_validate(C) == []
+    assert oracle_pdc_validate(*pdc_fields(C)) == []
     for rest in ("01" + Z0, "1" * 40 + Z0):
         st = stack[:PDC_WINDOW] + rest
         assert run_outcome(pdc_run, C, "000000", 1, st) == run_outcome(

@@ -12,16 +12,23 @@ from depthlab import (
     intervals,
     kfs_complexity,
     lz_encode,
+    seqgen,
 )
 from depthlab.seqgen import _no_long_ones, devoted_k, power_ceiling
+
+
+def bounds(part, j: int) -> tuple[int, int]:
+    """(min, max) of the j-th interval of an IntervalPartition, 1-based."""
+    lo = sum(part.lengths[: j - 1])
+    return lo, lo + part.lengths[j - 1] - 1
 
 
 def test_intervals_exponential():
     part = intervals("exponential", count=3)
     assert part.lengths == (2, 4, 64)
-    assert part.bounds(1) == (0, 1)
-    assert part.bounds(2) == (2, 5)
-    assert part.bounds(3) == (6, 69)
+    assert bounds(part, 1) == (0, 1)
+    assert bounds(part, 2) == (2, 5)
+    assert bounds(part, 3) == (6, 69)
 
 
 def test_intervals_budget_truncation():
@@ -101,7 +108,7 @@ def test_recipe_a_determinism():
     assert other.generate().sha256() != r.generate().sha256()
 
 
-def test_fs_random_string_surrogate_and_certified():
+def test_fs_random_string_surrogate_and_certified(monkeypatch):
     s1, cert1 = fs_random_string(64, 3, mode="surrogate", seed=5)
     s2, _ = fs_random_string(64, 3, mode="surrogate", seed=5)
     assert s1 == s2 and len(s1) == 64
@@ -117,8 +124,9 @@ def test_fs_random_string_surrogate_and_certified():
 
     with pytest.raises(ValidationError):
         fs_random_string(16, 5, mode="certified")
+    monkeypatch.setattr(seqgen, "MAX_CANDIDATES", 0)
     with pytest.raises(ValidationError):
-        fs_random_string(16, 2, mode="certified", max_candidates=0)
+        fs_random_string(16, 2, mode="certified")
 
 
 def test_recipe_b_structure():
@@ -141,6 +149,12 @@ def test_recipe_b_rejects_small_k():
         gen_recipe_b(8, stages=2)
 
 
+def test_recipe_b_needs_stages_or_a_bit_budget():
+    # Without either, the stage loop would never end.
+    with pytest.raises(ValidationError, match="^recipe b needs stages or a bit budget$"):
+        gen_recipe_b(9)
+
+
 def test_recipe_b_refuses_an_oversized_stage():
     # Stage 1 has 3 * 10^5 bits; stage 2 would need 2 * 10^10 + 10^5.
     with pytest.raises(ValidationError, match=f"^stage 2 needs {2 * 10**10 + 10**5} bits"):
@@ -151,8 +165,9 @@ def test_recipe_b_refuses_an_oversized_stage():
         gen_recipe_b(3 * 10**9, stages=1)
 
 
-def test_recipe_b_fallback_still_flag_free():
-    stream = gen_recipe_b(9, stages=8, seed=1, sample_retries=0)
+def test_recipe_b_fallback_still_flag_free(monkeypatch):
+    monkeypatch.setattr(seqgen, "SAMPLE_RETRIES", 0)
+    stream = gen_recipe_b(9, stages=8, seed=1)
     assert any(b["fallback"] for b in stream.blocks)
     pos = 0
     for blk in stream.blocks:
