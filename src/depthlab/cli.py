@@ -336,8 +336,23 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     return build_parser().parse_args(argv)
 
 
+def _glue_tail(argv: list[str]) -> list[str]:
+    """argv, edited in place: each `--tail X` of profile or ratio before any
+    `--` becomes `--tail=X` when X reads as a float, so that a value such
+    as -inf or -1e-3 reaches _check_tail rather than reading as an option."""
+    end = argv.index("--") if "--" in argv else len(argv)
+    for i in reversed(range(1, end - 1)):
+        if argv[0] in ("profile", "ratio") and argv[i] == "--tail":
+            try:
+                float(argv[i + 1])
+            except ValueError:
+                continue
+            argv[i : i + 2] = [f"--tail={argv[i + 1]}"]
+    return argv
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else list(argv))
+    args = parse_args(_glue_tail(sys.argv[1:] if argv is None else list(argv)))
     if not getattr(args, "fn", None):
         build_parser().print_usage(sys.stderr)
         return EXIT_USAGE

@@ -1,24 +1,27 @@
 """Depth profiles: run one compressor, or a weak and a strong one, over a
 prefix grid and tabulate the output lengths with their ratio or gap.
 
-Output lengths are counted in emitted bits for machines and in coded bits
-for LZ78. Each compressor walks the stream once, in grid order, resuming
-from its own checkpoint at every grid point, so a profile costs one pass
-per compressor whatever the grid (kfs(k) still searches every prefix
-afresh). A pushdown machine's resumption lives in `pushdown.pdc_lengths`.
-Rows always come out sorted by n.
+A compressor is a label and a stream of output lengths at the grid
+points, in emitted bits for machines and in coded bits for LZ78. Each
+engine module owns its stream (`fst.fst_lengths`, `pushdown.pdc_lengths`,
+`lz78.lz_lengths`, `fscomplexity.kfs_lengths`), which walks the stream
+once, resuming from its own checkpoint at every grid point, so a profile
+costs one pass per compressor whatever the grid (kfs(k) still searches
+every prefix afresh). This module keeps the names, the grids and the
+table. Rows always come out sorted by n.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
-from .errors import StuckError, UnreachableError, ValidationError
-from .fst import FstSpec, fst_run, identity_fst, parse_fst, repeater_fst
-from .fscomplexity import enum_fsts, kfs_over_set
-from .lz78 import LzParser
+from .errors import StuckError, ValidationError
+from .fst import FstSpec, fst_lengths, identity_fst, parse_fst, repeater_fst
+from .fscomplexity import enum_fsts, kfs_lengths
+from .lz78 import lz_lengths
 from .pushdown import (
     PdcSpec,
     build_half_compressor,
@@ -27,87 +30,19 @@ from .pushdown import (
     pdc_lengths,
 )
 
-# The output bit count of one prefix, or why it has none.
-Measure = Union[int, StuckError]
-
 # Most points of a linear grid, and most multiplications parse_grid spends
 # walking a geometric grid.
 MAX_GRID_STEPS = 10**6
 
 
+@dataclass(frozen=True)
 class Compressor:
-    """A named map from bit strings to an output bit count."""
+    """A label and its stream of output lengths: `lengths(bits, points)`
+    yields the output bit count of bits[:n] for each n of the ascending
+    `points` (all <= len(bits)), or the StuckError that stops it."""
 
-    def __init__(self, label: str):
-        self.label = label
-
-    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
-        """The output bit count of bits[:n] for each n of the ascending
-        `points` (all <= len(bits)), or the StuckError that stops it."""
-        raise NotImplementedError
-
-    def output_bits(self, x: str) -> int:
-        """Output bit count of x; raises the StuckError that stops it."""
-        (value,) = self.lengths(x, [len(x)])
-        if isinstance(value, StuckError):
-            raise value
-        return value
-
-
-class FstCompressor(Compressor):
-    def __init__(self, spec: FstSpec, label: str):
-        super().__init__(label)
-        self.spec = spec
-
-    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
-        q, total, prev = self.spec.start, 0, 0
-        for n in points:
-            run = fst_run(self.spec, bits[prev:n], start=q)
-            q, total, prev = run.final_state, total + len(run.output), n
-            yield total
-
-
-class PdcCompressor(Compressor):
-    def __init__(self, spec: PdcSpec, label: str):
-        super().__init__(label)
-        self.spec = spec
-
-    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
-        return pdc_lengths(self.spec, bits, points)
-
-
-class LzCompressor(Compressor):
-    def __init__(self):
-        super().__init__("lz78")
-
-    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
-        parser, prev = LzParser(), 0
-        for n in points:
-            parser.feed(bits[prev:n])
-            prev = n
-            yield parser.coded_bits()
-
-
-class KfsCompressor(Compressor):
-    """Minimum input length over every machine describable in k bits.
-
-    Only sensible for small k, and every prefix is searched afresh. A
-    prefix no machine outputs reports as unreachable, so profile rows get
-    flagged rather than faked.
-    """
-
-    def __init__(self, k: int):
-        super().__init__(f"kfs({k})")
-        universe = enum_fsts(k)
-        if not universe.entries:
-            raise ValidationError(f"no machines with descriptions <= {k} bits")
-        self.k = k
-        self.entries = universe.entries
-
-    def lengths(self, bits: str, points: Sequence[int]) -> Iterator[Measure]:
-        for n in points:
-            value = kfs_over_set(bits[:n], self.entries).value
-            yield UnreachableError(self.k, n) if math.isinf(value) else int(value)
+    label: str
+    lengths: Callable[[str, Sequence[int]], Iterator[Union[int, StuckError]]]
 
 
 def _int_arg(text: str, name: str) -> int:
@@ -125,28 +60,32 @@ def make_compressor(name: str) -> Compressor:
     """
     name = name.strip()
     if name == "identity-fst":
-        return FstCompressor(identity_fst(), name)
+        return Compressor(name, partial(fst_lengths, identity_fst()))
     if name == "identity-pdc":
-        return PdcCompressor(identity_pdc(), name)
+        return Compressor(name, partial(pdc_lengths, identity_pdc()))
     if name == "lz78":
-        return LzCompressor()
+        return Compressor(name, lz_lengths)
     if name.startswith("half-compressor(") and name.endswith(")"):
         args = name[len("half-compressor(") : -1].split(",")
         if len(args) != 3:
             raise ValidationError("half-compressor takes (k, v, m)")
         k, v, m = (_int_arg(a, name) for a in args)
-        return PdcCompressor(build_half_compressor(k, v, m), name)
+        return Compressor(name, partial(pdc_lengths, build_half_compressor(k, v, m)))
     if name.startswith("repeater(") and name.endswith(")"):
-        return FstCompressor(repeater_fst(name[len("repeater(") : -1]), name)
+        T = repeater_fst(name[len("repeater(") : -1])
+        return Compressor(name, partial(fst_lengths, T))
     if name.startswith("kfs(") and name.endswith(")"):
-        return KfsCompressor(_int_arg(name[len("kfs(") : -1], name))
+        k = _int_arg(name[len("kfs(") : -1], name)
+        entries = enum_fsts(k).entries
+        if not entries:
+            raise ValidationError(f"no machines with descriptions <= {k} bits")
+        return Compressor(f"kfs({k})", partial(kfs_lengths, k, entries))
     path = Path(name)
     if not path.exists():
         raise ValidationError(f"no builtin or machine file named {name!r}")
     machine = load_machine(name)
-    if isinstance(machine, FstSpec):
-        return FstCompressor(machine, path.name)
-    return PdcCompressor(machine, path.name)
+    run = fst_lengths if isinstance(machine, FstSpec) else pdc_lengths
+    return Compressor(path.name, partial(run, machine))
 
 
 def read_text(path: str) -> str:

@@ -13,10 +13,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .codec import diamond, double_bits, nat_bin, target_code
-from .errors import ValidationError
+from .errors import UnreachableError, ValidationError
 from .fst import BITS, FstSpec
 
 INFINITE = math.inf
@@ -177,6 +177,17 @@ def kfs_over_set(
         return ComplexityResult(INFINITE, None)
     length, y, idx = best
     return ComplexityResult(length, Witness(entries[idx][0], y, idx))
+
+
+def kfs_lengths(
+    k: int, entries: Sequence[tuple[str, FstSpec]], bits: str, points: Sequence[int]
+) -> Iterator[Union[int, UnreachableError]]:
+    """kfs_over_set(bits[:n], entries) for each n of `points`, searched
+    afresh per prefix; a prefix that no machine of <= k bits outputs
+    yields an UnreachableError."""
+    for n in points:
+        value = kfs_over_set(bits[:n], entries).value
+        yield UnreachableError(k, n) if math.isinf(value) else int(value)
 
 
 def kfs_complexity(x: str, k: int) -> ComplexityResult:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -99,6 +99,16 @@ def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
         pieces.append(e)
         i += FST_BLOCK
     return RunResult("".join(pieces), q)
+
+
+def fst_lengths(T: FstSpec, bits: str, points: Sequence[int]) -> Iterator[int]:
+    """The output bit count of T on bits[:n] for each n of the ascending
+    `points` (all <= len(bits)), resuming from the last point's state."""
+    q, total, prev = T.start, 0, 0
+    for n in points:
+        run = fst_run(T, bits[prev:n], start=q)
+        q, total, prev = run.final_state, total + len(run.output), n
+        yield total
 
 
 def il_check(T: FstSpec, L: int) -> Optional[tuple[str, str]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -74,6 +74,16 @@ def lz_parse(x: str) -> LzParse:
     parser = LzParser()
     parser.feed(x)
     return parser.result()
+
+
+def lz_lengths(bits: str, points: Sequence[int]) -> Iterator[int]:
+    """len(lz_encode(bits[:n])) for each n of the ascending `points` (all
+    <= len(bits)), from one parse fed segment by segment."""
+    parser, prev = LzParser(), 0
+    for n in points:
+        parser.feed(bits[prev:n])
+        prev = n
+        yield parser.coded_bits()
 
 
 def pointer_width(token_index: int) -> int:

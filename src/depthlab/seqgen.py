@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ValidationError
-from .fscomplexity import ENUM_CEILING, kfs_complexity
+from . import fscomplexity
 
 EXPONENTIAL_GROWTH = "exponential"
 SCALED_GROWTH = "scaled"
@@ -115,13 +115,12 @@ def fs_random_string(
         return random_bits(rng, length), Certificate("surrogate", k, bound, None)
     if mode != "certified":
         raise ValidationError(f"unknown mode {mode!r}")
-    if 3 * k > ENUM_CEILING:
-        raise ValidationError(
-            f"certified mode needs 3k <= {ENUM_CEILING}, got k={k}"
-        )
+    ceiling = fscomplexity.ENUM_CEILING  # read per call, as enum_fsts does
+    if 3 * k > ceiling:
+        raise ValidationError(f"certified mode needs 3k <= {ceiling}, got k={k}")
     for _ in range(MAX_CANDIDATES):
         r = random_bits(rng, length)
-        value = kfs_complexity(r, 3 * k).value
+        value = fscomplexity.kfs_complexity(r, 3 * k).value
         if value >= bound:
             return r, Certificate("certified", k, bound, value)
     raise ValidationError(
@@ -226,7 +225,8 @@ def gen_recipe_a(
                     raise ValidationError(
                         f"stage {j} needs interval {2 ** k} inside the schedule"
                     )
-                mode = "certified" if certify and 3 * k <= ENUM_CEILING else "surrogate"
+                certified = certify and 3 * k <= fscomplexity.ENUM_CEILING
+                mode = "certified" if certified else "surrogate"
                 rks[k], _cert = fs_random_string(rk_len, k, mode=mode, seed=seed)
             copies = size // len(rks[k])
             block = rks[k] * copies

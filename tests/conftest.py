@@ -169,6 +169,15 @@ def brute_force_min_input(T: FstSpec, x: str, max_len: int):
     return None
 
 
+def output_bits(comp, x: str) -> int:
+    """Output bit count of x under a depth.Compressor; raises the
+    StuckError that stops it."""
+    (value,) = comp.lengths(x, [len(x)])
+    if isinstance(value, StuckError):
+        raise value
+    return value
+
+
 def oracle_fst_run(T: FstSpec, x: str, start=None) -> RunResult:
     """Oracle for fst_run: one map lookup per input bit, no block memo."""
     q = T.start if start is None else start

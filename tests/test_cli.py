@@ -358,7 +358,7 @@ MALFORMED = {
             [cmd, "--input", "{tmp}/s.bits", *flags, "--grid", "1:4:1",
              "--tail", t], None, 2,
         )
-        for t in ("nan", "inf", "-1", "2")
+        for t in ("nan", "inf", "-1", "2", "-inf", "-1e-3")
         for cmd, flags in (
             ("profile", ["--weak", "identity-fst", "--strong", "lz78"]),
             ("ratio", ["--compressor", "lz78"]),
@@ -466,6 +466,19 @@ TOKENS = st.one_of(
 @given(st.lists(TOKENS, max_size=8))
 def test_command_parser_parses_like_the_full_parser_fuzzed(argv):
     assert_parses_like_full_parser(argv)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(TOKENS, st.sampled_from(
+    ["profile", "ratio", "--tail", "-inf", "-1e-3", "-.5", "0.5", "-x"])), max_size=8))
+def test_glued_tail_only_changes_argv_whose_tail_value_read_as_an_option(argv):
+    # main glues `--tail X` to `--tail=X`; any argv whose parse that
+    # changes must have failed on --tail taking no value.
+    before = parse_outcome(cli.parse_args, argv)
+    after = parse_outcome(cli.parse_args, cli._glue_tail(list(argv)))
+    if after != before:
+        assert before[0] == ("exit", 1), argv
+        assert before[2].endswith("error: argument --tail: expected one argument\n")
 
 
 def test_valid_commands_never_build_the_full_parser(tmp_path, monkeypatch, capsys):

@@ -36,7 +36,6 @@ from depthlab import (
     pushdown,
     repeater_fst,
 )
-from depthlab.depth import PdcCompressor
 from depthlab.pushdown import (
     _BELOW,
     _DEEP,
@@ -45,6 +44,7 @@ from depthlab.pushdown import (
     PDC_WINDOW,
     Z0,
     _lambda_chains,
+    pdc_lengths,
 )
 
 
@@ -822,7 +822,7 @@ def test_profile_keeps_block_alignment_across_grid_points():
     points = list(range(1000, len(bits) + 1, 1000))
     single, profiled = build_half_compressor(9, 9, 0), build_half_compressor(9, 9, 0)
     out = pdc_run(single, bits[: points[-1]]).output
-    *_, last = PdcCompressor(profiled, "half").lengths(bits, points)
+    *_, last = pdc_lengths(profiled, bits, points)
     assert last == len(out)
     assert len(profiled._blocks) < 1.5 * len(single._blocks)
 

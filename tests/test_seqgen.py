@@ -11,6 +11,7 @@ from depthlab import (
     gen_recipe_c,
     intervals,
     kfs_complexity,
+    fscomplexity,
     lz_encode,
     seqgen,
 )
@@ -127,6 +128,25 @@ def test_fs_random_string_surrogate_and_certified(monkeypatch):
     monkeypatch.setattr(seqgen, "MAX_CANDIDATES", 0)
     with pytest.raises(ValidationError):
         fs_random_string(16, 2, mode="certified")
+
+
+def test_certified_mode_reads_the_enumeration_ceiling_when_called(monkeypatch):
+    monkeypatch.setattr(fscomplexity, "ENUM_CEILING", 11)
+    refusal = r"^certified mode needs 3k <= 11, got k=4$"
+    with pytest.raises(ValidationError, match=refusal):
+        fs_random_string(16, 4, mode="certified")
+    # Recipe a certifies r_k only while 3k is inside the same ceiling.
+    modes = []
+    real = seqgen.fs_random_string
+
+    def spy(length, k, mode, seed):
+        modes.append((k, mode))
+        return real(length, k, mode=mode, seed=seed)
+
+    monkeypatch.setattr(seqgen, "fs_random_string", spy)
+    monkeypatch.setattr(fscomplexity, "ENUM_CEILING", 3)
+    gen_recipe_a(stages=4, certify=True)
+    assert modes == [(1, "certified"), (2, "surrogate")]
 
 
 def test_recipe_b_structure():
