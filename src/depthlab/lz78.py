@@ -1,10 +1,12 @@
 """Bit-exact LZ78: greedy phrase parsing, pointer/bit coding, and the
 repeated-block length bound.
 
-Phrases live in a trie rooted at the empty phrase 0. Token i codes its
-pointer in exactly ceil(log2 i) bits (the decoder knows i, so the width is
-implicit; token 1 has no pointer bits) followed by one literal bit. An
-input ending inside a known phrase yields a pointer-only tail token.
+Phrase k (phrase 0 is the empty phrase) is a node of a binary trie kept as
+two flat child tables, one per bit. Token i codes its pointer in exactly
+ceil(log2 i) bits (the decoder knows i, so the width is implicit; token 1
+has no pointer bits) followed by one literal bit, so the coded length of t
+tokens has a closed form. An input ending inside a known phrase yields a
+pointer-only tail token.
 """
 from __future__ import annotations
 
@@ -29,45 +31,67 @@ class LzParse:
 
 class LzParser:
     """A greedy parse that resumes where its last input ended: the phrase
-    trie, the node the pending phrase has reached, and the tokens so far.
+    trie as two child tables, the node the pending phrase has reached, and
+    the tokens so far as a pointer list and a literal list, paired up only
+    by result(). Every entry is a plain int, so a phrase costs four list
+    slots and one new int.
 
     Feeding x and then y parses exactly as feeding xy.
     """
 
     def __init__(self) -> None:
-        # Trie node k is phrase k, node 0 the empty phrase; the input so far
-        # ends inside a known phrase exactly when node is not the root.
-        self.children: list[list[Optional[int]]] = [[None, None]]
-        self.tokens: list[tuple[int, str]] = []
+        # c0[k] and c1[k] are node k's children on bits 0 and 1, 0 when
+        # absent: the root is never a child. Node k is phrase k, the phrase
+        # of token k, which extends phrase ptrs[k-1] by the byte lits[k-1].
+        # The input so far ends inside a known phrase exactly when node is
+        # not the root.
+        self.c0: list[int] = [0]
+        self.c1: list[int] = [0]
+        self.ptrs: list[int] = []
+        self.lits: list[int] = []
         self.node = _ROOT
-        self.token_bits = 0  # coded length of the complete tokens
 
     def feed(self, x: str) -> None:
-        children, tokens, node = self.children, self.tokens, self.node
-        for b in x:
-            nxt = children[node][b == "1"]
-            if nxt is None:
-                children[node][b == "1"] = len(children)
-                children.append([None, None])
-                tokens.append((node, b))
-                self.token_bits += pointer_width(len(tokens)) + 1
-                node = _ROOT
-            else:
+        """Parse the bit string x on from where the last input ended."""
+        c0, c1, ptrs, lits, node = self.c0, self.c1, self.ptrs, self.lits, self.node
+        # Indexed by the input byte: b"0"[0] == 48 picks c0, 49 picks c1.
+        tables = (c0, c1) * 25
+        for b in x.encode():
+            kids = tables[b]
+            nxt = kids[node]
+            if nxt:
                 node = nxt
+            else:
+                kids[node] = len(c0)
+                c0.append(0)
+                c1.append(0)
+                ptrs.append(node)
+                lits.append(b)
+                node = _ROOT
         self.node = node
 
     def coded_bits(self) -> int:
-        """len(lz_encode(everything fed so far)), tail pointer included."""
+        """len(lz_encode(everything fed so far)), tail pointer included.
+
+        Token i costs pointer_width(i) + 1 bits, and the widths of tokens
+        1..t sum to t*w - 2**w + 1 with w = pointer_width(t).
+        """
+        t = len(self.ptrs)
+        if not t:
+            return 0
+        w = pointer_width(t)
+        bits = t + t * w - (1 << w) + 1
         if self.node != _ROOT:
-            return self.token_bits + pointer_width(len(self.tokens) + 1)
-        return self.token_bits
+            bits += pointer_width(t + 1)
+        return bits
 
     def result(self) -> LzParse:
+        tokens = list(zip(self.ptrs, map(chr, self.lits)))
         phrases = [""]  # phrase k is phrase ptr plus its final bit
-        for ptr, bit in self.tokens:
+        for ptr, bit in tokens:
             phrases.append(phrases[ptr] + bit)
         tail = self.node if self.node != _ROOT else None
-        return LzParse(list(self.tokens), tail, phrases[1:])
+        return LzParse(tokens, tail, phrases[1:])
 
 
 def lz_parse(x: str) -> LzParse:
@@ -126,6 +150,8 @@ def lz_decode(bits: str) -> str:
         if ptr >= len(phrases):
             raise ValueError(f"pointer out of range at bit {pos}")
         if remaining == w:  # pointer-only tail token
+            if ptr == 0:  # the encoder never ends on the empty phrase
+                raise ValueError(f"empty tail phrase at bit {pos}")
             out.append(phrases[ptr])
             pos += w
             break
@@ -146,7 +172,7 @@ def lz_conditional(y: str, x: str) -> tuple[str, int]:
     """
     parser = LzParser()
     parser.feed(x)
-    d = len(parser.tokens)
+    d = len(parser.ptrs)
     parser.node = _ROOT
     parser.feed(y)
     parse = parser.result()

@@ -2,6 +2,7 @@ import random
 import sys
 from itertools import product
 from pathlib import Path
+from typing import Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -19,6 +20,12 @@ from depthlab import (  # noqa: E402
     repeater_fst,
 )
 from depthlab.fst import check_bits  # noqa: E402
+from depthlab.lz78 import (  # noqa: E402
+    _ROOT,
+    LzParse,
+    _encode_tokens,
+    pointer_width,
+)
 from depthlab.pushdown import _BELOW, LAMBDA, Z0  # noqa: E402
 
 BITS = ("0", "1")
@@ -361,3 +368,59 @@ def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000)
     if problems:
         raise ValidationError("; ".join(problems))
     return PdcSpec(*fields)
+
+
+class OracleLzParser:
+    """Oracle for lz78.LzParser: a list-of-lists trie walked one character
+    at a time, with a running count of the complete tokens' coded bits.
+
+    Feeding x and then y parses exactly as feeding xy.
+    """
+
+    def __init__(self) -> None:
+        # Trie node k is phrase k, node 0 the empty phrase; the input so far
+        # ends inside a known phrase exactly when node is not the root.
+        self.children: list[list[Optional[int]]] = [[None, None]]
+        self.tokens: list[tuple[int, str]] = []
+        self.node = _ROOT
+        self.token_bits = 0  # coded length of the complete tokens
+
+    def feed(self, x: str) -> None:
+        children, tokens, node = self.children, self.tokens, self.node
+        for b in x:
+            nxt = children[node][b == "1"]
+            if nxt is None:
+                children[node][b == "1"] = len(children)
+                children.append([None, None])
+                tokens.append((node, b))
+                self.token_bits += pointer_width(len(tokens)) + 1
+                node = _ROOT
+            else:
+                node = nxt
+        self.node = node
+
+    def coded_bits(self) -> int:
+        """len(lz_encode(everything fed so far)), tail pointer included."""
+        if self.node != _ROOT:
+            return self.token_bits + pointer_width(len(self.tokens) + 1)
+        return self.token_bits
+
+    def result(self) -> LzParse:
+        phrases = [""]  # phrase k is phrase ptr plus its final bit
+        for ptr, bit in self.tokens:
+            phrases.append(phrases[ptr] + bit)
+        tail = self.node if self.node != _ROOT else None
+        return LzParse(list(self.tokens), tail, phrases[1:])
+
+
+def oracle_lz_conditional(y: str, x: str) -> tuple[str, int]:
+    """Oracle for lz_conditional, on OracleLzParser."""
+    parser = OracleLzParser()
+    parser.feed(x)
+    d = len(parser.tokens)
+    parser.node = _ROOT
+    parser.feed(y)
+    parse = parser.result()
+    parse.tokens, parse.phrases = parse.tokens[d:], parse.phrases[d:]
+    bits = _encode_tokens(parse, d + 1)
+    return bits, len(bits)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_pdc, chain_pdc_text
-from depthlab import cli, format_fst, format_pdc, identity_fst, identity_pdc
+from depthlab import (
+    cli,
+    format_fst,
+    format_pdc,
+    identity_fst,
+    identity_pdc,
+    lz_encode,
+    lz_parse,
+    random_bits,
+)
 from depthlab.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +206,26 @@ def test_lz_table(capsys):
     assert got[0] == "index,pointer,bit,cumulative_bits"
     assert got[1] == "1,0,0,1"
     assert got[-1] == "4,2,0,9"
+
+
+@pytest.mark.parametrize("ends_mid_phrase", [False, True])
+def test_lz_table_total_is_the_ratio_bits(tmp_path, capsys, ends_mid_phrase):
+    # The lz table's last cumulative_bits and the lz78 ratio at n = |x|
+    # both give len(lz_encode(x)), with or without a pointer-only tail.
+    phrases = lz_parse(random_bits(random.Random(8), 500)).phrases
+    x = "".join(phrases) + ("0" if ends_mid_phrase else "")
+    assert (lz_parse(x).tail is not None) == ends_mid_phrase
+    seq = tmp_path / "s.bits"
+    seq.write_text(x)
+    assert main(["lz", "--input", str(seq)]) == 0
+    table_bits = capsys.readouterr().out.splitlines()[-1].split(",")[-1]
+    n = len(x)
+    grid = f"{n}:{n}:1"
+    assert main(["ratio", "--input", str(seq), "--compressor", "lz78", "--grid", grid]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n,bits,ratio"
+    assert lines[1].split(",")[:2] == [str(n), table_bits]
+    assert int(table_bits) == len(lz_encode(x))
 
 
 def test_fst_run_and_codec_pipeline(tmp_path, capsys):

@@ -2,9 +2,10 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import OracleLzParser, oracle_lz_conditional
 from depthlab import (
     check_parse,
     lz_conditional,
@@ -14,7 +15,7 @@ from depthlab import (
     random_bits,
     repeat_bound,
 )
-from depthlab.lz78 import LzParser
+from depthlab.lz78 import LzParser, pointer_width
 
 
 def all_inputs(max_len):
@@ -69,6 +70,52 @@ def test_parser_resumes_across_chunks():
         assert parser.result() == lz_parse(x)
 
 
+@settings(max_examples=300)
+@given(
+    st.lists(st.text(alphabet="01", max_size=12), max_size=30),
+    st.text(alphabet="01", max_size=40),
+)
+@example(["0", "", "0"], "0")  # "00" ends inside phrase "0"
+@example(["01", "", "0110"], "1")  # ends on a phrase boundary
+def test_parser_matches_oracle_on_any_chunking(chunks, y):
+    parser, oracle = LzParser(), OracleLzParser()
+    for chunk in chunks:
+        parser.feed(chunk)
+        oracle.feed(chunk)
+        assert parser.coded_bits() == oracle.coded_bits()
+    got, want = parser.result(), oracle.result()
+    assert got.tokens == want.tokens
+    assert got.tail == want.tail
+    assert got.phrases == want.phrases
+    x = "".join(chunks)
+    assert lz_conditional(y, x) == oracle_lz_conditional(y, x)
+
+
+def test_coded_bits_closed_form_across_power_of_two_edges():
+    # One bit at a time through every token count t from 0 to 2**12 + 1:
+    # coded_bits() is the sum of pointer_width(i) + 1 over tokens 1..t,
+    # plus pointer_width(t + 1) while the input ends inside a phrase.
+    rng = random.Random(12)
+    parser, oracle = LzParser(), OracleLzParser()
+    t = total = 0
+    boundary, inside = {0}, set()
+    while t <= 2**12 + 1:
+        b = rng.choice("01")
+        parser.feed(b)
+        oracle.feed(b)
+        if len(oracle.tokens) > t:
+            t += 1
+            total += pointer_width(t) + 1
+        if oracle.node:
+            inside.add(t)
+            assert parser.coded_bits() == total + pointer_width(t + 1)
+        else:
+            boundary.add(t)
+            assert parser.coded_bits() == total
+    assert boundary == set(range(2**12 + 3))
+    assert inside >= set(range(8, 2**12 + 2))
+
+
 def test_decode_errors_name_positions():
     # Tokens 1-2 ok, then token 3 is cut off mid-pointer.
     with pytest.raises(ValueError, match="bit 3"):
@@ -76,6 +123,12 @@ def test_decode_errors_name_positions():
     # Token 3's pointer 11 exceeds the 3-phrase dictionary.
     with pytest.raises(ValueError, match="out of range"):
         lz_decode("001" + "110")
+    # A pointer-only tail token naming the empty phrase, which lz_encode
+    # never writes: token 2's lone pointer bit, then token 3's two.
+    with pytest.raises(ValueError, match="bit 1"):
+        lz_decode("00")
+    with pytest.raises(ValueError, match="bit 3"):
+        lz_decode("0" + "01" + "00")
 
 
 def test_parse_structure_checked():
