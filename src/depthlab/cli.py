@@ -151,16 +151,17 @@ def cmd_profile(args) -> int:
 
 def cmd_lz(args) -> int:
     bits = _read_bits_arg(args)
-    parse = lz78.lz_parse(bits)
+    parser = lz78.LzParser()
+    parser.feed(bits)
     lines = ["index,pointer,bit,cumulative_bits"]
     total = 0
-    for i, (ptr, bit) in enumerate(parse.tokens, start=1):
+    for i, (ptr, lit) in enumerate(zip(parser.ptrs, parser.lits), start=1):
         total += lz78.pointer_width(i) + 1
-        lines.append(f"{i},{ptr},{bit},{total}")
-    if parse.tail is not None:
-        i = len(parse.tokens) + 1
+        lines.append(f"{i},{ptr},{chr(lit)},{total}")
+    if parser.node:  # node 0 is the root: the input ends inside a phrase
+        i = len(parser.ptrs) + 1
         total += lz78.pointer_width(i)
-        lines.append(f"{i},{parse.tail},-,{total}")
+        lines.append(f"{i},{parser.node},-,{total}")
     _write_out(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -60,9 +60,9 @@ def encode_fst(T: FstSpec) -> str:
     parts = [double_bits(nat_bin(T.start)), "01"]
     for q in range(1, m + 1):
         for b in BITS:
-            parts.append(target_code(m, q, T.next[(q, b)]))
+            tgt, e = T.moves[(q, b)]
             # The emission e is itself string(n') for n' = value of 1e.
-            parts.append(diamond(T.out[(q, b)]))
+            parts.append(target_code(m, q, tgt) + diamond(e))
     return "".join(parts)
 
 
@@ -129,13 +129,11 @@ def decode_fst(bits: str) -> Optional[FstSpec]:
     m = len(entries) // 2
     if start > m:
         return None
-    next_map: dict[tuple[int, str], int] = {}
-    out_map: dict[tuple[int, str], str] = {}
+    moves: dict[tuple[int, str], tuple[int, str]] = {}
     for idx, (n, emission) in enumerate(entries):
-        q, b = idx // 2 + 1, BITS[idx % 2]
-        next_map[(q, b)] = q if n is None else 1 + (n % m)
-        out_map[(q, b)] = emission
-    return FstSpec(m, start, next_map, out_map)
+        q = idx // 2 + 1
+        moves[(q, BITS[idx % 2])] = (q if n is None else 1 + (n % m), emission)
+    return FstSpec(m, start, moves)
 
 
 def fst_size(T: FstSpec) -> int:

@@ -90,12 +90,11 @@ def _fill_tables(
     description fits in k bits. A branch is cut once its bits plus 2 per
     unwritten table entry (the shortest chunk, an empty emission on a
     self-loop) exceed k."""
-    next_map: dict[tuple[int, str], int] = {}
-    out_map: dict[tuple[int, str], str] = {}
+    moves: dict[tuple[int, str], tuple[int, str]] = {}
 
     def extend(i: int, desc: str) -> None:
         if i == 2 * m:
-            entries.append((desc, FstSpec(m, start, dict(next_map), dict(out_map))))
+            entries.append((desc, FstSpec(m, start, dict(moves))))
             return
         q, b = i // 2 + 1, BITS[i % 2]
         budget = k - len(desc) - 2 * (2 * m - i - 1)
@@ -104,7 +103,7 @@ def _fill_tables(
             # An emission e takes a diamond chunk of 2 |e| + 2 bits.
             for size in range((budget - len(code)) // 2):
                 for e in map("".join, product(BITS, repeat=size)):
-                    next_map[(q, b)], out_map[(q, b)] = tgt, e
+                    moves[(q, b)] = tgt, e
                     extend(i + 1, desc + code + diamond(e))
 
     extend(0, double_bits(nat_bin(start)) + "01")
@@ -124,16 +123,17 @@ def min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:
     parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
     dist = {start: 0}
     queue = deque([start])
+    moves = T.moves
     goal = None
     while queue:
         node = queue.popleft()
         q, pos = node
         for b in BITS:  # bit order makes the first-found path lex-least
-            e = T.out[(q, b)]
+            tgt, e = moves[(q, b)]
             end = pos + len(e)
             if end > n or x[pos:end] != e:
                 continue
-            nxt = (T.next[(q, b)], end)
+            nxt = (tgt, end)
             if nxt in dist:
                 continue
             dist[nxt] = dist[node] + 1

@@ -1,8 +1,8 @@
 """Finite-state transducers over the binary alphabet.
 
-A transducer has states 1..m, a start state, and total transition/output
-maps on (state, bit). Running one on an input concatenates the per-step
-emissions.
+A transducer has states 1..m, a start state, and a total move map on
+(state, bit): each move names a target state and the bits it emits.
+Running one on an input concatenates the per-step emissions.
 
 `fst_run` reads its input in blocks of FST_BLOCK bits and looks each up
 in a memo the spec owns, keyed by (state, block), so a run costs one
@@ -35,15 +35,14 @@ def check_bits(s: str, what: str) -> None:
 class FstSpec:
     """A finite-state transducer: states 1..num_states, total on (state, bit).
 
-    `next` maps (state, bit) -> state; `out` maps (state, bit) -> emitted
-    bits (possibly empty). Runs memoize blocks in `_blocks`, so the maps
-    must not change after the first run.
+    `moves` maps (state, bit) -> (target state, emitted bits, possibly
+    empty). Runs memoize blocks in `_blocks`, so the map must not change
+    after the first run.
     """
 
     num_states: int
     start: int
-    next: Mapping[tuple[int, str], int]
-    out: Mapping[tuple[int, str], str]
+    moves: Mapping[tuple[int, str], tuple[int, str]]
 
     def __post_init__(self) -> None:
         m = self.num_states
@@ -52,16 +51,16 @@ class FstSpec:
         if not 1 <= self.start <= m:
             raise ValidationError(f"start state {self.start} not in 1..{m}")
         keys = {(q, b) for q in range(1, m + 1) for b in BITS}
-        if set(self.next) != keys or set(self.out) != keys:
+        if set(self.moves) != keys:
             raise ValidationError("next/out must be total on states x bits")
-        for key, tgt in self.next.items():
+        for key, (tgt, _) in self.moves.items():
             if not 1 <= tgt <= m:
                 raise ValidationError(f"next{key} -> {tgt} out of range 1..{m}")
-        for key, e in self.out.items():
+        for key, (_, e) in self.moves.items():
             check_bits(e, f"out{key}")
 
     def max_emission(self) -> int:
-        return max(len(e) for e in self.out.values())
+        return max(len(e) for _, e in self.moves.values())
 
     @cached_property
     def _blocks(self) -> dict[tuple[int, str], tuple[int, str]]:
@@ -81,7 +80,7 @@ def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
     q = T.start if start is None else start
     if not 1 <= q <= T.num_states:
         raise ValidationError(f"state {q} out of range 1..{T.num_states}")
-    blocks = T._blocks
+    moves, blocks = T.moves, T._blocks
     pieces = []
     i, n = 0, len(x)
     while i < n:
@@ -90,8 +89,8 @@ def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
         if move is None:
             q0, emitted = q, []
             for b in block:
-                emitted.append(T.out[(q, b)])
-                q = T.next[(q, b)]
+                q, e = moves[(q, b)]
+                emitted.append(e)
             move = q, "".join(emitted)
             if len(blocks) < BLOCK_MEMO_CAP:
                 blocks[(q0, block)] = move
@@ -126,9 +125,8 @@ def il_check(T: FstSpec, L: int) -> Optional[tuple[str, str]]:
         nxt = []
         for x, q, outp in frontier:
             for b in BITS:
-                x2 = x + b
-                out2 = outp + T.out[(q, b)]
-                q2 = T.next[(q, b)]
+                q2, e = T.moves[(q, b)]
+                x2, out2 = x + b, outp + e
                 key = (out2, q2)
                 if key in seen:
                     return (seen[key], x2)
@@ -148,34 +146,29 @@ def fst_compose(A: FstSpec, B: FstSpec) -> FstSpec:
     start = (A.start, B.start)
     index = {start: 1}
     order = [start]
-    next_map: dict[tuple[int, str], int] = {}
-    out_map: dict[tuple[int, str], str] = {}
-    i = 0
-    while i < len(order):
-        qa, qb = order[i]
-        i += 1
+    moves: dict[tuple[int, str], tuple[int, str]] = {}
+    for i, (qa, qb) in enumerate(order, start=1):  # sees what is appended
         for b in BITS:
-            e = B.out[(qb, b)]
+            tgt, e = B.moves[(qb, b)]
             ra = fst_run(A, e, start=qa)
-            pair = (ra.final_state, B.next[(qb, b)])
+            pair = (ra.final_state, tgt)
             if pair not in index:
                 index[pair] = len(order) + 1
                 order.append(pair)
-            next_map[(index[(qa, qb)], b)] = index[pair]
-            out_map[(index[(qa, qb)], b)] = ra.output
-    return FstSpec(len(order), 1, next_map, out_map)
+            moves[(i, b)] = (index[pair], ra.output)
+    return FstSpec(len(order), 1, moves)
 
 
 # Common machines, also exposed as CLI builtins.
 
 def identity_fst() -> FstSpec:
-    return FstSpec(1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): "0", (1, "1"): "1"})
+    return FstSpec(1, 1, {(1, b): (1, b) for b in BITS})
 
 
 def repeater_fst(r: str) -> FstSpec:
     """Single state, emits r on every input bit: T(x) = r^|x|."""
     check_bits(r, "repeater emission")
-    return FstSpec(1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): r, (1, "1"): r})
+    return FstSpec(1, 1, {(1, b): (1, r) for b in BITS})
 
 
 # Textual machine format: header "fst m start", then one line per entry
@@ -185,8 +178,8 @@ def format_fst(T: FstSpec) -> str:
     lines = [f"fst {T.num_states} {T.start}"]
     for q in range(1, T.num_states + 1):
         for b in BITS:
-            e = T.out[(q, b)] or "-"
-            lines.append(f"{q} {b} -> {T.next[(q, b)]} {e}")
+            tgt, e = T.moves[(q, b)]
+            lines.append(f"{q} {b} -> {tgt} {e or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -201,8 +194,7 @@ def parse_fst(text: str) -> FstSpec:
         m, start = int(head[1]), int(head[2])
     except ValueError as exc:
         raise ValidationError(f"bad fst header: {lines[0]!r}") from exc
-    next_map: dict[tuple[int, str], int] = {}
-    out_map: dict[tuple[int, str], str] = {}
+    moves: dict[tuple[int, str], tuple[int, str]] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 5 or parts[2] != "->":
@@ -213,8 +205,7 @@ def parse_fst(text: str) -> FstSpec:
             raise ValidationError(f"bad fst line: {ln!r}") from exc
         if b not in BITS:
             raise ValidationError(f"bad input bit in line: {ln!r}")
-        if (q, b) in next_map:
+        if (q, b) in moves:
             raise ValidationError(f"duplicate entry for ({q}, {b})")
-        next_map[(q, b)] = tgt
-        out_map[(q, b)] = "" if e == "-" else e
-    return FstSpec(m, start, next_map, out_map)
+        moves[(q, b)] = (tgt, "" if e == "-" else e)
+    return FstSpec(m, start, moves)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from .errors import ValidationError
+from .fst import check_bits
 
 _ROOT = 0
 
@@ -32,9 +33,9 @@ class LzParse:
 class LzParser:
     """A greedy parse that resumes where its last input ended: the phrase
     trie as two child tables, the node the pending phrase has reached, and
-    the tokens so far as a pointer list and a literal list, paired up only
-    by result(). Every entry is a plain int, so a phrase costs four list
-    slots and one new int.
+    the tokens so far as a pointer list and a literal list, which encode()
+    codes directly and only result() pairs up. Every entry is a plain int,
+    so a phrase costs four list slots and one new int.
 
     Feeding x and then y parses exactly as feeding xy.
     """
@@ -85,6 +86,28 @@ class LzParser:
             bits += pointer_width(t + 1)
         return bits
 
+    def encode(self, skip: int) -> str:
+        """The code of the tokens after the first `skip`, numbered on from
+        skip + 1, then the tail pointer if the input ends inside a phrase.
+
+        A token's pointer in w bits followed by its literal bit is 2*ptr +
+        bit in w + 1 bits, and tokens 2**(w-1) + 1 .. 2**w share w.
+        """
+        ptrs, lits = self.ptrs, self.lits
+        t, i = len(ptrs), skip
+        pieces = []
+        while i < t:  # tokens i+1 .. end share pointer width w
+            w = pointer_width(i + 1)
+            end, fmt = min(t, 1 << w), f"0{w + 1}b"
+            # A literal is the byte b"0"[0] == 48 or b"1"[0] == 49.
+            pieces += [
+                format(2 * p + b - 48, fmt) for p, b in zip(ptrs[i:end], lits[i:end])
+            ]
+            i = end
+        if self.node != _ROOT:  # a phrase exists, so t >= 1 and the width >= 1
+            pieces.append(format(self.node, f"0{pointer_width(t + 1)}b"))
+        return "".join(pieces)
+
     def result(self) -> LzParse:
         tokens = list(zip(self.ptrs, map(chr, self.lits)))
         phrases = [""]  # phrase k is phrase ptr plus its final bit
@@ -95,6 +118,7 @@ class LzParser:
 
 
 def lz_parse(x: str) -> LzParse:
+    check_bits(x, "LZ78 input")
     parser = LzParser()
     parser.feed(x)
     return parser.result()
@@ -115,23 +139,11 @@ def pointer_width(token_index: int) -> int:
     return (token_index - 1).bit_length()
 
 
-def _encode_tokens(parse: LzParse, first_index: int) -> str:
-    pieces = []
-    i = first_index
-    for ptr, bit in parse.tokens:
-        w = pointer_width(i)
-        if w:
-            pieces.append(format(ptr, f"0{w}b"))
-        pieces.append(bit)
-        i += 1
-    if parse.tail is not None:
-        w = pointer_width(i)
-        pieces.append(format(parse.tail, f"0{w}b") if w else "")
-    return "".join(pieces)
-
-
 def lz_encode(x: str) -> str:
-    return _encode_tokens(lz_parse(x), 1)
+    check_bits(x, "LZ78 input")
+    parser = LzParser()
+    parser.feed(x)
+    return parser.encode(0)
 
 
 def lz_decode(bits: str) -> str:
@@ -170,14 +182,14 @@ def lz_conditional(y: str, x: str) -> tuple[str, int]:
     Returns (bits, length). When x ends on a phrase boundary this equals
     the tail of lz_encode(xy) beyond lz_encode(x).
     """
+    check_bits(y, "LZ78 input")
+    check_bits(x, "LZ78 context")
     parser = LzParser()
     parser.feed(x)
     d = len(parser.ptrs)
     parser.node = _ROOT
     parser.feed(y)
-    parse = parser.result()
-    parse.tokens, parse.phrases = parse.tokens[d:], parse.phrases[d:]
-    bits = _encode_tokens(parse, d + 1)
+    bits = parser.encode(d)
     return bits, len(bits)
 
 

@@ -1,21 +1,21 @@
 """Bounded pushdown compressors with binary or unary stacks.
 
-A spec carries partial transition/output maps keyed by (state, input
-symbol, stack top), where the input symbol may be the empty string for a
-move that consumes no input. Such moves never emit, and at most
-`lambda_budget` of them may run back to back. A spec is checked against
-these rules when it is built (`pdc_validate`), and an invalid one raises
-ValidationError, so a run over any spec either reads all of its input or
-sticks on a bit with no move: it never loses the bottom marker and never
-loops on input-free moves.
+A spec carries one partial move map from (state, input symbol, stack
+top) to (target state, push, emission), where the input symbol may be
+the empty string for a move that consumes no input. Such moves emit the
+empty string, and at most `lambda_budget` of them may run back to back.
+A spec is checked against these rules when it is built (`pdc_validate`),
+and an invalid one raises ValidationError, so a run over any spec either
+reads all of its input or sticks on a bit with no move: it never loses
+the bottom marker and never loops on input-free moves.
 
 At the public boundary (`pdc_run`'s `stack` argument and
 `PdcRun.final_stack`) a stack is a top-first string whose last character
 is the bottom marker. Inside a run it is a bottom-first `bytearray`, one
 byte per symbol (the character's code, so symbols must lie below U+0100),
 so a push or pop at the top costs O(1) amortized and a run is linear in
-its input whatever the stack height. Each spec compiles its maps once,
-on first run, into move tables keyed by (state, [bit,] top byte).
+its input whatever the stack height. Each spec compiles its moves once,
+on first run, into tables keyed by (state, [bit,] top byte).
 
 A run reads its input in blocks of PDC_BLOCK bits and looks each up in a
 memo the spec owns, keyed by (state, block, top byte): a hit pops
@@ -54,7 +54,8 @@ from .fst import BITS, BLOCK_MEMO_CAP, FstSpec
 Z0 = "z"
 LAMBDA = ""
 
-TransKey = tuple[int, str, str]  # (state, input bit or LAMBDA, stack top)
+MoveKey = tuple[int, str, str]  # (state, input bit or LAMBDA, stack top)
+Move = tuple[int, str, str]  # (target state, push string, emission)
 
 PDC_BLOCK = 6  # input bits per memoized block
 # Stack symbols a popping block is keyed on: one pop per bit, as in a
@@ -67,18 +68,17 @@ COMPOSE_STATE_CEILING = 200_000  # most product states compose_pdc_fst builds
 class PdcSpec:
     """A pushdown compressor.
 
-    trans maps (state, input, top) -> (state, push string); the push
-    replaces the consumed top, so an empty push is a pop. emit gives the
-    bits written on the same keys (missing keys emit nothing). Both maps
-    are compiled on the first run, so they must not change after it, and
-    each spec memoizes the blocks its runs read (`_blocks`).
+    moves maps (state, input, top) -> (state, push string, emission);
+    the push replaces the consumed top, so an empty push is a pop, and a
+    move that writes nothing has emission "". The map is compiled on the
+    first run, so it must not change after it, and each spec memoizes the
+    blocks its runs read (`_blocks`).
     """
 
     num_states: int
     start: int
     stack_kind: str  # "binary" or "unary"
-    trans: Mapping[TransKey, tuple[int, str]]
-    emit: Mapping[TransKey, str]
+    moves: Mapping[MoveKey, Move]
     lambda_budget: int
 
     def __post_init__(self) -> None:
@@ -98,20 +98,19 @@ class PdcSpec:
         return "01" if self.stack_kind == "binary" else "0"
 
     @cached_property
-    def _moves(self) -> tuple[dict, dict, frozenset]:
+    def _tables(self) -> tuple[dict, dict, frozenset]:
         """The run engine's tables, built on first use: input-free moves
         (state, top byte) -> (target, push); bit moves (state, bit, top
         byte) -> (target, push, emission), each push reversed to
         bottom-first bytes; and the states with an input-free move."""
         free: dict[tuple[int, int], tuple[int, bytes]] = {}
         bit: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
-        for key, (tgt, push) in self.trans.items():
-            q, inp, top = key
+        for (q, inp, top), (tgt, push, e) in self.moves.items():
             code = push[::-1].encode("latin-1")
             if inp == LAMBDA:
                 free[(q, ord(top))] = (tgt, code)
             else:
-                bit[(q, inp, ord(top))] = (tgt, code, self.emit.get(key, ""))
+                bit[(q, inp, ord(top))] = (tgt, code, e)
         return free, bit, frozenset(q for q, _ in free)
 
     @cached_property
@@ -136,14 +135,15 @@ def pdc_validate(C: PdcSpec) -> list[str]:
     A spec runs this when it is built, so for a built spec it gives [].
 
     Checks key well-formedness, determinism per (state, top), bottom-marker
-    preservation, silence of input-free moves, unary stack discipline, and
-    that no chain of input-free moves can exceed the budget (a cycle in
-    the move graph counts as unbounded).
+    preservation, emissions over 0/1, silence of input-free moves, unary
+    stack discipline, and that no chain of input-free moves can exceed the
+    budget (a cycle in the move graph counts as unbounded). Structural
+    problems of every move come before emission problems.
     """
     problems = []
     syms = C.stack_symbols()
     tops = (*syms, Z0)
-    for key, (tgt, push) in C.trans.items():
+    for key, (tgt, push, _) in C.moves.items():
         q, inp, top = key
         if not 1 <= q <= C.num_states:
             problems.append(f"state out of range in {key}")
@@ -163,19 +163,17 @@ def pdc_validate(C: PdcSpec) -> list[str]:
                 problems.append(f"bottom marker pushed mid-stack in {key}")
         if body.lstrip(syms):
             problems.append(f"push alphabet violation in {key}")
-    for key, bits in C.emit.items():
-        if key not in C.trans:
-            problems.append(f"emission on undefined transition {key}")
+    for key, (_, _, bits) in C.moves.items():
         if bits.strip("01"):
             problems.append(f"emission {key} must be a string over 0/1, got {bits!r}")
         if key[1] == LAMBDA and bits:
             problems.append(f"input-free move must not emit: {key}")
-    free = {(q, top) for q, inp, top in C.trans if inp == LAMBDA}
-    read = {(q, top) for q, inp, top in C.trans if inp != LAMBDA}
+    free = {(q, top) for q, inp, top in C.moves if inp == LAMBDA}
+    read = {(q, top) for q, inp, top in C.moves if inp != LAMBDA}
     for pair in sorted(free & read):
         problems.append(f"both input-free and bit moves on {pair}")
 
-    chains = _lambda_chains(C.trans, syms + Z0)
+    chains = _lambda_chains(C.moves, syms + Z0)
     if chains is None or chains[0] > C.lambda_budget:
         problems.append(
             f"input-free moves can chain beyond budget {C.lambda_budget}"
@@ -184,10 +182,10 @@ def pdc_validate(C: PdcSpec) -> list[str]:
 
 
 def _lambda_chains(
-    trans: Mapping[TransKey, tuple[int, str]], tops: str
+    moves: Mapping[MoveKey, Move], tops: str
 ) -> Optional[tuple[int, int]]:
     """(most moves, most pops) over chains of the input-free moves in
-    trans, or None when the move graph has a cycle, so chains are
+    `moves`, or None when the move graph has a cycle, so chains are
     unbounded.
 
     Nodes are (state, top). A push leads to its first pushed symbol; a
@@ -196,7 +194,7 @@ def _lambda_chains(
     recursion.
     """
     edges: dict[tuple[int, str], tuple[int, list[tuple[int, str]]]] = {}
-    for (q, inp, top), (tgt, push) in trans.items():
+    for (q, inp, top), (tgt, push, _) in moves.items():
         if inp == LAMBDA:
             if push:
                 edges[(q, top)] = (0, [(tgt, push[0])])
@@ -240,7 +238,7 @@ def _lambda_chains(
 def _close(C: PdcSpec, q: int, buf: bytearray) -> int:
     """Apply input-free moves from state q to the bottom-first stack buf,
     in place, until none applies; returns the state reached."""
-    free = C._moves[0]
+    free = C._tables[0]
     move = free.get((q, buf[-1]))
     while move is not None:
         q, push = move
@@ -257,7 +255,7 @@ def _bit_steps(
     stack buf, in place, appending emissions to out. Returns (position,
     state): the position of the bit that had no move, or None when all of
     x ran, and the state the run ended in."""
-    free, bit, _ = C._moves
+    free, bit, _ = C._tables
     if (q, buf[-1]) in free:
         q = _close(C, q, buf)
     for i, b in enumerate(x):
@@ -283,7 +281,7 @@ class _Resume(NamedTuple):
 
     state: int
     rest: str  # the input it has not read
-    out: str  # what it emitted so far
+    emitted: str  # what it emitted so far
 
 
 def _replay(C: PdcSpec, q: int, known: bytes, e: str):
@@ -304,7 +302,7 @@ def _replay(C: PdcSpec, q: int, known: bytes, e: str):
     pos, q = _bit_steps(C, e, q, buf, out)
     if pos is not None:
         return _Resume(q, e[pos:], "".join(out)) if buf[-1] == _BELOW_BYTE else None
-    if len(buf) == 1 and q in C._moves[2]:  # only _BELOW is left
+    if len(buf) == 1 and q in C._tables[2]:  # only _BELOW is left
         return _Resume(q, "", "".join(out))
     return q, bytes(buf[1:]), "".join(out)
 
@@ -320,7 +318,7 @@ def _steps(
     """`_bit_steps`, with the same result and effects, but one memo lookup
     per block of PDC_BLOCK bits (two if it pops below the top) wherever
     the memo has the block."""
-    free = C._moves[0]
+    free = C._tables[0]
     blocks = C._blocks
     if (q, buf[-1]) in free:
         q = _close(C, q, buf)
@@ -455,9 +453,7 @@ def pdc_il_check(C: PdcSpec, L: int) -> Optional[tuple[str, str]]:
 
 def identity_pdc() -> PdcSpec:
     """Unary-stack machine that copies its input and ignores the stack."""
-    trans = {(1, b, Z0): (1, Z0) for b in BITS}
-    emit = {(1, b, Z0): b for b in BITS}
-    return PdcSpec(1, 1, "unary", trans, emit, 0)
+    return PdcSpec(1, 1, "unary", {(1, b, Z0): (1, Z0, b) for b in BITS}, 0)
 
 
 def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
@@ -483,7 +479,7 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     # start state can be unclosed, but unreachable product states are
     # built from arbitrary configurations) plus, per emitted bit, one
     # bit-move pop and one closure.
-    pclose = _lambda_chains(C.trans, syms + Z0)[1]
+    pclose = _lambda_chains(C.moves, syms + Z0)[1]
     cap = pclose * (d + 1) + d
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
@@ -517,34 +513,30 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
                 new = (new[0], new[1][::-1].decode("latin-1"), new[2])
             memo[key] = new
         new = memo[key]
-        if not new or not got.out:
+        if not new or not got.emitted:
             return new
         if type(new) is _Resume:
-            return _Resume(new.state, new.rest, got.out + new.out)
-        return new[0], new[1], got.out + new[2]
+            return _Resume(new.state, new.rest, got.emitted + new.emitted)
+        return new[0], new[1], got.emitted + new[2]
 
-    trans: dict[TransKey, tuple[int, str]] = {}
-    emit: dict[TransKey, str] = {}
+    moves: dict[MoveKey, Move] = {}
     start = ref((C.start, T.start, ""))
     for idx, (qc, qt, buf) in enumerate(order, start=1):  # sees what ref() appends
-        replays = kept.pop(idx, None) or tuple(
-            _Resume(qc, T.out[(qt, b)], "") for b in BITS
-        )
+        step = [T.moves[(qt, b)] for b in BITS]  # T's (target, emission) per bit
+        replays = kept.pop(idx, None) or tuple(_Resume(qc, e, "") for _, e in step)
         for a in (Z0, *syms):  # this order fixes the product state numbering
             results = tuple(resume(got, a) for got in replays)  # one per bit
             if _Resume in map(type, results):
                 if len(buf) >= cap:
                     raise AssertionError("buffer bound violated in composition")
-                trans[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a), results), "")
+                moves[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a), results), "", "")
                 continue
-            for b, got in zip(BITS, results):
+            for b, (qt2, _), got in zip(BITS, step, results):
                 if got is None:
                     continue
                 qc2, push, outbits = got
-                trans[(idx, b, a)] = (ref((qc2, T.next[(qt, b)], "")), push)
-                if outbits:
-                    emit[(idx, b, a)] = outbits
-    return PdcSpec(len(order), start, C.stack_kind, trans, emit, cap)
+                moves[(idx, b, a)] = (ref((qc2, qt2, "")), push, outbits)
+    return PdcSpec(len(order), start, C.stack_kind, moves, cap)
 
 
 def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
@@ -582,53 +574,46 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
     idx = {name: i + 1 for i, name in enumerate(names)}
     tops = ("0", "1", Z0)
 
-    trans: dict[TransKey, tuple[int, str]] = {}
-    emit: dict[TransKey, str] = {}
+    moves: dict[MoveKey, Move] = {}
+
+    def add(q: tuple, inp: str, top: str, tgt: tuple, push: str, e: str = "") -> None:
+        moves[(idx[q], inp, top)] = (idx[tgt], push, e)
 
     # Pushing `a` re-pushes the consumed top: the stack is left unchanged.
     for a in tops:
         for i in range(m):
             for b in BITS:
-                trans[(idx[("count", i)], b, a)] = (idx[("count", i + 1)], a)
-                emit[(idx[("count", i)], b, a)] = b
-        trans[(idx[("count", m)], LAMBDA, a)] = (idx[("scan",)], a)
+                add(("count", i), b, a, ("count", i + 1), a, b)
+        add(("count", m), LAMBDA, a, ("scan",), a)
         for b in BITS:
             fam = ("flag1", 1) if b == "1" else ("flag0", 1)
-            trans[(idx[("scan",)], b, a)] = (idx[fam], b + a)
-            emit[(idx[("scan",)], b, a)] = b
+            add(("scan",), b, a, fam, b + a, b)
         for i in range(1, k):
             for b in BITS:
-                trans[(idx[("flag0", i)], b, a)] = (idx[("flag0", i + 1)], b + a)
-                emit[(idx[("flag0", i)], b, a)] = b
+                add(("flag0", i), b, a, ("flag0", i + 1), b + a, b)
                 fam = ("flag1", i + 1) if b == "1" else ("flag0", i + 1)
-                trans[(idx[("flag1", i)], b, a)] = (idx[fam], b + a)
-                emit[(idx[("flag1", i)], b, a)] = b
-        trans[(idx[("flag0", k)], LAMBDA, a)] = (idx[("scan",)], a)
-        trans[(idx[("flag1", k)], LAMBDA, a)] = (idx[("pop", 0)], a)
-        trans[(idx[("pop", k)], LAMBDA, a)] = (idx[("match", 1)], a)
-        trans[(idx[("match", v + 1)], LAMBDA, a)] = (idx[("match", 1)], a)
+                add(("flag1", i), b, a, fam, b + a, b)
+        add(("flag0", k), LAMBDA, a, ("scan",), a)
+        add(("flag1", k), LAMBDA, a, ("pop", 0), a)
+        add(("pop", k), LAMBDA, a, ("match", 1), a)
+        add(("match", v + 1), LAMBDA, a, ("match", 1), a)
         for b in BITS:
-            trans[(idx[("error",)], b, a)] = (idx[("error",)], a)
-            emit[(idx[("error",)], b, a)] = b
+            add(("error",), b, a, ("error",), a, b)
     for i in range(k):  # flag removal pops one pushed bit per step
         for a in ("0", "1"):
-            trans[(idx[("pop", i)], LAMBDA, a)] = (idx[("pop", i + 1)], "")
+            add(("pop", i), LAMBDA, a, ("pop", i + 1), "")
     for i in range(1, v + 1):
         for a in ("0", "1"):
             for b in BITS:
                 if b == a:
-                    trans[(idx[("match", i)], b, a)] = (idx[("match", i + 1)], "")
-                    if i == v:
-                        emit[(idx[("match", i)], b, a)] = "0"
+                    add(("match", i), b, a, ("match", i + 1), "", "0" if i == v else "")
                 else:
-                    trans[(idx[("match", i)], b, a)] = (idx[("error",)], a)
-                    emit[(idx[("match", i)], b, a)] = "1" * (3 * m + i) + "0" + b
+                    add(("match", i), b, a, ("error",), a, "1" * (3 * m + i) + "0" + b)
         for b in BITS:
             fam = ("flag1", 1) if b == "1" else ("flag0", 1)
-            trans[(idx[("match", i)], b, Z0)] = (idx[fam], b + Z0)
-            emit[(idx[("match", i)], b, Z0)] = b
+            add(("match", i), b, Z0, fam, b + Z0, b)
 
-    return PdcSpec(len(names), idx[("count", 0)], "binary", trans, emit, k + 2)
+    return PdcSpec(len(names), idx[("count", 0)], "binary", moves, k + 2)
 
 
 # Textual format: header "pdc m start kind budget", then lines
@@ -637,12 +622,8 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
 
 def format_pdc(C: PdcSpec) -> str:
     lines = [f"pdc {C.num_states} {C.start} {C.stack_kind} {C.lambda_budget}"]
-    for key, (tgt, push) in sorted(C.trans.items()):
-        q, inp, top = key
-        lines.append(
-            f"{q} {inp or '-'} {top} -> {tgt} {push or '-'} "
-            f"{C.emit.get(key, '') or '-'}"
-        )
+    for (q, inp, top), (tgt, push, e) in sorted(C.moves.items()):
+        lines.append(f"{q} {inp or '-'} {top} -> {tgt} {push or '-'} {e or '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -658,8 +639,7 @@ def parse_pdc(text: str) -> PdcSpec:
     except ValueError as exc:
         raise ValidationError(f"bad pdc header: {lines[0]!r}") from exc
     kind = head[3]
-    trans: dict[TransKey, tuple[int, str]] = {}
-    emit: dict[TransKey, str] = {}
+    moves: dict[MoveKey, Move] = {}
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 7 or parts[3] != "->":
@@ -672,9 +652,7 @@ def parse_pdc(text: str) -> PdcSpec:
         push = "" if parts[5] == "-" else parts[5]
         em = "" if parts[6] == "-" else parts[6]
         key = (q, inp, top)
-        if key in trans:
+        if key in moves:
             raise ValidationError(f"duplicate entry for {key}")
-        trans[key] = (tgt, push)
-        if em:
-            emit[key] = em
-    return PdcSpec(m, start, kind, trans, emit, budget)
+        moves[key] = (tgt, push, em)
+    return PdcSpec(m, start, kind, moves, budget)

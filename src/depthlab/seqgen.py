@@ -146,8 +146,10 @@ class SequenceRecipe:
     kind "a": interval-schedule stream (uses growth/g/seed; exponential growth
     is only feasible for a handful of stages). kind "b": flagged
     reverse-pair stages (uses k/seed). kind "c": enumeration stream (uses
-    k/v). `stages` caps the stage count; `bit_budget`, when set, stops
-    after the stage that crosses it.
+    k/v). `stages` caps the stage count. `bit_budget`, when set, caps the
+    length by stages: recipe a stops before the first stage that would
+    cross it and sets `truncated`; recipes b and c finish the stage that
+    crosses it, so they can overshoot, and leave `truncated` False.
     """
 
     kind: str

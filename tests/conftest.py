@@ -20,12 +20,7 @@ from depthlab import (  # noqa: E402
     repeater_fst,
 )
 from depthlab.fst import check_bits  # noqa: E402
-from depthlab.lz78 import (  # noqa: E402
-    _ROOT,
-    LzParse,
-    _encode_tokens,
-    pointer_width,
-)
+from depthlab.lz78 import _ROOT, LzParse, pointer_width  # noqa: E402
 from depthlab.pushdown import _BELOW, LAMBDA, Z0  # noqa: E402
 
 BITS = ("0", "1")
@@ -39,12 +34,7 @@ def silent_fst() -> FstSpec:
 
 def fst_key(T: FstSpec):
     """Hashable value identity, independent of dict insertion order."""
-    return (
-        T.num_states,
-        T.start,
-        tuple(sorted(T.next.items())),
-        tuple(sorted(T.out.items())),
-    )
+    return T.num_states, T.start, tuple(sorted(T.moves.items()))
 
 
 def described(*specs: FstSpec) -> list[tuple[str, FstSpec]]:
@@ -57,22 +47,21 @@ def machines(universe: FstUniverse) -> list[FstSpec]:
 
 
 def pdc_fields(C: PdcSpec) -> tuple:
-    """The six fields a PdcSpec is built from, as oracle_pdc_validate
+    """The five fields a PdcSpec is built from, as oracle_pdc_validate
     takes them."""
-    return C.num_states, C.start, C.stack_kind, C.trans, C.emit, C.lambda_budget
+    return C.num_states, C.start, C.stack_kind, C.moves, C.lambda_budget
 
 
 def random_fst(rng: random.Random, max_states: int = 3, max_emit: int = 2) -> FstSpec:
     assert max_emit <= MAX_EMISSION_DEFAULT
     m = rng.randint(1, max_states)
-    next_map, out_map = {}, {}
+    moves = {}
     for q in range(1, m + 1):
         for b in BITS:
-            next_map[(q, b)] = rng.randint(1, m)
-            out_map[(q, b)] = "".join(
-                rng.choice(BITS) for _ in range(rng.randint(0, max_emit))
-            )
-    return FstSpec(m, rng.randint(1, m), next_map, out_map)
+            tgt = rng.randint(1, m)
+            e = "".join(rng.choice(BITS) for _ in range(rng.randint(0, max_emit)))
+            moves[(q, b)] = (tgt, e)
+    return FstSpec(m, rng.randint(1, m), moves)
 
 
 def random_pdc(
@@ -87,14 +76,14 @@ def random_pdc(
     m = rng.randint(1, max_states)
     syms = "01" if kind == "binary" else "0"
     tops = syms + Z0
-    trans, emit = {}, {}
+    moves = {}
     for q in range(1, m + 1):
         for top in tops:
             lam = q < m and top != Z0 and rng.random() < lambda_prob
             if lam:
                 tgt = rng.randint(q + 1, m)
                 push = rng.choice(["", top, rng.choice(syms) + top])
-                trans[(q, LAMBDA, top)] = (tgt, push)
+                moves[(q, LAMBDA, top)] = (tgt, push, "")
                 continue
             for b in BITS:
                 tgt = rng.randint(1, m)
@@ -106,28 +95,24 @@ def random_pdc(
                     push = rng.choice(
                         ["", top, rng.choice(syms) + top, rng.choice(syms) * 2]
                     )
-                trans[(q, b, top)] = (tgt, push)
                 e = "".join(rng.choice(BITS) for _ in range(rng.randint(0, 2)))
-                if e:
-                    emit[(q, b, top)] = e
-    return PdcSpec(m, rng.randint(1, m), kind, trans, emit, m + 1)
+                moves[(q, b, top)] = (tgt, push, e)
+    return PdcSpec(m, rng.randint(1, m), kind, moves, m + 1)
 
 
 def drop_bit_move(rng: random.Random, C: PdcSpec) -> PdcSpec:
     """C with one bit move removed, so runs can stick."""
-    drop = rng.choice([key for key in C.trans if key[1] != LAMBDA])
-    trans = {key: v for key, v in C.trans.items() if key != drop}
-    emit = {key: v for key, v in C.emit.items() if key != drop}
-    return PdcSpec(C.num_states, C.start, C.stack_kind, trans, emit, C.lambda_budget)
+    drop = rng.choice([key for key in C.moves if key[1] != LAMBDA])
+    moves = {key: v for key, v in C.moves.items() if key != drop}
+    return PdcSpec(C.num_states, C.start, C.stack_kind, moves, C.lambda_budget)
 
 
 def chain_pdc(n: int, budget: int) -> PdcSpec:
     """Unary copying compressor behind a chain of n - 1 input-free moves
     from state 1 to state n; valid exactly when budget >= n - 1."""
-    trans = {(q, LAMBDA, Z0): (q + 1, Z0) for q in range(1, n)}
-    trans.update({(n, b, Z0): (n, Z0) for b in BITS})
-    emit = {(n, b, Z0): b for b in BITS}
-    return PdcSpec(n, 1, "unary", trans, emit, budget)
+    moves = {(q, LAMBDA, Z0): (q + 1, Z0, "") for q in range(1, n)}
+    moves.update({(n, b, Z0): (n, Z0, b) for b in BITS})
+    return PdcSpec(n, 1, "unary", moves, budget)
 
 
 def chain_pdc_text(n: int, budget: int) -> str:
@@ -190,16 +175,16 @@ def oracle_fst_run(T: FstSpec, x: str, start=None) -> RunResult:
     q = T.start if start is None else start
     pieces = []
     for b in x:
-        pieces.append(T.out[(q, b)])
-        q = T.next[(q, b)]
+        q, e = T.moves[(q, b)]
+        pieces.append(e)
     return RunResult("".join(pieces), q)
 
 
 def oracle_closure(C: PdcSpec, q: int, stack: str) -> tuple[int, str]:
     """Oracle for the engine's input-free closure, on a top-first string
     stack that is copied at every move."""
-    while (q, LAMBDA, stack[0]) in C.trans:
-        tgt, push = C.trans[(q, LAMBDA, stack[0])]
+    while (q, LAMBDA, stack[0]) in C.moves:
+        tgt, push, _ = C.moves[(q, LAMBDA, stack[0])]
         stack = push + stack[1:]
         q = tgt
     return q, stack
@@ -207,38 +192,38 @@ def oracle_closure(C: PdcSpec, q: int, stack: str) -> tuple[int, str]:
 
 def oracle_pdc_run(C: PdcSpec, x: str, state=None, stack=None) -> PdcRun:
     """Oracle for pdc_run: the string-stack step loop, quadratic in stack
-    height, reading C.trans and C.emit directly."""
+    height, reading C.moves directly."""
     q = C.start if state is None else state
     st = Z0 if stack is None else stack
     out: list[str] = []
     q, st = oracle_closure(C, q, st)
     for i, b in enumerate(x):
         key = (q, b, st[0])
-        if key not in C.trans:
+        if key not in C.moves:
             raise StuckError(i, q, st[0], "".join(out))
-        tgt, push = C.trans[key]
-        out.append(C.emit.get(key, ""))
+        tgt, push, e = C.moves[key]
+        out.append(e)
         st = push + st[1:]
         q = tgt
         q, st = oracle_closure(C, q, st)
     return PdcRun("".join(out), q, st)
 
 
-def chains_by_brute_force(trans, tops):
+def chains_by_brute_force(moves, tops):
     """Oracle for _lambda_chains: follow every chain of input-free moves,
     one move at a time, with no memo. Walks start from the nodes that no
     move enters, where every longest chain of an acyclic graph starts, then
     from any node no walk has reached, so a cycle is still found."""
-    moves = {(q, top): trans[(q, inp, top)] for q, inp, top in trans if inp == LAMBDA}
+    free = {(q, top): moves[(q, inp, top)] for q, inp, top in moves if inp == LAMBDA}
 
     def successors(node):
-        tgt, push = moves[node]
+        tgt, push, _ = free[node]
         return [(tgt, push[0])] if push else [(tgt, t) for t in tops]
 
-    entered = {s for node in moves for s in successors(node)}
+    entered = {s for node in free for s in successors(node)}
     reached = set()
     most_moves = most_pops = 0
-    for root in [node for node in moves if node not in entered] + list(moves):
+    for root in [node for node in free if node not in entered] + list(free):
         if root in reached:
             continue
         chain, on_chain = [], set()  # nodes whose move the current chain took
@@ -249,19 +234,19 @@ def chains_by_brute_force(trans, tops):
             for gone in chain[n:]:
                 on_chain.discard(gone)
             del chain[n:]
-            if node not in moves:
+            if node not in free:
                 most_moves, most_pops = max(most_moves, n), max(most_pops, p)
                 continue
             if node in on_chain:
                 return None
             chain.append(node)
             on_chain.add(node)
-            popped = not moves[node][1]
+            popped = not free[node][1]
             todo.extend((s, n + 1, p + popped) for s in successors(node))
     return most_moves, most_pops
 
 
-def oracle_pdc_validate(num_states, start, stack_kind, trans, emit, budget) -> list[str]:
+def oracle_pdc_validate(num_states, start, stack_kind, moves, budget) -> list[str]:
     """Oracle for pdc_validate, on the fields of a spec that need not
     build: one check at a time, every emission run through check_bits,
     conflicts found by grouping the inputs of every (state, top), and
@@ -269,7 +254,7 @@ def oracle_pdc_validate(num_states, start, stack_kind, trans, emit, budget) -> l
     problems = []
     syms = "01" if stack_kind == "binary" else "0"
     tops = (*syms, Z0)
-    for key, (tgt, push) in trans.items():
+    for key, (tgt, push, _) in moves.items():
         q, inp, top = key
         if not 1 <= q <= num_states:
             problems.append(f"state out of range in {key}")
@@ -289,9 +274,7 @@ def oracle_pdc_validate(num_states, start, stack_kind, trans, emit, budget) -> l
                 problems.append(f"bottom marker pushed mid-stack in {key}")
         if any(c not in syms for c in body):
             problems.append(f"push alphabet violation in {key}")
-    for key, bits in emit.items():
-        if key not in trans:
-            problems.append(f"emission on undefined transition {key}")
+    for key, (_, _, bits) in moves.items():
         try:
             check_bits(bits, f"emission {key}")
         except ValidationError as exc:
@@ -299,12 +282,12 @@ def oracle_pdc_validate(num_states, start, stack_kind, trans, emit, budget) -> l
         if key[1] == LAMBDA and bits:
             problems.append(f"input-free move must not emit: {key}")
     by_pair: dict[tuple[int, str], set[str]] = {}
-    for q, inp, top in trans:
+    for q, inp, top in moves:
         by_pair.setdefault((q, top), set()).add(inp)
     for pair, inputs in sorted(by_pair.items()):
         if LAMBDA in inputs and len(inputs) > 1:
             problems.append(f"both input-free and bit moves on {pair}")
-    chains = chains_by_brute_force(trans, syms + Z0)
+    chains = chains_by_brute_force(moves, syms + Z0)
     if chains is None or chains[0] > budget:
         problems.append(f"input-free moves can chain beyond budget {budget}")
     return problems
@@ -319,7 +302,7 @@ def oracle_replay(C: PdcSpec, qc: int, known: str, e: str):
         r = oracle_pdc_run(C, e, state=qc, stack=known + _BELOW)
     except StuckError as exc:
         return "underflow" if exc.top == _BELOW else None
-    free_states = {q for q, inp, _ in C.trans if inp == LAMBDA}
+    free_states = {q for q, inp, _ in C.moves if inp == LAMBDA}
     if r.final_stack == _BELOW and r.final_state in free_states:
         return "underflow"
     return r.final_state, r.final_stack[:-1], r.output
@@ -331,7 +314,7 @@ def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000)
     top, for each top and bit, with no memo and no continuation."""
     syms = C.stack_symbols()
     d = T.max_emission()
-    cap = chains_by_brute_force(C.trans, syms + Z0)[1] * (d + 1) + d
+    cap = chains_by_brute_force(C.moves, syms + Z0)[1] * (d + 1) + d
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
 
@@ -345,25 +328,23 @@ def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000)
             order.append(key)
         return index[key]
 
-    trans, emit = {}, {}
+    moves = {}
     start = ref((C.start, T.start, ""))
     for idx, (qc, qt, buf) in enumerate(order, start=1):
-        moves = {b: (T.out[(qt, b)], T.next[(qt, b)]) for b in BITS}
+        step = {b: T.moves[(qt, b)] for b in BITS}  # T's (target, emission)
         for a in (Z0, *syms):
-            results = {b: oracle_replay(C, qc, buf + a, e) for b, (e, _) in moves.items()}
+            results = {b: oracle_replay(C, qc, buf + a, e) for b, (_, e) in step.items()}
             if "underflow" in results.values():
                 if len(buf) >= cap:
                     raise AssertionError("buffer bound violated in composition")
-                trans[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a)), "")
+                moves[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a)), "", "")
                 continue
             for b, got in results.items():
                 if got is None:
                     continue
                 qc2, st2, outbits = got
-                trans[(idx, b, a)] = (ref((qc2, moves[b][1], "")), st2)
-                if outbits:
-                    emit[(idx, b, a)] = outbits
-    fields = (len(order), start, C.stack_kind, trans, emit, cap)
+                moves[(idx, b, a)] = (ref((qc2, step[b][0], "")), st2, outbits)
+    fields = (len(order), start, C.stack_kind, moves, cap)
     problems = oracle_pdc_validate(*fields)
     if problems:
         raise ValidationError("; ".join(problems))
@@ -414,13 +395,20 @@ class OracleLzParser:
 
 
 def oracle_lz_conditional(y: str, x: str) -> tuple[str, int]:
-    """Oracle for lz_conditional, on OracleLzParser."""
+    """Oracle for lz_conditional, on OracleLzParser: each token written
+    one at a time, its pointer in pointer_width(i) bits (none for token
+    1), then its bit, then the tail pointer."""
     parser = OracleLzParser()
     parser.feed(x)
     d = len(parser.tokens)
     parser.node = _ROOT
     parser.feed(y)
     parse = parser.result()
-    parse.tokens, parse.phrases = parse.tokens[d:], parse.phrases[d:]
-    bits = _encode_tokens(parse, d + 1)
+    pieces = []
+    for i, (ptr, bit) in enumerate(parse.tokens[d:], start=d + 1):
+        w = pointer_width(i)
+        pieces.append((format(ptr, f"0{w}b") if w else "") + bit)
+    if parse.tail is not None:
+        pieces.append(format(parse.tail, f"0{pointer_width(len(parse.tokens) + 1)}b"))
+    bits = "".join(pieces)
     return bits, len(bits)

@@ -102,11 +102,10 @@ def _all_two_state_specs():
         states = range(1, m + 1)
         keys = [(q, b) for q in states for b in "01"]
         for targets in product(states, repeat=len(keys)):
-            next_map = dict(zip(keys, targets))
             for outs in product(emissions, repeat=len(keys)):
-                out_map = dict(zip(keys, outs))
+                moves = dict(zip(keys, zip(targets, outs)))
                 for start in states:
-                    yield FstSpec(m, start, next_map, out_map)
+                    yield FstSpec(m, start, moves)
 
 
 def test_criterion_3_codec_roundtrip():

@@ -82,7 +82,7 @@ def all_specs_m1(max_emit=2):
         emissions.extend("".join(e) for e in product("01", repeat=L))
     for e0 in emissions:
         for e1 in emissions:
-            yield FstSpec(1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): e0, (1, "1"): e1})
+            yield FstSpec(1, 1, {(1, "0"): (1, e0), (1, "1"): (1, e1)})
 
 
 def test_exhaustive_roundtrip_one_state():
@@ -127,10 +127,7 @@ def test_table_chunk_shape():
 def test_minimal_offset_canonical_form():
     # Two-state machine, both targets state 1: offsets encode n = m = 2.
     T = FstSpec(
-        2,
-        1,
-        {(1, "0"): 2, (1, "1"): 1, (2, "0"): 1, (2, "1"): 2},
-        {(1, "0"): "", (1, "1"): "", (2, "0"): "", (2, "1"): ""},
+        2, 1, {(1, "0"): (2, ""), (1, "1"): (1, ""), (2, "0"): (1, ""), (2, "1"): (2, "")}
     )
     desc = encode_fst(T)
     # entry (1,0): target 2 -> n=1 -> dagger("1") = "11"

@@ -119,9 +119,7 @@ def test_machine_file_compressors(tmp_path):
 
 def test_stuck_rows_are_flagged_not_fatal():
     # A compressor defined only on 0s sticks at the first 1.
-    trans = {(1, "0", Z0): (1, Z0)}
-    emit = {(1, "0", Z0): "0"}
-    stuck = PdcSpec(1, 1, "unary", trans, emit, 0)
+    stuck = PdcSpec(1, 1, "unary", {(1, "0", Z0): (1, Z0, "0")}, 0)
     comp = Compressor("zeros-only", partial(pdc_lengths, stuck))
     bits = "000100"
     prof = compute_profile(bits, [make_compressor("identity-pdc"), comp], [2, 6])

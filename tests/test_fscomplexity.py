@@ -259,8 +259,7 @@ def build_pad_combiner(A: FstSpec, B: FstSpec, b: int) -> FstSpec:
             order.append(state)
         return index[state]
 
-    next_map: dict[tuple[int, str], int] = {}
-    out_map: dict[tuple[int, str], str] = {}
+    moves: dict[tuple[int, str], tuple[int, str]] = {}
     ref(("F", A.start, 0))
     i = 0
     while i < len(order):
@@ -273,27 +272,27 @@ def build_pad_combiner(A: FstSpec, B: FstSpec, b: int) -> FstSpec:
                 if j == 0:
                     tgt, em = (("F", a, 1) if bit == "0" else ("D", a, "")), ""
                 else:
-                    a2 = A.next[(a, bit)]
-                    em = A.out[(a, bit)]
+                    a2, em = A.moves[(a, bit)]
                     tgt = ("F", a2, 0 if j == b else j + 1)
             elif state[0] == "D":
                 _, a, pending = state
                 if pending == "":
                     tgt, em = ("D", a, bit), ""
                 elif pending == bit:
-                    tgt, em = ("D", A.next[(a, bit)], ""), A.out[(a, bit)]
+                    a2, em = A.moves[(a, bit)]
+                    tgt = ("D", a2, "")
                 elif pending == "1":  # the 10 separator
                     tgt, em = ("G", B.start), ""
                 else:  # 01 never occurs in a doubled tail
                     tgt, em = ("X",), ""
             elif state[0] == "G":
                 _, s = state
-                tgt, em = ("G", B.next[(s, bit)]), B.out[(s, bit)]
+                s2, em = B.moves[(s, bit)]
+                tgt = ("G", s2)
             else:
                 tgt, em = ("X",), ""
-            next_map[(idx, bit)] = ref(tgt)
-            out_map[(idx, bit)] = em
-    return FstSpec(len(order), 1, next_map, out_map)
+            moves[(idx, bit)] = (ref(tgt), em)
+    return FstSpec(len(order), 1, moves)
 
 
 def test_pad_examples():
@@ -335,9 +334,7 @@ def test_unpad_rejects_malformed():
 
 def test_pad_combiner_concatenates_outputs():
     rng = random.Random(13)
-    emitter = FstSpec(
-        1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): "0", (1, "1"): ""}
-    )
+    emitter = FstSpec(1, 1, {(1, "0"): (1, "0"), (1, "1"): (1, "")})
     pairs = [(identity_fst(), identity_fst()), (emitter, identity_fst())]
     for A, B in pairs:
         for b in (2, 4):

@@ -61,7 +61,7 @@ def test_block_run_matches_per_bit_oracle(monkeypatch):
         monkeypatch.setattr(fst, "BLOCK_MEMO_CAP", cap)
         for _ in range(60):
             T = random_fst(rng, max_states=4)
-            T = FstSpec(T.num_states, T.start, T.next, T.out)  # a cold memo
+            T = FstSpec(T.num_states, T.start, T.moves)  # a cold memo
             for length in range(4 * fst.FST_BLOCK + 2):
                 x = "".join(rng.choice("01") for _ in range(length))
                 for _warm in range(2):
@@ -73,11 +73,11 @@ def test_block_run_matches_per_bit_oracle(monkeypatch):
 
 def test_spec_validation():
     with pytest.raises(ValidationError):
-        FstSpec(1, 2, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): "", (1, "1"): ""})
+        FstSpec(1, 2, {(1, "0"): (1, ""), (1, "1"): (1, "")})
     with pytest.raises(ValidationError):
-        FstSpec(2, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): "", (1, "1"): ""})
+        FstSpec(2, 1, {(1, "0"): (1, ""), (1, "1"): (1, "")})
     with pytest.raises(ValidationError):
-        FstSpec(1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): "x", (1, "1"): ""})
+        FstSpec(1, 1, {(1, "0"): (1, "x"), (1, "1"): (1, "")})
 
 
 def test_il_identity_passes():
@@ -197,14 +197,9 @@ def test_inverse_pair_counterexample():
 
 
 def test_inverse_pair_doubler_halver():
-    doubler = FstSpec(
-        1, 1, {(1, "0"): 1, (1, "1"): 1}, {(1, "0"): "00", (1, "1"): "11"}
-    )
+    doubler = FstSpec(1, 1, {(1, "0"): (1, "00"), (1, "1"): (1, "11")})
     halver = FstSpec(
-        2,
-        1,
-        {(1, "0"): 2, (1, "1"): 2, (2, "0"): 1, (2, "1"): 1},
-        {(1, "0"): "", (1, "1"): "", (2, "0"): "0", (2, "1"): "1"},
+        2, 1, {(1, "0"): (2, ""), (1, "1"): (2, ""), (2, "0"): (1, "0"), (2, "1"): (1, "1")}
     )
     assert verify_inverse_pair(doubler, halver, 1, 8) is None
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import OracleLzParser, oracle_lz_conditional
 from depthlab import (
+    ValidationError,
     check_parse,
     lz_conditional,
     lz_decode,
@@ -89,6 +90,7 @@ def test_parser_matches_oracle_on_any_chunking(chunks, y):
     assert got.phrases == want.phrases
     x = "".join(chunks)
     assert lz_conditional(y, x) == oracle_lz_conditional(y, x)
+    assert lz_encode(x) == oracle_lz_conditional(x, "")[0]
 
 
 def test_coded_bits_closed_form_across_power_of_two_edges():
@@ -129,6 +131,19 @@ def test_decode_errors_name_positions():
         lz_decode("00")
     with pytest.raises(ValueError, match="bit 3"):
         lz_decode("0" + "01" + "00")
+
+
+def test_public_functions_refuse_a_non_bit_string():
+    # lz_encode("0 1") used to code the space as a literal, and "0a" raised
+    # a bare IndexError.
+    for bad in ("0 1", "0a", "2"):
+        calls = [
+            (lz_parse, (bad,)), (lz_encode, (bad,)),
+            (lz_conditional, (bad, "01")), (lz_conditional, ("01", bad)),
+        ]
+        for fn, args in calls:
+            with pytest.raises(ValidationError, match=f"must be a string over 0/1, got {bad!r}"):
+                fn(*args)
 
 
 def test_parse_structure_checked():

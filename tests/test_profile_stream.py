@@ -125,9 +125,7 @@ def test_random_machines_match_batch(kind):
 
 
 def test_stuck_after_first_point_reports_absolute_position():
-    zeros_only = PdcSpec(
-        1, 1, "unary", {(1, "0", Z0): (1, Z0)}, {(1, "0", Z0): "0"}, 0
-    )
+    zeros_only = PdcSpec(1, 1, "unary", {(1, "0", Z0): (1, Z0, "0")}, 0)
     comp, fresh = pdc_pair(zeros_only, "zeros-only")
     bits = "0001000"
     grid = [6, 2, 9, 4, 2, 7]

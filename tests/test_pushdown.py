@@ -69,94 +69,90 @@ def test_identity_run():
 
 def test_push_then_pop_matcher():
     # Pushes its input; hand-traced stack after "01" is top-first 10z.
-    trans = {(1, b, t): (1, b + t) for b in "01" for t in ("0", "1", Z0)}
-    emit = {k: k[1] for k in trans}
-    C = PdcSpec(1, 1, "binary", trans, emit, 0)
+    moves = {(1, b, t): (1, b + t, b) for b in "01" for t in ("0", "1", Z0)}
+    C = PdcSpec(1, 1, "binary", moves, 0)
     assert oracle_pdc_validate(*pdc_fields(C)) == []
     r = pdc_run(C, "01")
     assert (r.output, r.final_stack) == ("01", "10z")
 
 
 def test_validate_determinism_violation():
-    trans = {
-        (1, LAMBDA, Z0): (1, Z0),
-        (1, "0", Z0): (1, Z0),
-        (1, "1", Z0): (1, Z0),
+    moves = {
+        (1, LAMBDA, Z0): (1, Z0, ""),
+        (1, "0", Z0): (1, Z0, ""),
+        (1, "1", Z0): (1, Z0, ""),
     }
-    assert refused(1, 1, "binary", trans, {}, 1) == (
+    assert refused(1, 1, "binary", moves, 1) == (
         "both input-free and bit moves on (1, 'z'); "
         "input-free moves can chain beyond budget 1"
     )
     # An input-free pop and bit moves on (1, top 0), with no cycle.
-    trans = {
-        (1, "0", Z0): (1, "0" + Z0),
-        (1, "1", Z0): (1, "0" + Z0),
-        (1, LAMBDA, "0"): (2, ""),
-        (1, "0", "0"): (1, "00"),
-        (1, "1", "0"): (1, "00"),
-        (2, "0", Z0): (2, Z0),
-        (2, "1", Z0): (2, Z0),
+    moves = {
+        (1, "0", Z0): (1, "0" + Z0, "1"),
+        (1, "1", Z0): (1, "0" + Z0, "1"),
+        (1, LAMBDA, "0"): (2, "", ""),
+        (1, "0", "0"): (1, "00", "0"),
+        (1, "1", "0"): (1, "00", "0"),
+        (2, "0", Z0): (2, Z0, "0"),
+        (2, "1", Z0): (2, Z0, "1"),
     }
-    emit = {(1, "0", Z0): "1", (1, "1", Z0): "1", (2, "0", Z0): "0", (2, "1", Z0): "1",
-            (1, "0", "0"): "0", (1, "1", "0"): "0"}
-    assert refused(2, 1, "binary", trans, emit, 1) == (
+    assert refused(2, 1, "binary", moves, 1) == (
         "both input-free and bit moves on (1, '0')"
     )
 
 
 def test_validate_budget_violation_cycle():
-    trans = {(1, LAMBDA, "0"): (1, "0")}
-    assert refused(1, 1, "binary", trans, {}, 3) == (
+    moves = {(1, LAMBDA, "0"): (1, "0", "")}
+    assert refused(1, 1, "binary", moves, 3) == (
         "input-free moves can chain beyond budget 3"
     )
 
 
 def test_validate_budget_violation_chain():
-    trans = {
-        (1, LAMBDA, "0"): (2, "0"),
-        (2, LAMBDA, "0"): (3, "0"),
+    moves = {
+        (1, LAMBDA, "0"): (2, "0", ""),
+        (2, LAMBDA, "0"): (3, "0", ""),
     }
-    assert refused(3, 1, "binary", trans, {}, 1) == (
+    assert refused(3, 1, "binary", moves, 1) == (
         "input-free moves can chain beyond budget 1"
     )
 
 
 def test_validate_bottom_marker_rules():
-    assert refused(1, 1, "binary", {(1, "0", Z0): (1, "")}, {}, 0) == (
+    assert refused(1, 1, "binary", {(1, "0", Z0): (1, "", "")}, 0) == (
         "bottom marker not preserved in (1, '0', 'z')"
     )
-    assert refused(1, 1, "binary", {(1, "0", "0"): (1, Z0 + "0")}, {}, 0) == (
+    assert refused(1, 1, "binary", {(1, "0", "0"): (1, Z0 + "0", "")}, 0) == (
         "bottom marker pushed mid-stack in (1, '0', '0'); "
         "push alphabet violation in (1, '0', '0')"
     )
 
 
 def test_validate_unary_alphabet():
-    assert refused(1, 1, "unary", {(1, "0", Z0): (1, "1" + Z0)}, {}, 0) == (
+    assert refused(1, 1, "unary", {(1, "0", Z0): (1, "1" + Z0, "")}, 0) == (
         "push alphabet violation in (1, '0', 'z')"
     )
-    assert refused(1, 1, "unary", {(1, "0", "1"): (1, "1")}, {}, 0) == (
+    assert refused(1, 1, "unary", {(1, "0", "1"): (1, "1", "")}, 0) == (
         "bad stack top in (1, '0', '1'); push alphabet violation in (1, '0', '1')"
     )
 
 
 def test_validate_push_alphabet_from_u0100_up():
     # A symbol no stack byte can hold is refused, not met at run time.
-    assert refused(1, 1, "binary", {(1, "0", Z0): (1, "āz")}, {}, 0) == (
+    assert refused(1, 1, "binary", {(1, "0", Z0): (1, "āz", "")}, 0) == (
         "push alphabet violation in (1, '0', 'z')"
     )
 
 
 def test_validate_silent_lambda_moves():
-    trans = {(1, LAMBDA, "0"): (1, "")}
-    assert refused(1, 1, "binary", trans, {(1, LAMBDA, "0"): "1"}, 1) == (
+    assert refused(1, 1, "binary", {(1, LAMBDA, "0"): (1, "", "1")}, 1) == (
         "input-free move must not emit: (1, '', '0'); "
         "input-free moves can chain beyond budget 1"
     )
 
 
 def test_stuck_names_position():
-    C = PdcSpec(1, 1, "binary", {(1, "0", Z0): (1, Z0)}, {(1, "0", Z0): "0"}, 0)
+    C = PdcSpec(1, 1, "binary", {(1, "0", Z0): (1, Z0, "0")}, 0)
     with pytest.raises(StuckError) as info:
         pdc_run(C, "001")
     assert info.value.position == 2
@@ -165,9 +161,7 @@ def test_stuck_names_position():
 
 def test_il_identity_and_silent():
     assert pdc_il_check(identity_pdc(), 8) is None
-    silent = PdcSpec(
-        1, 1, "unary", {(1, b, Z0): (1, Z0) for b in "01"}, {}, 0
-    )
+    silent = PdcSpec(1, 1, "unary", {(1, b, Z0): (1, Z0, "") for b in "01"}, 0)
     pair = pdc_il_check(silent, 1)
     assert pair is not None
 
@@ -193,8 +187,8 @@ def il_check_by_step_loop(C, L):
     stepped through pdc_run, with its own closure over input-free moves."""
 
     def close(q, st):
-        while (q, LAMBDA, st[0]) in C.trans:
-            q, push = C.trans[(q, LAMBDA, st[0])]
+        while (q, LAMBDA, st[0]) in C.moves:
+            q, push, _ = C.moves[(q, LAMBDA, st[0])]
             st = push + st[1:]
         return q, st
 
@@ -206,10 +200,10 @@ def il_check_by_step_loop(C, L):
         for x, q, st, outp in frontier:
             for b in "01":
                 key = (q, b, st[0])
-                if key not in C.trans:
+                if key not in C.moves:
                     continue
-                tgt, push = C.trans[key]
-                out2 = outp + C.emit.get(key, "")
+                tgt, push, e = C.moves[key]
+                out2 = outp + e
                 q2, st2 = close(tgt, push + st[1:])
                 x2 = x + b
                 sig = (out2, q2)
@@ -223,7 +217,7 @@ def il_check_by_step_loop(C, L):
 
 def test_il_check_matches_step_loop():
     rng = random.Random(47)
-    silent = PdcSpec(1, 1, "unary", {(1, b, Z0): (1, Z0) for b in "01"}, {}, 0)
+    silent = PdcSpec(1, 1, "unary", {(1, b, Z0): (1, Z0, "") for b in "01"}, 0)
     cases = [identity_pdc(), silent]
     for i in range(500):
         kind = "unary" if i % 2 else "binary"
@@ -321,7 +315,7 @@ def test_compose_matches_whole_buffer_oracle(monkeypatch):
         assert got == compose_outcome(oracle_compose_pdc_fst, C, T, ceiling), (C, T)
         if isinstance(got, str):  # N's input-free moves each buffer a symbol
             N = parse_pdc(got)
-            chains = _lambda_chains(N.trans, N.stack_symbols() + Z0)
+            chains = _lambda_chains(N.moves, N.stack_symbols() + Z0)
             kinds[f"buffers {min(chains[0], 2)}"] += 1
         else:
             assert got[1].startswith("composition exceeds state ceiling"), got
@@ -334,49 +328,47 @@ def mutate(rng, fields):
     """The fields of a spec with one more random defect of a kind
     pdc_validate reports; a defect can bring others with it, such as a bit
     move next to an input-free one."""
-    m, start, stack_kind, trans, emit, budget = fields
-    trans, emit = dict(trans), dict(emit)
-    key = rng.choice(sorted(trans))
+    m, start, stack_kind, moves, budget = fields
+    moves = dict(moves)
+    key = rng.choice(sorted(moves))
     q, inp, top = key
-    tgt, push = trans[key]
-    kind = rng.randrange(13)
+    tgt, push, e = moves[key]
+    kind = rng.randrange(12)
     if kind == 0:
-        trans[(rng.choice([0, m + 1]), inp, top)] = (tgt, push)
+        moves[(rng.choice([0, m + 1]), inp, top)] = (tgt, push, e)
     elif kind == 1:
-        trans[(q, rng.choice(["2", "01", "a"]), top)] = (tgt, push)
+        moves[(q, rng.choice(["2", "01", "a"]), top)] = (tgt, push, e)
     elif kind == 2:
-        trans[(q, inp, rng.choice(["01", "1z", "zz", "1", "?", ""]))] = (tgt, "")
+        moves[(q, inp, rng.choice(["01", "1z", "zz", "1", "?", ""]))] = (tgt, "", "")
     elif kind == 3:
-        trans[key] = (rng.choice([0, m + 1]), push)
+        moves[key] = (rng.choice([0, m + 1]), push, e)
     elif kind == 4:
-        zkey = rng.choice([k for k in sorted(trans) if k[2] == Z0])
-        trans[zkey] = (trans[zkey][0], rng.choice(["", "0", Z0 + Z0, Z0 + "0" + Z0]))
+        zkey = rng.choice([k for k in sorted(moves) if k[2] == Z0])
+        ztgt, _, ze = moves[zkey]
+        moves[zkey] = (ztgt, rng.choice(["", "0", Z0 + Z0, Z0 + "0" + Z0]), ze)
     elif kind == 5:
-        trans[key] = (tgt, rng.choice([Z0, "0" + Z0 + "0", Z0 + push]))
+        moves[key] = (tgt, rng.choice([Z0, "0" + Z0 + "0", Z0 + push]), e)
     elif kind == 6:
-        trans[key] = (tgt, rng.choice(["1", "x", "2" + Z0]) + push)
+        moves[key] = (tgt, rng.choice(["1", "x", "2" + Z0]) + push, e)
     elif kind == 7:
-        emit[(m + 1, rng.choice("01"), top)] = rng.choice(["", "1"])
+        moves[key] = (tgt, push, rng.choice(["2", "0a", " ", "1 0"]))
     elif kind == 8:
-        emit[key] = rng.choice(["2", "0a", " ", "1 0"])
+        moves[(q, LAMBDA, top)] = (tgt, push, rng.choice(["0", "11"]))
     elif kind == 9:
-        trans[(q, LAMBDA, top)] = (tgt, push)
-        emit[(q, LAMBDA, top)] = rng.choice(["0", "11"])
-    elif kind == 10:
-        trans[(q, LAMBDA if inp else "0", top)] = (tgt, push)
-    elif kind == 11:  # an input-free move back to its own (state, top): a cycle
-        trans[(q, LAMBDA, top)] = (q, top)
+        moves[(q, LAMBDA if inp else "0", top)] = (tgt, push, "")
+    elif kind == 10:  # an input-free move back to its own (state, top): a cycle
+        moves[(q, LAMBDA, top)] = (q, top, "")
     else:  # over budget wherever an input-free move is left
         budget = 0
-    return m, start, stack_kind, trans, emit, budget
+    return m, start, stack_kind, moves, budget
 
 
 PROBLEM_KINDS = (
     "state out of range", "bad input symbol", "bad stack top",
     "target state out of range", "bottom marker not preserved",
     "bottom marker pushed mid-stack", "push alphabet violation",
-    "emission on undefined transition", "must be a string over 0/1",
-    "input-free move must not emit", "both input-free and bit moves",
+    "must be a string over 0/1", "input-free move must not emit",
+    "both input-free and bit moves",
 )
 
 
@@ -387,7 +379,7 @@ def test_validate_matches_oracle_on_mutated_machines():
     for i in range(1500):
         kind = "unary" if i % 2 else "binary"
         C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=rng.choice([0.2, 0.6]))
-        M = (C.num_states, C.start, C.stack_kind, C.trans, C.emit, C.lambda_budget)
+        M = pdc_fields(C)
         for _ in range(rng.randint(1, 3)):
             M = mutate(rng, M)
         got = oracle_pdc_validate(*M)
@@ -408,8 +400,8 @@ def test_validate_rejects_a_multi_symbol_top():
     # `top not in "01z"` was a substring test, so these tops passed. The
     # sentinel _BELOW is no stack symbol either, so no move reads it.
     for top in ("01", "1z", "", _BELOW):
-        trans = {(1, "0", Z0): (1, Z0), (1, "0", top): (1, "")}
-        assert refused(1, 1, "binary", trans, {}, 0) == f"bad stack top in {(1, '0', top)}"
+        moves = {(1, "0", Z0): (1, Z0, ""), (1, "0", top): (1, "", "")}
+        assert refused(1, 1, "binary", moves, 0) == f"bad stack top in {(1, '0', top)}"
 
 
 def test_half_compressor_shape():
@@ -455,12 +447,12 @@ def _reconstruct_input(C, output, final_state, max_len):
                 matches.append(x)
             for b in "01":
                 key = (q, b, st[0])
-                if key not in C.trans:
+                if key not in C.moves:
                     continue
-                out2 = out + C.emit.get(key, "")
+                tgt, push, e = C.moves[key]
+                out2 = out + e
                 if not output.startswith(out2):
                     continue
-                tgt, push = C.trans[key]
                 q2, st2 = oracle_closure(C, tgt, push + st[1:])
                 nxt.append((x + b, q2, st2, out2))
         frontier = nxt
@@ -492,26 +484,14 @@ def test_half_compressor_counts_prefix():
     assert r.output == "111" + R + "1" * 9 + "0" * (len(R) // 9)
 
 
-def pdc_key(C: PdcSpec):
-    """Hashable value identity, independent of dict insertion order and of
-    empty emissions."""
-    return (
-        C.num_states,
-        C.start,
-        C.stack_kind,
-        C.lambda_budget,
-        tuple(sorted(C.trans.items())),
-        tuple(sorted((k, v) for k, v in C.emit.items() if v)),
-    )
-
-
 def test_text_format_roundtrip():
     rng = random.Random(6)
     for _ in range(20):
         C = random_pdc(rng, kind="binary" if rng.random() < 0.5 else "unary")
-        assert pdc_key(parse_pdc(format_pdc(C))) == pdc_key(C)
-    big = build_half_compressor(9, 9, 0)
-    assert pdc_key(parse_pdc(format_pdc(big))) == pdc_key(big)
+        assert parse_pdc(format_pdc(C)) == C
+    half = build_half_compressor(9, 9, 0)
+    for C in (half, compose_pdc_fst(half, identity_fst())):
+        assert parse_pdc(format_pdc(C)) == C
 
 
 def test_text_format_rejects_garbage():
@@ -529,43 +509,43 @@ def test_lambda_chains_match_brute_force_random():
         kind = "unary" if i % 2 else "binary"
         C = random_pdc(rng, kind=kind, max_states=5, lambda_prob=rng.choice([0.3, 0.8]))
         tops = C.stack_symbols() + Z0
-        assert _lambda_chains(C.trans, tops) == chains_by_brute_force(C.trans, tops)
-        assert _lambda_chains(C.trans, tops) is not None
+        assert _lambda_chains(C.moves, tops) == chains_by_brute_force(C.moves, tops)
+        assert _lambda_chains(C.moves, tops) is not None
 
 
 def test_lambda_chains_self_loop_is_a_cycle():
-    trans = {(1, LAMBDA, "0"): (1, "0")}
-    assert _lambda_chains(trans, "01z") is None
-    assert chains_by_brute_force(trans, "01z") is None
-    assert refused(1, 1, "binary", trans, {}, 5) == (
+    moves = {(1, LAMBDA, "0"): (1, "0", "")}
+    assert _lambda_chains(moves, "01z") is None
+    assert chains_by_brute_force(moves, "01z") is None
+    assert refused(1, 1, "binary", moves, 5) == (
         "input-free moves can chain beyond budget 5"
     )
 
 
 def test_lambda_chains_pure_pop_fans_out():
-    trans = {
-        (1, LAMBDA, "1"): (2, ""),  # pop: the next top may be 0, 1 or z
-        (2, LAMBDA, "0"): (3, ""),
-        (3, LAMBDA, "0"): (4, ""),
-        (2, LAMBDA, Z0): (5, "0" + Z0),
-        (5, LAMBDA, "0"): (6, "0"),
-        (6, LAMBDA, "0"): (7, "0"),
-        (7, LAMBDA, "0"): (8, "0"),
+    moves = {
+        (1, LAMBDA, "1"): (2, "", ""),  # pop: the next top may be 0, 1 or z
+        (2, LAMBDA, "0"): (3, "", ""),
+        (3, LAMBDA, "0"): (4, "", ""),
+        (2, LAMBDA, Z0): (5, "0" + Z0, ""),
+        (5, LAMBDA, "0"): (6, "0", ""),
+        (6, LAMBDA, "0"): (7, "0", ""),
+        (7, LAMBDA, "0"): (8, "0", ""),
     }
-    C = PdcSpec(8, 1, "binary", trans, {}, 5)
+    C = PdcSpec(8, 1, "binary", moves, 5)
     # Most pops: states 1, 2, 3, 4 over tops 1, 0, 0 (three of each).
     # Most moves: states 1, 2, 5, 6, 7, 8 over tops 1, z, 0, 0, 0 (five
     # moves, one pop).
-    assert _lambda_chains(trans, "01z") == chains_by_brute_force(trans, "01z") == (5, 3)
+    assert _lambda_chains(moves, "01z") == chains_by_brute_force(moves, "01z") == (5, 3)
     assert oracle_pdc_validate(*pdc_fields(C)) == []
-    assert refused(8, 1, "binary", trans, {}, 4) == (
+    assert refused(8, 1, "binary", moves, 4) == (
         "input-free moves can chain beyond budget 4"
     )
 
 
 def test_long_input_free_chain():
     C = chain_pdc(2000, 1999)
-    assert _lambda_chains(C.trans, "0z") == chains_by_brute_force(C.trans, "0z") == (1999, 0)
+    assert _lambda_chains(C.moves, "0z") == chains_by_brute_force(C.moves, "0z") == (1999, 0)
     assert oracle_pdc_validate(*pdc_fields(C)) == []
     assert format_pdc(C) == chain_pdc_text(2000, 1999)
     r = pdc_run(C, "01")
@@ -619,12 +599,12 @@ def test_engine_runs_input_free_chains_at_their_budget():
     # so the whole chain runs inside the first block's replay. One move
     # less of budget, and the machine is refused when it is built.
     chain = chain_pdc(50, 49)
-    trans = {**chain.trans, (51, "0", Z0): (51, Z0), (51, "1", Z0): (1, Z0)}
-    late = PdcSpec(51, 51, "unary", trans, chain.emit, 49)
+    moves = {**chain.moves, (51, "0", Z0): (51, Z0, ""), (51, "1", Z0): (1, Z0, "")}
+    late = PdcSpec(51, 51, "unary", moves, 49)
     for C, x in ((chain, "01"), (late, "0001")):
         assert run_outcome(pdc_run, C, x) == run_outcome(oracle_pdc_run, C, x)
     assert late._blocks == {(51, "0001", ord(Z0)): (50, slice(-1, None), b"z", "")}
-    assert refused(51, 51, "unary", trans, chain.emit, 48) == (
+    assert refused(51, 51, "unary", moves, 48) == (
         "input-free moves can chain beyond budget 48"
     )
 
@@ -637,18 +617,19 @@ def test_deep_stack_run():
 
 
 def cold_copy(C):
-    """C with the same maps, but no compiled tables and an empty memo."""
-    return PdcSpec(C.num_states, C.start, C.stack_kind, C.trans, C.emit, C.lambda_budget)
+    """C with the same moves, but no compiled tables and an empty memo."""
+    return PdcSpec(*pdc_fields(C))
 
 
 def popping(rng, C):
     """C with half its bit moves on a stack symbol turned into pops, so
     runs pop below the top within a block."""
-    trans = dict(C.trans)
-    for key in sorted(trans):
+    moves = dict(C.moves)
+    for key in sorted(moves):
         if key[1] != LAMBDA and key[2] != Z0 and rng.random() < 0.5:
-            trans[key] = (trans[key][0], "")
-    return PdcSpec(C.num_states, C.start, C.stack_kind, trans, C.emit, C.lambda_budget)
+            tgt, _, e = moves[key]
+            moves[key] = (tgt, "", e)
+    return PdcSpec(C.num_states, C.start, C.stack_kind, moves, C.lambda_budget)
 
 
 def window_keys(C):
@@ -727,16 +708,16 @@ def test_block_memo_stays_under_its_cap(monkeypatch):
     assert window_keys(cases[1][0])
 
 
-def pop_machine(extra_trans=(), budget=0, drop=None):
+def pop_machine(extra=(), budget=0, drop=None):
     """Binary, state 1 pops its top on either bit and copies the bit; on
-    the bottom marker it copies and keeps the stack. extra_trans adds
-    moves, and drop removes one."""
-    trans = {(1, b, t): (1, "") for b in "01" for t in "01"}
-    trans.update({(1, b, Z0): (1, Z0) for b in "01"})
-    trans.update(extra_trans)
-    trans.pop(drop, None)
-    emit = {key: key[1] for key in trans if key[1] != LAMBDA}
-    return PdcSpec(max(q for q, _, _ in trans), 1, "binary", trans, emit, budget)
+    the bottom marker it copies and keeps the stack. extra adds moves as
+    (target, push), and drop removes one; every bit move copies its bit."""
+    moves = {(1, b, t): (1, "") for b in "01" for t in "01"}
+    moves.update({(1, b, Z0): (1, Z0) for b in "01"})
+    moves.update(extra)
+    moves.pop(drop, None)
+    moves = {key: (tgt, push, key[1]) for key, (tgt, push) in moves.items()}
+    return PdcSpec(max(q for q, _, _ in moves), 1, "binary", moves, budget)
 
 
 def test_popping_blocks_stick_and_chain_as_bit_by_bit():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -92,6 +93,32 @@ def test_recipe_a_exponential_mode_truncates():
     assert stream.blocks[1] == {
         "stage": 2, "len": 4, "kind": "devoted", "k": 1, "copies": 1,
     }
+
+
+@pytest.mark.parametrize(
+    "recipe, length, truncated",
+    [
+        (SequenceRecipe(kind="a", bit_budget=100), 84, True),
+        (SequenceRecipe(kind="b", k=9, bit_budget=100), 198, False),
+        (SequenceRecipe(kind="c", k=6, v=2, bit_budget=100), 258, False),
+    ],
+    ids=["a", "b", "c"],
+)
+def test_bit_budget_stage_rules(recipe, length, truncated):
+    # Recipe a stops before the stage that would cross the budget and sets
+    # truncated; recipes b and c finish the stage that crosses it.
+    stream = recipe.generate()
+    assert (len(stream.bits), stream.truncated) == (length, truncated)
+    n = stream.blocks[-1]["stage"]
+    before, at, after = (
+        len(replace(recipe, bit_budget=None, stages=s).generate().bits)
+        for s in (n - 1, n, n + 1)
+    )
+    assert at == length
+    if truncated:
+        assert at <= recipe.bit_budget < after
+    else:
+        assert before < recipe.bit_budget < at
 
 
 def test_recipe_a_random_blocks_look_incompressible():
