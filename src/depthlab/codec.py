@@ -1,18 +1,25 @@
 """Binary code for transducers, plus the small string codes it is built from.
 
 A machine description is: the start-state index in binary with every bit
-doubled, a "01" separator, then the transition table. Each table entry is
-an optional target code (dagger-marked binary of a state offset; empty for
-a self-loop) followed by the emission in the complemented diamond code.
-The two chunk kinds parse deterministically left to right: a dagger chunk
-begins 10/11, a diamond chunk begins 00/01.
+doubled, a "01" separator, then the transition table, two entries per
+state. Each entry is an optional target code (dagger-marked binary of a
+state offset; empty for a self-loop) followed by the emission in the
+complemented diamond code. `_DESCRIPTION` states this grammar as one
+regular expression, with `_ENTRY` for a table entry; a dagger chunk begins
+10/11 and a diamond chunk 00/01, so the parse is unique.
 """
 from __future__ import annotations
 
+import re
 from typing import Optional
 
 from .errors import ValidationError
 from .fst import BITS, FstSpec
+
+# A table entry: (dagger chunk or empty for a self-loop)(diamond chunk).
+_ENTRY = re.compile(r"(1(?:0(?:[01]0)*[01]1|1))?(0(?:0|1(?:[01]1)*[01]0))")
+# Doubled start pointer, separator, then the entries two per state.
+_DESCRIPTION = re.compile(rf"(11(?:00|11)*)01((?:(?:{_ENTRY.pattern}){{2}})+)")
 
 
 def nat_bin(n: int) -> str:
@@ -69,70 +76,26 @@ def encode_fst(T: FstSpec) -> str:
 def decode_fst(bits: str) -> Optional[FstSpec]:
     """Inverse of encode_fst on its range; None for anything malformed.
 
-    None covers: bad doubling in the start pointer, missing separator,
-    truncated or misaligned table chunks, an odd entry count, and a start
-    index beyond the decoded state count.
+    None covers: any string outside the grammar of `_DESCRIPTION` (bad
+    doubling in the start pointer, missing separator, truncated or
+    misaligned table chunks, an odd entry count) and a start index beyond
+    the decoded state count.
     """
-    if bits.strip("01") != "":
+    match = _DESCRIPTION.fullmatch(bits)
+    if match is None:
         return None
-    # Start pointer: doubled pairs up to the 01 separator.
-    i = 0
-    startbits = []
-    while True:
-        grp = bits[i : i + 2]
-        if len(grp) < 2:
-            return None
-        i += 2
-        if grp == "01":
-            break
-        if grp[0] != grp[1]:
-            return None
-        startbits.append(grp[0])
-    if not startbits or startbits[0] != "1":
-        return None
-    start = int("".join(startbits), 2)
-
-    # Table entries: optional dagger chunk (first pair starts 1) then a
-    # diamond chunk (first pair starts 0).
-    entries: list[tuple[Optional[int], str]] = []
-    while i < len(bits):
-        n: Optional[int] = None
-        if bits[i] == "1":
-            nb = []
-            while True:
-                grp = bits[i : i + 2]
-                if len(grp) < 2:
-                    return None
-                i += 2
-                nb.append(grp[0])
-                if grp[1] == "1":
-                    break
-            n = int("".join(nb), 2)
-        grp = bits[i : i + 2]
-        if len(grp) < 2 or grp[0] != "0":
-            return None
-        payload = []
-        i += 2
-        if grp == "01":
-            while True:
-                grp = bits[i : i + 2]
-                if len(grp) < 2:
-                    return None
-                i += 2
-                payload.append(grp[0])
-                if grp[1] == "0":
-                    break
-        entries.append((n, complement("".join(payload))))
-
-    if not entries or len(entries) % 2:
-        return None
+    start = int(match[1][::2], 2)
+    entries = _ENTRY.findall(match[2])
     m = len(entries) // 2
     if start > m:
         return None
-    moves: dict[tuple[int, str], tuple[int, str]] = {}
-    for idx, (n, emission) in enumerate(entries):
-        q = idx // 2 + 1
-        moves[(q, BITS[idx % 2])] = (q if n is None else 1 + (n % m), emission)
+    moves = {
+        (idx // 2 + 1, BITS[idx % 2]): (
+            1 + int(tgt_code[::2], 2) % m if tgt_code else idx // 2 + 1,
+            complement(emit_code[2::2]),
+        )
+        for idx, (tgt_code, emit_code) in enumerate(entries)
+    }
     return FstSpec(m, start, moves)
 
 

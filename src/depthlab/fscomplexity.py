@@ -9,7 +9,7 @@ when emissions are empty.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
@@ -112,46 +112,36 @@ def _fill_tables(
 def min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:
     """Shortest input y with T(y) = x, together with the lex-least such y.
 
-    Breadth-first search over (state, matched length): one unit-cost edge
-    per input bit, allowed only when the step's emission extends x at the
-    match point. Returns None when no input works.
+    Breadth-first search over (state, matched length) nodes: one
+    unit-cost edge per input bit, allowed only when the step's emission
+    extends x at the match point. Each queued cell (state, matched, bit,
+    previous cell) links back to the start, so a step costs O(1) however
+    deep the path. Returns None when no input works.
     """
     n = len(x)
-    start = (T.start, 0)
     if n == 0:
         return (0, "")
-    parent: dict[tuple[int, int], tuple[tuple[int, int], str]] = {}
-    dist = {start: 0}
-    queue = deque([start])
     moves = T.moves
-    goal = None
+    seen = defaultdict(set)  # state -> matched lengths reached
+    seen[T.start].add(0)
+    queue = deque([(T.start, 0, "", None)])
     while queue:
-        node = queue.popleft()
-        q, pos = node
+        cell = queue.popleft()
+        q, pos, _, _ = cell
         for b in BITS:  # bit order makes the first-found path lex-least
             tgt, e = moves[(q, b)]
             end = pos + len(e)
-            if end > n or x[pos:end] != e:
+            if end > n or x[pos:end] != e or end in seen[tgt]:
                 continue
-            nxt = (tgt, end)
-            if nxt in dist:
-                continue
-            dist[nxt] = dist[node] + 1
-            parent[nxt] = (node, b)
             if end == n:
-                goal = nxt
-                break
-            queue.append(nxt)
-        if goal:
-            break
-    if goal is None:
-        return None
-    path = []
-    node = goal
-    while node != start:
-        node, b = parent[node]
-        path.append(b)
-    return (dist[goal], "".join(reversed(path)))
+                bits = [b]
+                while cell[3] is not None:
+                    bits.append(cell[2])
+                    cell = cell[3]
+                return (len(bits), "".join(reversed(bits)))
+            seen[tgt].add(end)
+            queue.append((tgt, end, b, cell))
+    return None
 
 
 def kfs_over_set(

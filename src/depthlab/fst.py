@@ -50,8 +50,10 @@ class FstSpec:
             raise ValidationError("num_states must be >= 1")
         if not 1 <= self.start <= m:
             raise ValidationError(f"start state {self.start} not in 1..{m}")
-        keys = {(q, b) for q in range(1, m + 1) for b in BITS}
-        if set(self.moves) != keys:
+        # Count first: a huge header with a short table fails at once.
+        if len(self.moves) != 2 * m or any(
+            (q, b) not in self.moves for q in range(1, m + 1) for b in BITS
+        ):
             raise ValidationError("next/out must be total on states x bits")
         for key, (tgt, _) in self.moves.items():
             if not 1 <= tgt <= m:

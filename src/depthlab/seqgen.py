@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .errors import ValidationError
@@ -304,22 +305,16 @@ def gen_recipe_b(
 def _no_long_ones(n: int, k: int) -> list[str]:
     """All length-n strings with every run of 1s shorter than k, in
     lexicographic order."""
-    out: list[str] = []
+    return [s for s in map("".join, product("01", repeat=n)) if "1" * k not in s]
 
-    def grow(prefix: list[str], run: int) -> None:
-        if len(prefix) == n:
-            out.append("".join(prefix))
-            return
-        prefix.append("0")
-        grow(prefix, 0)
-        prefix.pop()
-        if run + 1 < k:
-            prefix.append("1")
-            grow(prefix, run + 1)
-            prefix.pop()
 
-    grow([], 0)
-    return out
+def _count_no_long_ones(n: int, k: int) -> int:
+    """len(_no_long_ones(n, k)) without listing them: ends[j] counts the
+    strings so far that end in exactly j ones."""
+    ends = [1] + [0] * (k - 1)
+    for _ in range(n):
+        ends = [sum(ends)] + ends[:-1]
+    return sum(ends)
 
 
 def _rotate_for_leading_zeros(xs: list[str]) -> list[str]:
@@ -346,7 +341,8 @@ def gen_recipe_c(
     Zone i lists its lexicographic-minimum representatives, a flag
     1^(f(n)+i), then the reversals in reverse order (the zone tail mirrors
     its head). f(k) = 2k and f grows by v+2 per stage. An empty remainder
-    zone is just its flag.
+    zone is just its flag. A stage over MAX_INTERVAL_BITS bits is refused
+    before any of its strings are listed.
     """
     if k < 4 or v < 1:
         raise ValidationError("need k >= 4 and v >= 1")
@@ -371,7 +367,20 @@ def gen_recipe_c(
         n += 1
         if done(n):
             break
+        f_n = 2 * k + (n - k) * (v + 2)
+        # A stage lists each of its strings once (a zone's mirrored tail
+        # holds the reversals of its head); a zone stage adds the flags
+        # 1^f_n and 1^(f_n + i) for zones i = 1 .. v+1.
+        size = n * _count_no_long_ones(n, k)
+        if n >= k:
+            size += (v + 2) * f_n + (v + 1) * (v + 2) // 2
+        if size > MAX_INTERVAL_BITS:
+            raise ValidationError(
+                f"stage {n} needs {size} bits, over {MAX_INTERVAL_BITS}"
+            )
         if n == k:
+            # Stage k - 1 passed the guard, so k <= 27 and the bridge
+            # has at most 1,080 bits.
             bridge = "".join("1" * j for j in range(k, 2 * k))
             push(bridge)
             blocks.append({"stage": n, "kind": "bridge", "len": len(bridge)})
@@ -382,7 +391,6 @@ def gen_recipe_c(
             push(stage)
             blocks.append({"stage": n, "kind": "all-strings", "len": len(stage)})
             continue
-        f_n = 2 * k + (n - k) * (v + 2)
         strings = _no_long_ones(n, k)
         palis = [s for s in strings if s == s[::-1]]
         rest = [s for s in strings if s != s[::-1]]

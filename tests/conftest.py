@@ -14,11 +14,11 @@ from depthlab import (  # noqa: E402
     RunResult,
     StuckError,
     ValidationError,
-    decode_fst,
     encode_fst,
     fst_run,
     repeater_fst,
 )
+from depthlab.codec import complement  # noqa: E402
 from depthlab.fst import check_bits  # noqa: E402
 from depthlab.lz78 import _ROOT, LzParse, pointer_width  # noqa: E402
 from depthlab.pushdown import _BELOW, LAMBDA, Z0  # noqa: E402
@@ -133,6 +133,77 @@ def flag_free_bits(n: int, seed: int) -> str:
     return x.decode()
 
 
+def oracle_decode_fst(bits: str) -> Optional[FstSpec]:
+    """Oracle for decode_fst: a pair-by-pair scanner of the description
+    code. Inverse of encode_fst on its range; None for anything malformed.
+
+    None covers: bad doubling in the start pointer, missing separator,
+    truncated or misaligned table chunks, an odd entry count, and a start
+    index beyond the decoded state count.
+    """
+    if bits.strip("01") != "":
+        return None
+    # Start pointer: doubled pairs up to the 01 separator.
+    i = 0
+    startbits = []
+    while True:
+        grp = bits[i : i + 2]
+        if len(grp) < 2:
+            return None
+        i += 2
+        if grp == "01":
+            break
+        if grp[0] != grp[1]:
+            return None
+        startbits.append(grp[0])
+    if not startbits or startbits[0] != "1":
+        return None
+    start = int("".join(startbits), 2)
+
+    # Table entries: optional dagger chunk (first pair starts 1) then a
+    # diamond chunk (first pair starts 0).
+    entries: list[tuple[Optional[int], str]] = []
+    while i < len(bits):
+        n: Optional[int] = None
+        if bits[i] == "1":
+            nb = []
+            while True:
+                grp = bits[i : i + 2]
+                if len(grp) < 2:
+                    return None
+                i += 2
+                nb.append(grp[0])
+                if grp[1] == "1":
+                    break
+            n = int("".join(nb), 2)
+        grp = bits[i : i + 2]
+        if len(grp) < 2 or grp[0] != "0":
+            return None
+        payload = []
+        i += 2
+        if grp == "01":
+            while True:
+                grp = bits[i : i + 2]
+                if len(grp) < 2:
+                    return None
+                i += 2
+                payload.append(grp[0])
+                if grp[1] == "0":
+                    break
+        entries.append((n, complement("".join(payload))))
+
+    if not entries or len(entries) % 2:
+        return None
+    m = len(entries) // 2
+    if start > m:
+        return None
+    moves: dict[tuple[int, str], tuple[int, str]] = {}
+    for idx, (n, emission) in enumerate(entries):
+        q = idx // 2 + 1
+        moves[(q, BITS[idx % 2])] = (q if n is None else 1 + (n % m), emission)
+    return FstSpec(m, start, moves)
+
+
 def enum_fsts_by_decoding(k: int) -> FstUniverse:
     """Slow oracle for enum_fsts: decode every bit string of length <= k,
     keep the first description of each machine, order by (length, bits)."""
@@ -140,7 +211,7 @@ def enum_fsts_by_decoding(k: int) -> FstUniverse:
     for length in range(k + 1):
         for val in range(1 << length):
             desc = format(val, f"0{length}b") if length else ""
-            spec = decode_fst(desc)
+            spec = oracle_decode_fst(desc)
             if spec is None:
                 continue
             key = fst_key(spec)

@@ -394,6 +394,15 @@ MALFORMED = {
             ("ratio", ["--compressor", "lz78"]),
         )
     },
+    "fst-huge-state-count": (
+        {"m.fst": "fst 100000000000 1\n1 0 -> 1 -\n"},
+        ["fst-run", "--machine", "{tmp}/m.fst", "--bits", "0"], None, 2,
+    ),
+    "ratio-recipe-c-oversized-stage": (
+        {}, ["ratio", "--recipe", "c", "--k", "4", "--v", "100000",
+             "--bits-budget", "100", "--compressor", "lz78", "--grid", "1:10:1"],
+        None, 2,
+    ),
     "pdc-multi-symbol-top": (
         {"m.pdc": "pdc 1 1 binary 0\n1 0 z -> 1 z 0\n1 0 01 -> 1 - 0\n"},
         ["pdc-run", "--machine", "{tmp}/m.pdc", "--bits", "0"], None, 2,

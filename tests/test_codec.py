@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_fst, silent_fst
+from conftest import oracle_decode_fst, random_fst, silent_fst
 from depthlab import (
     FstSpec,
     ValidationError,
@@ -68,6 +68,27 @@ def test_decode_rejects_malformed():
     assert decode_fst("110100") is None  # truncated table chunk
     assert decode_fst("0101") is None  # start pointer missing
     assert decode_fst("11010000abc") is None
+
+
+def test_decode_matches_scanner_oracle_on_every_short_string():
+    for length in range(17):
+        for val in range(1 << length):
+            desc = format(val, f"0{length}b") if length else ""
+            assert decode_fst(desc) == oracle_decode_fst(desc), desc
+
+
+def test_decode_matches_scanner_oracle_near_valid_descriptions():
+    # Every truncation and one-bit flip of a valid description.
+    rng = random.Random(18)
+    for _ in range(200):
+        desc = encode_fst(random_fst(rng, max_states=5, max_emit=3))
+        variants = [desc[:i] for i in range(len(desc))]
+        variants += [
+            desc[:i] + ("1" if desc[i] == "0" else "0") + desc[i + 1 :]
+            for i in range(len(desc))
+        ]
+        for v in variants:
+            assert decode_fst(v) == oracle_decode_fst(v), v
 
 
 def test_decode_rejects_start_beyond_state_count():

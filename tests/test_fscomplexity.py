@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import product
@@ -148,6 +149,27 @@ def test_shortest_path_equals_brute_force_random_machines():
                 assert fst_run(T, got[1]).output == x
             else:
                 assert brute is None
+
+
+# sha256 of one repr((x, value, witness)) line per target of kfs_targets,
+# pinned before the search carried each node's input in its queue.
+KFS_WITNESS_SHA256 = "074bcdb82ae06a45ffaf1a72555e0ab061fa3173d70d6d5aacfe9bf878f9bc80"
+
+
+def kfs_targets() -> list[str]:
+    """300 seeded 64-bit strings, then every string of at most 8 bits."""
+    rng = random.Random(18)
+    xs = [format(rng.getrandbits(64), "064b") for _ in range(300)]
+    return xs + ["".join(p) for n in range(9) for p in product("01", repeat=n)]
+
+
+def test_kfs_witnesses_are_pinned():
+    lines = []
+    for x in kfs_targets():
+        r = kfs_complexity(x, 14)
+        lines.append(repr((x, r.value, r.witness)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == KFS_WITNESS_SHA256
 
 
 def test_lex_least_witness():

@@ -78,6 +78,13 @@ def test_spec_validation():
         FstSpec(2, 1, {(1, "0"): (1, ""), (1, "1"): (1, "")})
     with pytest.raises(ValidationError):
         FstSpec(1, 1, {(1, "0"): (1, "x"), (1, "1"): (1, "")})
+    # A two-move table under a 10^12-state header fails on the count alone,
+    # and the right count with a stray key is still not total.
+    total = "^next/out must be total on states x bits$"
+    with pytest.raises(ValidationError, match=total):
+        FstSpec(10**12, 1, {(1, "0"): (1, ""), (1, "1"): (1, "")})
+    with pytest.raises(ValidationError, match=total):
+        FstSpec(1, 1, {(1, "0"): (1, ""), (2, "1"): (1, "")})
 
 
 def test_il_identity_passes():

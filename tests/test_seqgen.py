@@ -212,6 +212,41 @@ def test_recipe_b_refuses_an_oversized_stage():
         gen_recipe_b(3 * 10**9, stages=1)
 
 
+def test_recipe_c_refuses_an_oversized_stage(monkeypatch):
+    # k = 4, n = 4: 3 palindromes, 6 pairs, f = 8, so v = 10^5 needs
+    # 4*3 + 8 + 2*4*6 + 100001*8 + 100001*100002/2 bits.
+    def list_strings(n, k):
+        if n == 4:
+            raise AssertionError("strings listed for an oversized stage")
+        return real(n, k)
+
+    real = seqgen._no_long_ones
+    monkeypatch.setattr(seqgen, "_no_long_ones", list_strings)
+    with pytest.raises(
+        ValidationError, match=f"^stage 4 needs 5000950077 bits, over {2**31 - 1}$"
+    ):
+        gen_recipe_c(4, 10**5, stages=4)
+
+
+@pytest.mark.parametrize("k, v, stages", [(5, 2, 7), (6, 2, 5), (4, 3, 4)])
+def test_recipe_c_stage_guard_is_exact(monkeypatch, k, v, stages):
+    # A zone stage, an all-strings stage (n < k) and the first zone stage
+    # right after the bridge.
+    stream = gen_recipe_c(k, v, stages=stages)
+    size = stream.blocks[-1]["len"]
+    monkeypatch.setattr(seqgen, "MAX_INTERVAL_BITS", size)
+    assert gen_recipe_c(k, v, stages=stages) == stream
+    monkeypatch.setattr(seqgen, "MAX_INTERVAL_BITS", size - 1)
+    with pytest.raises(ValidationError, match=f"^stage {stages} needs {size} bits"):
+        gen_recipe_c(k, v, stages=stages)
+
+
+def test_flag_free_count_matches_the_list():
+    for k in (4, 6, 9):
+        for n in range(13):
+            assert seqgen._count_no_long_ones(n, k) == len(seqgen._no_long_ones(n, k))
+
+
 def test_recipe_b_fallback_still_flag_free(monkeypatch):
     monkeypatch.setattr(seqgen, "SAMPLE_RETRIES", 0)
     stream = gen_recipe_b(9, stages=8, seed=1)
