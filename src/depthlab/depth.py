@@ -127,8 +127,12 @@ def parse_grid(text: str) -> list[int]:
             raise ValidationError(f"geometric factor must be finite, got {text!r}")
         if factor <= 1:
             raise ValidationError("geometric factor must be > 1")
-        # The loop below multiplies once per step until round(x) > b.
-        if math.log((b + 0.5) / a) / math.log(factor) > MAX_GRID_STEPS:
+        # The loop below multiplies a float once per step until round(x) > b.
+        try:
+            steps = math.log((b + 0.5) / a) / math.log(factor)
+        except OverflowError as exc:
+            raise ValidationError("geometric grid end is beyond float range") from exc
+        if steps > MAX_GRID_STEPS:
             raise ValidationError(
                 f"geometric factor {parts[2][1:]} needs over "
                 f"{MAX_GRID_STEPS} steps from {a} to {b}"

@@ -62,6 +62,7 @@ PDC_BLOCK = 6  # input bits per memoized block
 # matching phase, plus the new top that the closure after the block reads.
 PDC_WINDOW = PDC_BLOCK + 1
 COMPOSE_STATE_CEILING = 200_000  # most product states compose_pdc_fst builds
+ESCAPE_BITS_CEILING = 10**7  # most bits build_half_compressor's escape codes emit
 
 
 @dataclass(frozen=True)
@@ -550,7 +551,9 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
     (always the highest-numbered state).
 
     Output on R 1^k reverse(R) with flag-free R and m = 0 is
-    R 1^k 0^(|R|/v) when v divides |R|.
+    R 1^k 0^(|R|/v) when v divides |R|. A machine of over
+    COMPOSE_STATE_CEILING states, or whose escape codes emit over
+    ESCAPE_BITS_CEILING bits in all, is refused before any state is listed.
     """
     if k <= 8:
         raise ValidationError("need k > 8")
@@ -561,6 +564,19 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
         w *= k
     if w != v:
         raise ValidationError("v must be a positive power of k")
+    states = m + 3 * k + v + 5
+    if states > COMPOSE_STATE_CEILING:
+        raise ValidationError(
+            f"half-compressor({k},{v},{m}) has {states} states, "
+            f"over {COMPOSE_STATE_CEILING}"
+        )
+    # Two escapes 1^(3m+i) 0 b per matching state i = 1 .. v.
+    escape_bits = 2 * v * (3 * m + 2) + v * (v + 1)
+    if escape_bits > ESCAPE_BITS_CEILING:
+        raise ValidationError(
+            f"half-compressor({k},{v},{m}) escape codes emit {escape_bits} bits, "
+            f"over {ESCAPE_BITS_CEILING}"
+        )
 
     names: list[tuple] = []
     names.append(("count", 0))

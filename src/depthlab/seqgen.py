@@ -6,15 +6,15 @@ a short random string, on an interval schedule that doubles exponentially
 with flag-free R. Recipe C enumerates flag-free strings, palindromes
 first, then reversal-paired zones separated by growing flags.
 
-Every generator is a pure function of its recipe fields; equal fields give
-bit-identical streams.
+Each generator takes one `SequenceRecipe` and is a pure function of its
+fields; equal fields give bit-identical streams.
 """
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
-from dataclasses import dataclass
-from itertools import product
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .errors import ValidationError
@@ -48,8 +48,6 @@ class IntervalPartition:
     """
 
     lengths: tuple[int, ...]
-    mode: str
-    g: int = 0
     truncated: bool = False
 
 
@@ -85,7 +83,7 @@ def intervals(
             )
         lengths.append(nxt)
         total += nxt
-    return IntervalPartition(tuple(lengths), mode, g, truncated)
+    return IntervalPartition(tuple(lengths), truncated)
 
 
 @dataclass(frozen=True)
@@ -144,13 +142,14 @@ class GeneratedStream:
 class SequenceRecipe:
     """Deterministic description of one generated sequence.
 
-    kind "a": interval-schedule stream (uses growth/g/seed; exponential growth
-    is only feasible for a handful of stages). kind "b": flagged
-    reverse-pair stages (uses k/seed). kind "c": enumeration stream (uses
-    k/v). `stages` caps the stage count. `bit_budget`, when set, caps the
-    length by stages: recipe a stops before the first stage that would
-    cross it and sets `truncated`; recipes b and c finish the stage that
-    crosses it, so they can overshoot, and leave `truncated` False.
+    kind "a": interval-schedule stream (uses growth/g/seed/certify;
+    exponential growth is only feasible for a handful of stages). kind "b":
+    flagged reverse-pair stages (uses k/seed). kind "c": enumeration
+    stream (uses k/v). `stages` caps the stage count. `bit_budget`, when
+    set, caps the length by stages: recipe a stops before the first stage
+    that would cross it and sets `truncated`; recipes b and c finish the
+    stage that crosses it (`stops_before`), so they can overshoot, and
+    leave `truncated` False.
     """
 
     kind: str
@@ -164,29 +163,21 @@ class SequenceRecipe:
     certify: bool = False
 
     def generate(self) -> GeneratedStream:
-        if self.kind == "a":
-            return gen_recipe_a(
-                stages=self.stages,
-                growth=self.growth,
-                g=self.g,
-                seed=self.seed,
-                bit_budget=self.bit_budget,
-                certify=self.certify,
-            )
-        if self.kind == "b":
-            return gen_recipe_b(
-                self.k, stages=self.stages, seed=self.seed,
-                bit_budget=self.bit_budget,
-            )
-        if self.kind == "c":
-            return gen_recipe_c(
-                self.k, self.v, stages=self.stages, bit_budget=self.bit_budget
-            )
-        raise ValidationError(f"unknown recipe kind {self.kind!r}")
+        # Looked up per call, so a wrapper installed on a generator's module
+        # name sees every call.
+        gen = {"a": gen_recipe_a, "b": gen_recipe_b, "c": gen_recipe_c}.get(self.kind)
+        if gen is None:
+            raise ValidationError(f"unknown recipe kind {self.kind!r}")
+        return gen(self)
+
+    def stops_before(self, j: int, total: int) -> bool:
+        """The stage rule of recipes b and c: stop before stage j once j is
+        past `stages`, or once the `total` bits so far reach `bit_budget`."""
+        if self.stages is not None and j > self.stages:
+            return True
+        return self.bit_budget is not None and total >= self.bit_budget
 
     def fields(self) -> dict:
-        from dataclasses import asdict
-
         return asdict(self)
 
 
@@ -198,20 +189,15 @@ def devoted_k(j: int) -> int:
     return (j & -j).bit_length() - 1
 
 
-def gen_recipe_a(
-    stages: Optional[int] = None,
-    growth: str = SCALED_GROWTH,
-    g: int = 4,
-    seed: int = 0,
-    bit_budget: Optional[int] = None,
-    certify: bool = False,
-) -> GeneratedStream:
+def gen_recipe_a(recipe: SequenceRecipe) -> GeneratedStream:
     """Odd stages: fresh pseudorandom blocks (stand-ins for maximally
     incompressible strings). Even stage j repeats the block r_k for
     k = devoted_k(j); r_k has the length of interval 2^k, so it always
-    divides its stage evenly.
+    divides its stage evenly. The stages follow `intervals`, which stops
+    before the first one that would cross `bit_budget`.
     """
-    part = intervals(growth, count=stages, bit_budget=bit_budget, g=g)
+    growth, g, seed = recipe.growth, recipe.g, recipe.seed
+    part = intervals(growth, count=recipe.stages, bit_budget=recipe.bit_budget, g=g)
     rng = random.Random(_subseed(seed, "a", growth, g))
     rks: dict[int, str] = {}
     blocks: list[dict] = []
@@ -223,12 +209,9 @@ def gen_recipe_a(
         else:
             k = devoted_k(j)
             if k not in rks:
-                rk_len = part.lengths[2**k - 1] if 2**k <= len(part.lengths) else None
-                if rk_len is None:
-                    raise ValidationError(
-                        f"stage {j} needs interval {2 ** k} inside the schedule"
-                    )
-                certified = certify and 3 * k <= fscomplexity.ENUM_CEILING
+                # 2^k divides j, so interval 2^k <= j is in the schedule.
+                rk_len = part.lengths[2**k - 1]
+                certified = recipe.certify and 3 * k <= fscomplexity.ENUM_CEILING
                 mode = "certified" if certified else "surrogate"
                 rks[k], _cert = fs_random_string(rk_len, k, mode=mode, seed=seed)
             copies = size // len(rks[k])
@@ -248,12 +231,7 @@ def power_ceiling(k: int, n: int) -> int:
     return t
 
 
-def gen_recipe_b(
-    k: int,
-    stages: Optional[int] = None,
-    seed: int = 0,
-    bit_budget: Optional[int] = None,
-) -> GeneratedStream:
+def gen_recipe_b(recipe: SequenceRecipe) -> GeneratedStream:
     """Stages R_j 1^k reverse(R_j) with |R_j| = k * (smallest power of k
     that is >= j) and R_j free of any 1^k substring.
 
@@ -261,19 +239,16 @@ def gen_recipe_b(
     misses, every k-th bit of the draw is forced to 0 instead. A stage
     over MAX_INTERVAL_BITS bits is refused before it is drawn.
     """
-    if stages is None and bit_budget is None:
+    k = recipe.k
+    if recipe.stages is None and recipe.bit_budget is None:
         raise ValidationError("recipe b needs stages or a bit budget")
     if k <= 8:
         raise ValidationError("need k > 8")
     pieces: list[str] = []
     blocks: list[dict] = []
     total = 0
-    j = 0
-    while True:
-        j += 1
-        if stages is not None and j > stages:
-            break
-        if bit_budget is not None and total >= bit_budget:
+    for j in itertools.count(1):
+        if recipe.stops_before(j, total):
             break
         t = power_ceiling(k, j)
         rlen = k * t
@@ -282,7 +257,7 @@ def gen_recipe_b(
                 f"stage {j} needs {2 * rlen + k} bits, over {MAX_INTERVAL_BITS}"
             )
         flag = "1" * k
-        rng = random.Random(_subseed(seed, "b", k, j))
+        rng = random.Random(_subseed(recipe.seed, "b", k, j))
         fallback = False
         for attempt in range(SAMPLE_RETRIES + 1):
             r = random_bits(rng, rlen)
@@ -305,7 +280,8 @@ def gen_recipe_b(
 def _no_long_ones(n: int, k: int) -> list[str]:
     """All length-n strings with every run of 1s shorter than k, in
     lexicographic order."""
-    return [s for s in map("".join, product("01", repeat=n)) if "1" * k not in s]
+    strings = map("".join, itertools.product("01", repeat=n))
+    return [s for s in strings if "1" * k not in s]
 
 
 def _count_no_long_ones(n: int, k: int) -> int:
@@ -328,12 +304,7 @@ def _rotate_for_leading_zeros(xs: list[str]) -> list[str]:
     return xs
 
 
-def gen_recipe_c(
-    k: int,
-    v: int,
-    stages: Optional[int] = None,
-    bit_budget: Optional[int] = None,
-) -> GeneratedStream:
+def gen_recipe_c(recipe: SequenceRecipe) -> GeneratedStream:
     """Enumeration stream: all strings of each length below k, bridge
     flags 1^k .. 1^(2k-1), then per length n >= k the flag-free strings:
     palindromes first, a 1^f(n) flag, and v+1 reversal-paired zones.
@@ -344,28 +315,16 @@ def gen_recipe_c(
     zone is just its flag. A stage over MAX_INTERVAL_BITS bits is refused
     before any of its strings are listed.
     """
+    k, v = recipe.k, recipe.v
     if k < 4 or v < 1:
         raise ValidationError("need k >= 4 and v >= 1")
-    if stages is None and bit_budget is None:
+    if recipe.stages is None and recipe.bit_budget is None:
         raise ValidationError("need stages or a bit budget")
     pieces: list[str] = []
     blocks: list[dict] = []
     total = 0
-
-    def push(bitstr: str) -> None:
-        nonlocal total
-        pieces.append(bitstr)
-        total += len(bitstr)
-
-    def done(n: int) -> bool:
-        if stages is not None and n > stages:
-            return True
-        return bit_budget is not None and total >= bit_budget
-
-    n = 0
-    while True:
-        n += 1
-        if done(n):
+    for n in itertools.count(1):
+        if recipe.stops_before(n, total):
             break
         f_n = 2 * k + (n - k) * (v + 2)
         # A stage lists each of its strings once (a zone's mirrored tail
@@ -382,13 +341,15 @@ def gen_recipe_c(
             # Stage k - 1 passed the guard, so k <= 27 and the bridge
             # has at most 1,080 bits.
             bridge = "".join("1" * j for j in range(k, 2 * k))
-            push(bridge)
+            pieces.append(bridge)
+            total += len(bridge)
             blocks.append({"stage": n, "kind": "bridge", "len": len(bridge)})
         if n < k:
             stage = "".join(
                 format(i, f"0{n}b") for i in range(2**n)
             )
-            push(stage)
+            pieces.append(stage)
+            total += len(stage)
             blocks.append({"stage": n, "kind": "all-strings", "len": len(stage)})
             continue
         strings = _no_long_ones(n, k)
@@ -408,7 +369,8 @@ def gen_recipe_c(
             head = "".join(zone)
             stage_parts.append(head + "1" * (f_n + i) + head[::-1])
         stage = "".join(stage_parts)
-        push(stage)
+        pieces.append(stage)
+        total += len(stage)
         blocks.append(
             {
                 "stage": n,

@@ -20,6 +20,7 @@ from conftest import (
 )
 from depthlab import (
     FstSpec,
+    SequenceRecipe,
     build_half_compressor,
     check_parse,
     compose_pdc_fst,
@@ -29,8 +30,6 @@ from depthlab import (
     enum_fsts,
     fs_random_string,
     fst_run,
-    gen_recipe_b,
-    gen_recipe_c,
     identity_fst,
     identity_pdc,
     kfs_complexity,
@@ -186,7 +185,7 @@ def test_criterion_6_half_compressor_behavior():
     assert oracle_pdc_validate(*pdc_fields(C)) == []
     assert pdc_il_check(C, 12) is None
 
-    stream = gen_recipe_b(9, stages=24, seed=42)
+    stream = SequenceRecipe(kind="b", k=9, stages=24, seed=42).generate()
     bits = stream.bits
     assert len(bits) >= 2 * 10**4
 
@@ -222,7 +221,7 @@ def test_criterion_6_half_compressor_behavior():
 
 
 def test_criterion_7_recipe_c_lz_ratio():
-    stream = gen_recipe_c(6, 2, bit_budget=10**5)
+    stream = SequenceRecipe(kind="c", k=6, v=2, bit_budget=10**5).generate()
     assert len(stream.bits) >= 10**5
     table = compute_profile(
         stream.bits, [make_compressor("lz78")], parse_grid("10000:100000:10000")
@@ -268,8 +267,6 @@ def test_criterion_9_stack_height_irrelevance():
 
 
 def test_criterion_10_determinism(tmp_path):
-    from depthlab import SequenceRecipe
-
     recipes = [
         SequenceRecipe(kind="a", growth="scaled", g=4, stages=6, seed=9),
         SequenceRecipe(kind="b", k=9, stages=10, seed=9),

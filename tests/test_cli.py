@@ -323,6 +323,15 @@ MALFORMED = {
         ["profile", "--input", "{tmp}/s.bits", "--weak", "identity-pdc",
          "--strong", "half-compressor(9,x,0)", "--grid", "1:4:1"], None, 2,
     ),
+    **{
+        f"half-compressor-over-{bound}-ceiling": (
+            {"s.bits": "0110"},
+            ["ratio", "--input", "{tmp}/s.bits", "--compressor", name,
+             "--grid", "1:4:1"], None, 2,
+        )
+        for bound, name in (("state", "half-compressor(9,43046721,0)"),
+                            ("escape-bits", "half-compressor(9,6561,0)"))
+    },
     "non-integer-seed": (
         {},
         ["generate", "--recipe", "b", "--k", "9", "--stages", "2",
@@ -356,6 +365,15 @@ MALFORMED = {
         ["ratio", "--input", "{tmp}/s.bits", "--compressor", "lz78",
          "--grid", "1:1000001:1"], None, 2,
     ),
+    **{
+        f"grid-geometric-{name}-beyond-float": (
+            {"s.bits": "0110"},
+            ["ratio", "--input", "{tmp}/s.bits", "--compressor", "lz78",
+             "--grid", grid], None, 2,
+        )
+        for name, grid in (("end", f"1:{10**400}:x2"),
+                           ("start", f"{10**400}:{10**401}:x2"))
+    },
     **{
         f"{cmd}-exponential-stage-4": (
             {}, [cmd, "--recipe", "a", "--growth", "exponential", "--stages", "4",

@@ -153,11 +153,11 @@ def test_profile_csv_roundtrip_and_check():
 
 
 def test_desk_scale_profile_examples():
-    from depthlab import gen_recipe_b, gen_recipe_c
+    from depthlab import SequenceRecipe
 
     # Weak identity vs the palindrome-zone compressor on its home stream:
     # the tail gap sits near one half.
-    b = gen_recipe_b(9, stages=20, seed=6).bits
+    b = SequenceRecipe(kind="b", k=9, stages=20, seed=6).generate().bits
     prof = compute_profile(
         b,
         [make_compressor("identity-pdc"), make_compressor("half-compressor(9,9,0)")],
@@ -168,7 +168,7 @@ def test_desk_scale_profile_examples():
     assert hi <= 0.5 + 1 / 9 + 0.05
 
     # LZ78 gains nothing over identity on the enumeration stream.
-    c = gen_recipe_c(6, 2, bit_budget=2 * 10**4).bits
+    c = SequenceRecipe(kind="c", k=6, v=2, bit_budget=2 * 10**4).generate().bits
     prof = compute_profile(
         c,
         [make_compressor("identity-fst"), make_compressor("lz78")],

@@ -15,13 +15,12 @@ from conftest import (
 )
 from depthlab import (
     PdcSpec,
+    SequenceRecipe,
     StuckError,
     build_half_compressor,
     compose_pdc_fst,
     compute_profile,
     fst_run,
-    gen_recipe_a,
-    gen_recipe_b,
     identity_fst,
     identity_pdc,
     lz_encode,
@@ -146,7 +145,7 @@ def test_stuck_after_first_point_reports_absolute_position():
 
 
 def test_recipe_streams_match_batch():
-    b = gen_recipe_b(9, stages=6, seed=3).bits
+    b = SequenceRecipe(kind="b", k=9, stages=6, seed=3).generate().bits
     grid = list(range(len(b) + 40, 0, -37)) + [50, 50]
     half = fresh_pdc(build_half_compressor(9, 9, 0))
     pairs = [
@@ -155,7 +154,7 @@ def test_recipe_streams_match_batch():
     ]
     assert_matches_batch(b, pairs, grid)
 
-    a = gen_recipe_a(stages=5, seed=3).bits
+    a = SequenceRecipe(kind="a", stages=5, seed=3).generate().bits
     grid = list(range(len(a) + 40, 0, -29)) + [29]
     pairs = [
         (make_compressor("identity-fst"), fresh_fst(identity_fst())),
@@ -167,7 +166,7 @@ def test_recipe_streams_match_batch():
 def test_every_prefix_length_costs_one_pass(monkeypatch):
     # The paper's liminf/limsup range over every n; a step-1 grid must still
     # push each bit through each compressor exactly once.
-    bits = gen_recipe_b(9, stages=14, seed=7).bits
+    bits = SequenceRecipe(kind="b", k=9, stages=14, seed=7).generate().bits
     assert len(bits) >= 5000
     fed = []
     steps = pushdown._steps

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import time
 from collections import Counter
 from itertools import product
 
@@ -21,13 +22,13 @@ from conftest import (
 )
 from depthlab import (
     PdcSpec,
+    SequenceRecipe,
     StuckError,
     ValidationError,
     build_half_compressor,
     compose_pdc_fst,
     format_pdc,
     fst_run,
-    gen_recipe_b,
     identity_fst,
     identity_pdc,
     parse_pdc,
@@ -476,6 +477,40 @@ def test_half_compressor_parameter_checks():
         build_half_compressor(9, 9, -1)
 
 
+@pytest.mark.parametrize("k, v, m", [(9, 9, 0), (9, 9, 3), (9, 729, 0), (10, 100, 2)])
+def test_half_compressor_size_is_known_before_building(monkeypatch, k, v, m):
+    C = build_half_compressor(k, v, m)
+    # The escapes are the moves into the error state, the highest-numbered.
+    error = C.num_states
+    escape_bits = sum(
+        len(e) for (q, _, _), (tgt, _, e) in C.moves.items() if tgt == error != q
+    )
+    assert C.num_states == m + 3 * k + v + 5
+    assert escape_bits == 2 * v * (3 * m + 2) + v * (v + 1)
+    # Both bounds are exact: a machine at the ceiling builds, one over it
+    # is refused.
+    monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", C.num_states)
+    monkeypatch.setattr(pushdown, "ESCAPE_BITS_CEILING", escape_bits)
+    assert build_half_compressor(k, v, m) == C
+    monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", C.num_states - 1)
+    with pytest.raises(ValidationError, match=f"has {C.num_states} states, over"):
+        build_half_compressor(k, v, m)
+    monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", C.num_states)
+    monkeypatch.setattr(pushdown, "ESCAPE_BITS_CEILING", escape_bits - 1)
+    with pytest.raises(ValidationError, match=f"emit {escape_bits} bits, over"):
+        build_half_compressor(k, v, m)
+
+
+def test_half_compressor_refuses_an_oversized_machine_before_listing_it():
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match=r"^half-compressor\(9,43046721,0\) has"):
+        build_half_compressor(9, 9**8, 0)
+    # 43,079,526 escape bits; with 6,565 states it is under the state ceiling.
+    with pytest.raises(ValidationError, match="^half-compressor.* emit 43079526 bits"):
+        build_half_compressor(9, 9**4, 0)
+    assert time.perf_counter() - start < 1.0
+
+
 def test_half_compressor_counts_prefix():
     C = build_half_compressor(9, 9, 3)
     R = "101101101"
@@ -692,7 +727,10 @@ def test_block_memo_stays_under_its_cap(monkeypatch):
     rng = random.Random(19)
     cases = [
         (N, "".join(rng.choice("01") for _ in range(20_000))),
-        (build_half_compressor(9, 9, 0), gen_recipe_b(9, stages=12, seed=4).bits),
+        (
+            build_half_compressor(9, 9, 0),
+            SequenceRecipe(kind="b", k=9, stages=12, seed=4).generate().bits,
+        ),
     ]
     for C, x in cases:
         want = oracle_pdc_run(C, x)
@@ -776,7 +814,7 @@ def test_matching_phase_runs_in_blocks(monkeypatch):
     # Measured share of bits stepped one at a time, replays included:
     # 7,236 of 107,019 (6.8 %) on a cold memo, 240 (0.2 %) on a warm one;
     # 54 % when popping blocks ran bit by bit.
-    bits = gen_recipe_b(9, stages=81, seed=1).bits
+    bits = SequenceRecipe(kind="b", k=9, stages=81, seed=1).generate().bits
     stepped = []
     bit_steps = pushdown._bit_steps
 
@@ -798,7 +836,7 @@ def test_profile_keeps_block_alignment_across_grid_points():
     # A grid step that is not a multiple of PDC_BLOCK: if each segment
     # started its own blocks, the profile would memoize 2.9 times the
     # entries of one run over the stream.
-    bits = gen_recipe_b(9, stages=81, seed=1).bits
+    bits = SequenceRecipe(kind="b", k=9, stages=81, seed=1).generate().bits
     assert 1000 % PDC_BLOCK
     points = list(range(1000, len(bits) + 1, 1000))
     single, profiled = build_half_compressor(9, 9, 0), build_half_compressor(9, 9, 0)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from dataclasses import replace
 
@@ -70,7 +72,7 @@ def test_power_ceiling():
 
 
 def test_recipe_a_structure():
-    stream = gen_recipe_a(stages=6, growth="scaled", g=4, seed=7)
+    stream = gen_recipe_a(SequenceRecipe(kind="a", stages=6, g=4, seed=7))
     lengths = [4, 16, 64, 256, 1024, 4096]
     assert len(stream.bits) == sum(lengths)
     kinds = [b["kind"] for b in stream.blocks]
@@ -86,7 +88,8 @@ def test_recipe_a_structure():
 
 
 def test_recipe_a_exponential_mode_truncates():
-    stream = gen_recipe_a(growth="exponential", bit_budget=10**6, seed=1)
+    recipe = SequenceRecipe(kind="a", growth="exponential", bit_budget=10**6, seed=1)
+    stream = gen_recipe_a(recipe)
     assert stream.truncated
     assert len(stream.bits) == 70
     # Stage 2 is one copy of the 4-bit repeat block.
@@ -122,7 +125,7 @@ def test_bit_budget_stage_rules(recipe, length, truncated):
 
 
 def test_recipe_a_random_blocks_look_incompressible():
-    stream = gen_recipe_a(stages=6, growth="scaled", g=4, seed=3)
+    stream = gen_recipe_a(SequenceRecipe(kind="a", stages=6, g=4, seed=3))
     block = stream.bits[-4096:]  # stage 6 is devoted; take stage 5 instead
     start = 4 + 16 + 64 + 256
     block = stream.bits[start : start + 1024]
@@ -172,12 +175,12 @@ def test_certified_mode_reads_the_enumeration_ceiling_when_called(monkeypatch):
 
     monkeypatch.setattr(seqgen, "fs_random_string", spy)
     monkeypatch.setattr(fscomplexity, "ENUM_CEILING", 3)
-    gen_recipe_a(stages=4, certify=True)
+    gen_recipe_a(SequenceRecipe(kind="a", stages=4, certify=True))
     assert modes == [(1, "certified"), (2, "surrogate")]
 
 
 def test_recipe_b_structure():
-    stream = gen_recipe_b(9, stages=12, seed=2)
+    stream = gen_recipe_b(SequenceRecipe(kind="b", k=9, stages=12, seed=2))
     pos = 0
     for blk in stream.blocks:
         j, rlen = blk["stage"], blk["len_r"]
@@ -193,23 +196,24 @@ def test_recipe_b_structure():
 
 def test_recipe_b_rejects_small_k():
     with pytest.raises(ValidationError):
-        gen_recipe_b(8, stages=2)
+        gen_recipe_b(SequenceRecipe(kind="b", k=8, stages=2))
 
 
 def test_recipe_b_needs_stages_or_a_bit_budget():
     # Without either, the stage loop would never end.
     with pytest.raises(ValidationError, match="^recipe b needs stages or a bit budget$"):
-        gen_recipe_b(9)
+        gen_recipe_b(SequenceRecipe(kind="b", k=9))
 
 
 def test_recipe_b_refuses_an_oversized_stage():
     # Stage 1 has 3 * 10^5 bits; stage 2 would need 2 * 10^10 + 10^5.
     with pytest.raises(ValidationError, match=f"^stage 2 needs {2 * 10**10 + 10**5} bits"):
-        gen_recipe_b(10**5, stages=2)
+        gen_recipe_b(SequenceRecipe(kind="b", k=10**5, stages=2))
     # A budget that ends the stream first never reaches the check.
-    assert len(gen_recipe_b(10**5, stages=2, bit_budget=1000).bits) == 3 * 10**5
+    cut = SequenceRecipe(kind="b", k=10**5, stages=2, bit_budget=1000)
+    assert len(gen_recipe_b(cut).bits) == 3 * 10**5
     with pytest.raises(ValidationError, match="^stage 1 needs"):
-        gen_recipe_b(3 * 10**9, stages=1)
+        gen_recipe_b(SequenceRecipe(kind="b", k=3 * 10**9, stages=1))
 
 
 def test_recipe_c_refuses_an_oversized_stage(monkeypatch):
@@ -225,20 +229,21 @@ def test_recipe_c_refuses_an_oversized_stage(monkeypatch):
     with pytest.raises(
         ValidationError, match=f"^stage 4 needs 5000950077 bits, over {2**31 - 1}$"
     ):
-        gen_recipe_c(4, 10**5, stages=4)
+        gen_recipe_c(SequenceRecipe(kind="c", k=4, v=10**5, stages=4))
 
 
 @pytest.mark.parametrize("k, v, stages", [(5, 2, 7), (6, 2, 5), (4, 3, 4)])
 def test_recipe_c_stage_guard_is_exact(monkeypatch, k, v, stages):
     # A zone stage, an all-strings stage (n < k) and the first zone stage
     # right after the bridge.
-    stream = gen_recipe_c(k, v, stages=stages)
+    recipe = SequenceRecipe(kind="c", k=k, v=v, stages=stages)
+    stream = gen_recipe_c(recipe)
     size = stream.blocks[-1]["len"]
     monkeypatch.setattr(seqgen, "MAX_INTERVAL_BITS", size)
-    assert gen_recipe_c(k, v, stages=stages) == stream
+    assert gen_recipe_c(recipe) == stream
     monkeypatch.setattr(seqgen, "MAX_INTERVAL_BITS", size - 1)
     with pytest.raises(ValidationError, match=f"^stage {stages} needs {size} bits"):
-        gen_recipe_c(k, v, stages=stages)
+        gen_recipe_c(recipe)
 
 
 def test_flag_free_count_matches_the_list():
@@ -249,7 +254,7 @@ def test_flag_free_count_matches_the_list():
 
 def test_recipe_b_fallback_still_flag_free(monkeypatch):
     monkeypatch.setattr(seqgen, "SAMPLE_RETRIES", 0)
-    stream = gen_recipe_b(9, stages=8, seed=1)
+    stream = gen_recipe_b(SequenceRecipe(kind="b", k=9, stages=8, seed=1))
     assert any(b["fallback"] for b in stream.blocks)
     pos = 0
     for blk in stream.blocks:
@@ -289,7 +294,7 @@ def test_recipe_c_set_sizes():
 
 
 def test_recipe_c_preamble_and_bridge():
-    stream = gen_recipe_c(6, 2, stages=6)
+    stream = gen_recipe_c(SequenceRecipe(kind="c", k=6, v=2, stages=6))
     preamble = "".join(
         "".join(format(i, f"0{n}b") for i in range(2**n)) for n in range(1, 6)
     )
@@ -299,7 +304,7 @@ def test_recipe_c_preamble_and_bridge():
 
 def test_recipe_c_stage_structure():
     k, v = 6, 2
-    stream = gen_recipe_c(k, v, stages=9)
+    stream = gen_recipe_c(SequenceRecipe(kind="c", k=k, v=v, stages=9))
     zone_blocks = [b for b in stream.blocks if b["kind"] == "zones"]
     offset = sum(b["len"] for b in stream.blocks if b["kind"] != "zones")
     # Verify the last zone stage against an independent reconstruction.
@@ -343,7 +348,7 @@ def test_zone_rotation_prefers_zero_boundaries():
 def test_recipe_c_empty_remainder_zone_is_bare_flag():
     # Stage n = k has few pairs; with a huge v every regular zone is empty
     # and the remainder zone may be too, leaving bare flags.
-    stream = gen_recipe_c(4, 50, stages=4)
+    stream = gen_recipe_c(SequenceRecipe(kind="c", k=4, v=50, stages=4))
     blk = stream.blocks[-1]
     assert blk["kind"] == "zones"
     assert any(size == 0 for size in blk["zone_sizes"])
@@ -353,8 +358,66 @@ def test_recipe_c_determinism_and_args():
     r = SequenceRecipe(kind="c", k=6, v=2, stages=8)
     assert r.generate().sha256() == r.generate().sha256()
     with pytest.raises(ValidationError):
-        gen_recipe_c(3, 2, stages=5)
+        gen_recipe_c(SequenceRecipe(kind="c", k=3, v=2, stages=5))
     with pytest.raises(ValidationError):
-        gen_recipe_c(6, 0, stages=5)
+        gen_recipe_c(SequenceRecipe(kind="c", k=6, v=0, stages=5))
     with pytest.raises(ValidationError):
-        gen_recipe_c(6, 2)
+        gen_recipe_c(SequenceRecipe(kind="c", k=6, v=2))
+
+
+# Every recipe shape the generators read, with the stage rule's edges:
+# budgets 27 and 198 (k = 9) and 258 (c(6,2)) end exactly on a stage, and
+# the last ten are refused.
+PINNED_RECIPES = [
+    SequenceRecipe(kind="a", g=g, stages=stages, seed=seed)
+    for g in (3, 4)
+    for stages in range(1, 9)
+    for seed in (0, 1, 7)
+] + [
+    SequenceRecipe(kind="a", growth="exponential", bit_budget=10**6, seed=1),
+    SequenceRecipe(kind="a", bit_budget=100),
+    SequenceRecipe(kind="a", stages=6, certify=True, seed=5),
+    SequenceRecipe(kind="b", k=9, stages=6, seed=3),
+    SequenceRecipe(kind="b", k=10, stages=4, seed=1),
+    SequenceRecipe(kind="b", k=9, bit_budget=27),
+    SequenceRecipe(kind="b", k=9, bit_budget=198),
+    SequenceRecipe(kind="b", k=10, bit_budget=1000, seed=2),
+    SequenceRecipe(kind="b", k=9, stages=3, bit_budget=10**4, seed=4),
+    SequenceRecipe(kind="b", k=10, stages=9, bit_budget=300, seed=4),
+    SequenceRecipe(kind="c", k=4, v=1, stages=6),
+    SequenceRecipe(kind="c", k=6, v=2, stages=9),
+    SequenceRecipe(kind="c", k=5, v=3, stages=8),
+    SequenceRecipe(kind="c", k=4, v=50, stages=4),
+    SequenceRecipe(kind="c", k=6, v=2, bit_budget=100),
+    SequenceRecipe(kind="c", k=6, v=2, bit_budget=258),
+    SequenceRecipe(kind="c", k=4, v=1, stages=9, bit_budget=143),
+    SequenceRecipe(kind="b", k=8, stages=2),
+    SequenceRecipe(kind="b", k=9),
+    SequenceRecipe(kind="b", k=10**5, stages=2),
+    SequenceRecipe(kind="c", k=3, v=2, stages=5),
+    SequenceRecipe(kind="c", k=6, v=0, stages=5),
+    SequenceRecipe(kind="c", k=6, v=2),
+    SequenceRecipe(kind="z"),
+    SequenceRecipe(kind="a", growth="exponential", stages=4),
+    SequenceRecipe(kind="a", growth="nope", stages=2),
+    SequenceRecipe(kind="a", g=1, stages=2),
+]
+
+
+def test_recipe_outputs_are_pinned():
+    # One hash over each recipe's fields and its stream, blocks and cut, or
+    # its error text. Any change to what a recipe generates or refuses
+    # changes it.
+    h = hashlib.sha256()
+    for recipe in PINNED_RECIPES:
+        h.update(json.dumps(recipe.fields(), sort_keys=True).encode())
+        try:
+            s = recipe.generate()
+        except ValidationError as exc:
+            h.update(f"error: {exc}".encode())
+        else:
+            h.update(json.dumps([s.bits, list(s.blocks), s.truncated]).encode())
+    assert len(PINNED_RECIPES) == 75
+    assert h.hexdigest() == (
+        "726454b96fbee9565edf012ed1ada629ff5f45c9a0e631fdc5ee40fc2f365e39"
+    )
