@@ -35,10 +35,8 @@ from .fst import (
     FstSpec,
     RunResult,
     format_fst,
-    fst_compose,
     fst_run,
     identity_fst,
-    il_check,
     parse_fst,
     repeater_fst,
 )
@@ -57,11 +55,14 @@ from .pushdown import (
     build_half_compressor,
     compose_pdc_fst,
     format_pdc,
+    fst_compose,
     identity_pdc,
+    il_check,
     parse_pdc,
     pdc_il_check,
     pdc_run,
     pdc_validate,
+    stack_free,
 )
 from .seqgen import (
     Certificate,

@@ -24,8 +24,8 @@ from . import depth, lz78, seqgen
 from .codec import decode_fst, encode_fst
 from .errors import StuckError, ValidationError
 from .fscomplexity import kfs_complexity
-from .fst import FstSpec, fst_compose, fst_run, parse_fst, format_fst
-from .pushdown import compose_pdc_fst, parse_pdc, format_pdc, pdc_run
+from .fst import FstSpec, fst_run, parse_fst, format_fst
+from .pushdown import compose_pdc_fst, fst_compose, parse_pdc, format_pdc, pdc_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_STUCK = 0, 1, 2, 3
 
@@ -141,8 +141,10 @@ def cmd_profile(args) -> int:
     _write_out(args, table.to_csv())
     lo, hi = table.tail_bracket(args.tail)
     value = "ratio" if len(comps) == 1 else "gap/n"
+    usable = sum(None not in counts for _, counts, _ in table.rows)
+    rows = "grid" if usable == len(table.rows) else f"the {usable} usable rows"
     print(
-        f"tail {value} over last {args.tail:.0%} of grid: "
+        f"tail {value} over last {args.tail:.0%} of {rows}: "
         f"min {lo:.6f}, max {hi:.6f}",
         file=sys.stderr,
     )

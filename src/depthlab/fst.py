@@ -54,12 +54,12 @@ class FstSpec:
         if len(self.moves) != 2 * m or any(
             (q, b) not in self.moves for q in range(1, m + 1) for b in BITS
         ):
-            raise ValidationError("next/out must be total on states x bits")
-        for key, (tgt, _) in self.moves.items():
-            if not 1 <= tgt <= m:
-                raise ValidationError(f"next{key} -> {tgt} out of range 1..{m}")
+            raise ValidationError("moves must be total on states x bits")
+        for key, (t, _) in self.moves.items():
+            if not 1 <= t <= m:
+                raise ValidationError(f"target state {t} out of range 1..{m} in {key}")
         for key, (_, e) in self.moves.items():
-            check_bits(e, f"out{key}")
+            check_bits(e, f"emission {key}")
 
     def max_emission(self) -> int:
         return max(len(e) for _, e in self.moves.values())
@@ -110,55 +110,6 @@ def fst_lengths(T: FstSpec, bits: str, points: Sequence[int]) -> Iterator[int]:
         run = fst_run(T, bits[prev:n], start=q)
         q, total, prev = run.final_state, total + len(run.output), n
         yield total
-
-
-def il_check(T: FstSpec, L: int) -> Optional[tuple[str, str]]:
-    """Bounded information-losslessness check.
-
-    Returns None when x -> (output, final state) is injective over all
-    inputs with |x| <= L, else the first colliding pair found in
-    breadth-first order.
-    """
-    if L < 1:
-        raise ValidationError("L must be >= 1")
-    seen: dict[tuple[str, int], str] = {("", T.start): ""}
-    frontier = [("", T.start, "")]
-    for _ in range(L):
-        nxt = []
-        for x, q, outp in frontier:
-            for b in BITS:
-                q2, e = T.moves[(q, b)]
-                x2, out2 = x + b, outp + e
-                key = (out2, q2)
-                if key in seen:
-                    return (seen[key], x2)
-                seen[key] = x2
-                nxt.append((x2, q2, out2))
-        frontier = nxt
-    return None
-
-
-def fst_compose(A: FstSpec, B: FstSpec) -> FstSpec:
-    """Machine computing x -> A(B(x)).
-
-    Product states are (state of A after consuming B's emission so far,
-    state of B); unreachable products are pruned and states renumbered in
-    discovery order.
-    """
-    start = (A.start, B.start)
-    index = {start: 1}
-    order = [start]
-    moves: dict[tuple[int, str], tuple[int, str]] = {}
-    for i, (qa, qb) in enumerate(order, start=1):  # sees what is appended
-        for b in BITS:
-            tgt, e = B.moves[(qb, b)]
-            ra = fst_run(A, e, start=qa)
-            pair = (ra.final_state, tgt)
-            if pair not in index:
-                index[pair] = len(order) + 1
-                order.append(pair)
-            moves[(i, b)] = (index[pair], ra.output)
-    return FstSpec(len(order), 1, moves)
 
 
 # Common machines, also exposed as CLI builtins.

@@ -49,7 +49,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import BITS, BLOCK_MEMO_CAP, FstSpec
+from .fst import BITS, BLOCK_MEMO_CAP, FstSpec, identity_fst
 
 Z0 = "z"
 LAMBDA = ""
@@ -452,9 +452,21 @@ def pdc_il_check(C: PdcSpec, L: int) -> Optional[tuple[str, str]]:
     return None
 
 
+def stack_free(T: FstSpec) -> PdcSpec:
+    """T as a unary-stack compressor whose move on (q, b, z) re-pushes z
+    and emits what T's move on (q, b) emits: it never uses its stack."""
+    moves = {(q, b, Z0): (tgt, Z0, e) for (q, b), (tgt, e) in T.moves.items()}
+    return PdcSpec(T.num_states, T.start, "unary", moves, 0)
+
+
 def identity_pdc() -> PdcSpec:
     """Unary-stack machine that copies its input and ignores the stack."""
-    return PdcSpec(1, 1, "unary", {(1, b, Z0): (1, Z0, b) for b in BITS}, 0)
+    return stack_free(identity_fst())
+
+
+def il_check(T: FstSpec, L: int) -> Optional[tuple[str, str]]:
+    """`pdc_il_check` of the transducer T, run as `stack_free(T)`."""
+    return pdc_il_check(stack_free(T), L)
 
 
 def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
@@ -538,6 +550,15 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
                 qc2, push, outbits = got
                 moves[(idx, b, a)] = (ref((qc2, qt2, "")), push, outbits)
     return PdcSpec(len(order), start, C.stack_kind, moves, cap)
+
+
+def fst_compose(A: FstSpec, B: FstSpec) -> FstSpec:
+    """x -> A(B(x)): `compose_pdc_fst(stack_free(A), B)` read through its
+    moves on z. Those on the unary symbol (from empty emissions) are never
+    reached, and a stack-free A never underflows, so none is input-free."""
+    N = compose_pdc_fst(stack_free(A), B)
+    moves = {k[:2]: (tgt, e) for k, (tgt, _, e) in N.moves.items() if k[2] == Z0}
+    return FstSpec(N.num_states, N.start, moves)
 
 
 def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:

@@ -251,6 +251,62 @@ def oracle_fst_run(T: FstSpec, x: str, start=None) -> RunResult:
     return RunResult("".join(pieces), q)
 
 
+def oracle_il_check(T: FstSpec, L: int) -> Optional[tuple[str, str]]:
+    """Oracle for il_check: the transducer-only breadth-first search.
+
+    Returns None when x -> (output, final state) is injective over all
+    inputs with |x| <= L, else the first colliding pair found in
+    breadth-first order.
+    """
+    if L < 1:
+        raise ValidationError("L must be >= 1")
+    seen: dict[tuple[str, int], str] = {("", T.start): ""}
+    frontier = [("", T.start, "")]
+    for _ in range(L):
+        nxt = []
+        for x, q, outp in frontier:
+            for b in BITS:
+                q2, e = T.moves[(q, b)]
+                x2, out2 = x + b, outp + e
+                key = (out2, q2)
+                if key in seen:
+                    return (seen[key], x2)
+                seen[key] = x2
+                nxt.append((x2, q2, out2))
+        frontier = nxt
+    return None
+
+
+def oracle_fst_compose(A: FstSpec, B: FstSpec) -> FstSpec:
+    """Oracle for fst_compose: the transducer-only product construction.
+
+    Product states are (state of A after consuming B's emission so far,
+    state of B); unreachable products are pruned and states renumbered in
+    discovery order.
+    """
+    start = (A.start, B.start)
+    index = {start: 1}
+    order = [start]
+    moves: dict[tuple[int, str], tuple[int, str]] = {}
+    for i, (qa, qb) in enumerate(order, start=1):  # sees what is appended
+        for b in BITS:
+            tgt, e = B.moves[(qb, b)]
+            ra = fst_run(A, e, start=qa)
+            pair = (ra.final_state, tgt)
+            if pair not in index:
+                index[pair] = len(order) + 1
+                order.append(pair)
+            moves[(i, b)] = (index[pair], ra.output)
+    return FstSpec(len(order), 1, moves)
+
+
+def counter_fst(n: int) -> FstSpec:
+    """n states in a cycle, one step per input bit, each bit copied: its
+    product with a counter of coprime length reaches every state pair."""
+    moves = {(q, b): (q % n + 1, b) for q in range(1, n + 1) for b in BITS}
+    return FstSpec(n, 1, moves)
+
+
 def oracle_closure(C: PdcSpec, q: int, stack: str) -> tuple[int, str]:
     """Oracle for the engine's input-free closure, on a top-first string
     stack that is copied at every move."""

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_pdc, chain_pdc_text
+from conftest import chain_pdc, chain_pdc_text, counter_fst
 from depthlab import (
     cli,
     format_fst,
@@ -22,6 +22,7 @@ from depthlab import (
     identity_pdc,
     lz_encode,
     lz_parse,
+    pushdown,
     random_bits,
 )
 from depthlab.cli import main
@@ -155,7 +156,7 @@ PINNED = {
         "6,3,0.500000\n"
         f"# n=9 flagged: {PIN_STUCK}\n"
         "# n=12 flagged: prefix beyond sequence end\n",
-        "tail ratio over last 100% of grid: min 0.500000, max 0.666667\n",
+        "tail ratio over last 100% of the 2 usable rows: min 0.500000, max 0.666667\n",
     ),
     "profile": (
         ["--weak", "identity-fst", "--strong", "half.pdc"],
@@ -164,7 +165,7 @@ PINNED = {
         "6,6,3,3,0.500000\n"
         f"# n=9 flagged: {PIN_STUCK}\n"
         "# n=12 flagged: prefix beyond sequence end\n",
-        "tail gap/n over last 50% of grid: min 0.500000, max 0.500000\n",
+        "tail gap/n over last 50% of the 2 usable rows: min 0.500000, max 0.500000\n",
     ),
 }
 
@@ -177,6 +178,23 @@ def test_table_bytes_are_pinned(tmp_path, monkeypatch, capsys, cmd):
     flags, stdout, stderr = PINNED[cmd]
     assert main([cmd, "--input", "s.bits", *flags, "--grid", "3:12:3"]) == 0
     assert capsys.readouterr() == (stdout, stderr)
+
+
+def test_summary_names_the_usable_rows(tmp_path, capsys):
+    # Rows 5..100 lie beyond the 4-bit stream, so the bracket covers the
+    # last half of rows 1..4, and the label says so.
+    seq = tmp_path / "s.bits"
+    seq.write_text("0110")
+    args = ["ratio", "--input", str(seq), "--compressor", "lz78"]
+    assert main([*args, "--grid", "1:100:1"]) == 0
+    assert capsys.readouterr().err == (
+        "tail ratio over last 50% of the 4 usable rows: "
+        "min 1.500000, max 1.666667\n"
+    )
+    assert main([*args, "--grid", "1:4:1"]) == 0
+    assert capsys.readouterr().err == (
+        "tail ratio over last 50% of grid: min 1.500000, max 1.666667\n"
+    )
 
 
 def test_kfs_ratio_flags_unreachable_prefixes(tmp_path, capsys):
@@ -296,6 +314,15 @@ def test_compose_command(tmp_path, capsys):
     outer_pdc.write_text(format_pdc(identity_pdc()))
     assert main(["compose", "--outer", str(outer_pdc), "--inner", str(inner)]) == 0
     assert capsys.readouterr().out.startswith("pdc 1 1 unary")
+
+
+def test_compose_over_the_state_ceiling_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", 10)
+    (tmp_path / "a.fst").write_text(format_fst(counter_fst(4)))
+    (tmp_path / "b.fst").write_text(format_fst(counter_fst(3)))
+    args = ["compose", "--outer", f"{tmp_path}/a.fst", "--inner", f"{tmp_path}/b.fst"]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", "error: composition exceeds state ceiling 10\n")
 
 
 def test_missing_file_exit_2(capsys):

@@ -6,18 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_fst_run, random_fst, silent_fst
+from conftest import (
+    counter_fst,
+    oracle_fst_compose,
+    oracle_fst_run,
+    oracle_il_check,
+    random_fst,
+    silent_fst,
+)
 from depthlab import (
     FstSpec,
     ValidationError,
+    enum_fsts,
     format_fst,
     fst,
     fst_compose,
     fst_run,
     identity_fst,
+    identity_pdc,
     il_check,
     parse_fst,
+    pdc_run,
+    pushdown,
     repeater_fst,
+    stack_free,
 )
 from depthlab.fst import BITS
 
@@ -80,7 +92,7 @@ def test_spec_validation():
         FstSpec(1, 1, {(1, "0"): (1, "x"), (1, "1"): (1, "")})
     # A two-move table under a 10^12-state header fails on the count alone,
     # and the right count with a stray key is still not total.
-    total = "^next/out must be total on states x bits$"
+    total = "^moves must be total on states x bits$"
     with pytest.raises(ValidationError, match=total):
         FstSpec(10**12, 1, {(1, "0"): (1, ""), (1, "1"): (1, "")})
     with pytest.raises(ValidationError, match=total):
@@ -146,6 +158,53 @@ def test_compose_matches_direct_simulation():
         for x in all_inputs(8):
             want = fst_run(A, fst_run(B, x).output).output
             assert fst_run(AB, x).output == want
+
+
+def test_compose_matches_oracle_bytes():
+    # Random pairs of up to 4 states with emissions of 0..3 bits: the
+    # product read back from compose_pdc_fst is the transducer product,
+    # numbered in the same discovery order.
+    rng = random.Random(20)
+    for _ in range(2000):
+        A = random_fst(rng, max_states=4, max_emit=3)
+        B = random_fst(rng, max_states=4, max_emit=3)
+        assert format_fst(fst_compose(A, B)) == format_fst(oracle_fst_compose(A, B))
+
+
+def test_il_check_matches_oracle():
+    rng = random.Random(21)
+    machines = [silent_fst(), repeater_fst("10"), identity_fst()]
+    machines += [random_fst(rng, max_states=4, max_emit=3) for _ in range(60)]
+    for T in machines:
+        for L in range(1, 9):
+            assert il_check(T, L) == oracle_il_check(T, L)
+    with pytest.raises(ValidationError, match="^L must be >= 1$"):
+        il_check(identity_fst(), 0)
+
+
+def test_identity_pdc_is_stack_free_identity():
+    assert identity_pdc() == stack_free(identity_fst())
+
+
+def test_stack_free_runs_as_the_transducer():
+    rng = random.Random(22)
+    for _, T in enum_fsts(14).entries:
+        C = stack_free(T)
+        for _ in range(8):
+            x = "".join(rng.choice(BITS) for _ in range(rng.randint(0, 20)))
+            want = fst_run(T, x)
+            got = pdc_run(C, x)
+            assert (got.output, got.final_state) == (want.output, want.final_state)
+            assert got.final_stack == pushdown.Z0
+
+
+def test_compose_shares_the_state_ceiling(monkeypatch):
+    # Coprime counters reach all 4 * 3 = 12 state pairs.
+    assert fst_compose(counter_fst(4), counter_fst(3)).num_states == 12
+    monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", 10)
+    ceiling = "^composition exceeds state ceiling 10$"
+    with pytest.raises(ValidationError, match=ceiling):
+        fst_compose(counter_fst(4), counter_fst(3))
 
 
 def shift_start(T: FstSpec, w: str) -> FstSpec:

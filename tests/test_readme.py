@@ -15,6 +15,7 @@ CLAIMS = {
         "RunResult(output='0110', final_state=1)", dl.RunResult("0110", 1)
     ),
     "dl.il_check(T, 8)": ("None", None),
+    "dl.stack_free(T) == dl.identity_pdc()": ("True", True),
     "desc = dl.encode_fst(T)": ("'110101100100'", "110101100100"),
     "dl.decode_fst(desc) == T": ("True", True),
     "dl.fst_size(T)": ("12", 12),
