@@ -100,7 +100,7 @@ def read_text(path: str) -> str:
 def load_machine(path: str) -> Union[FstSpec, PdcSpec]:
     """The machine in a file, parsed by its first word: fst or pdc."""
     text = read_text(path)
-    head = text.split(None, 1)[0] if text.split() else ""
+    head = (text.split(None, 1) or [""])[0]
     if head == "fst":
         return parse_fst(text)
     if head == "pdc":

@@ -17,18 +17,25 @@ so a push or pop at the top costs O(1) amortized and a run is linear in
 its input whatever the stack height. Each spec compiles its moves once,
 on first run, into tables keyed by (state, [bit,] top byte).
 
-A run reads its input in blocks of PDC_BLOCK bits and looks each up in a
-memo the spec owns, keyed by (state, block, top byte): a hit pops
-symbols, pushes a string and emits in one step, so a run costs one
-lookup per block rather than per bit. A miss builds the block by
-replaying it over the top alone (`_replay`). A block whose outcome
-depends on deeper symbols, as in a matching phase that pops one symbol
-per bit, is marked _DEEP there and looked up again under (state, block,
-top PDC_WINDOW symbols), built by a replay over that window. A block
-that sticks or reads below its window is memoized as no block and runs
-one bit at a time on the real stack, so stuck positions are exactly
-those of a bit-by-bit run. Past BLOCK_MEMO_CAP entries of either kind a
-spec's memo stops growing, and blocks it lacks run one bit at a time.
+The same pass picks the lane a run takes. A spec that is a transducer
+(no input-free move, every move reads and re-pushes the bottom marker,
+and a move on every (state, bit)) never touches its stack, so while the
+stack is the bottom marker alone it runs on `fst_run` and `fst_lengths`
+over an FstSpec of its moves. Any other run reads its input in blocks of
+PDC_BLOCK bits and looks each up in a memo the spec owns, keyed by
+(state, block, top byte): a hit pops symbols, pushes a string and emits
+in one step, so a run costs one lookup per block rather than per bit. A
+miss builds the block by replaying it over the top alone (`_replay`).
+A popping state, one with a bit move that pops, as in a matching phase
+that pops one symbol per bit, keys its blocks on the top PDC_WINDOW
+symbols at once. Any other block whose outcome depends on deeper
+symbols, as when an input-free closure pops, is marked _DEEP under its
+top byte and looked up again under that window. A window entry is built
+by a replay over the window. A block that sticks or reads below its
+window is memoized as no block and runs one bit at a time on the real
+stack, so stuck positions are exactly those of a bit-by-bit run. Past
+BLOCK_MEMO_CAP entries of either kind a spec's memo stops growing, and
+blocks it lacks run one bit at a time.
 
 A replay that needs the symbol below its top has, at that point, nothing
 left on its stack but the unknown rest. So it stops with a continuation
@@ -49,7 +56,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import BITS, BLOCK_MEMO_CAP, FstSpec, identity_fst
+from .fst import BITS, BLOCK_MEMO_CAP, FstSpec, fst_lengths, fst_run, identity_fst
 
 Z0 = "z"
 LAMBDA = ""
@@ -99,28 +106,40 @@ class PdcSpec:
         return "01" if self.stack_kind == "binary" else "0"
 
     @cached_property
-    def _tables(self) -> tuple[dict, dict, frozenset]:
-        """The run engine's tables, built on first use: input-free moves
-        (state, top byte) -> (target, push); bit moves (state, bit, top
-        byte) -> (target, push, emission), each push reversed to
-        bottom-first bytes; and the states with an input-free move."""
+    def _tables(self) -> tuple[dict, dict, frozenset, frozenset, Optional[FstSpec]]:
+        """The run engine's tables, built on first use in one pass over the
+        moves: input-free moves (state, top byte) -> (target, push); bit
+        moves (state, bit, top byte) -> (target, push, emission), each
+        push reversed to bottom-first bytes; the states with an input-free
+        move; the popping states, those with a bit move that pops; and,
+        when every move reads and re-pushes the bottom marker and every
+        (state, bit) has one, the spec as the transducer it is, else None."""
         free: dict[tuple[int, int], tuple[int, bytes]] = {}
         bit: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
+        popping = set()
+        kept_z: dict[tuple[int, str], tuple[int, str]] = {}  # moves that re-push z
         for (q, inp, top), (tgt, push, e) in self.moves.items():
             code = push[::-1].encode("latin-1")
             if inp == LAMBDA:
                 free[(q, ord(top))] = (tgt, code)
-            else:
-                bit[(q, inp, ord(top))] = (tgt, code, e)
-        return free, bit, frozenset(q for q, _ in free)
+                continue
+            bit[(q, inp, ord(top))] = (tgt, code, e)
+            if not push:
+                popping.add(q)
+            elif push == Z0:  # only a move on z may push z
+                kept_z[(q, inp)] = (tgt, e)
+        total = len(kept_z) == len(self.moves) == 2 * self.num_states
+        transducer = FstSpec(self.num_states, self.start, kept_z) if total else None
+        return free, bit, frozenset(q for q, _ in free), frozenset(popping), transducer
 
     @cached_property
     def _blocks(self) -> dict[tuple, tuple]:
         """The block memo, filled as runs go. (state, block, top byte) ->
         (state, slice of the top symbols popped, bottom-first push,
         emission), () for no block, or _DEEP when the block reads below
-        the top; then (state, block, bottom-first bytes of the top
-        PDC_WINDOW symbols) -> an entry that pops them all, or ()."""
+        the top; then, for such a block and for every block of a popping
+        state, (state, block, bottom-first bytes of the top PDC_WINDOW
+        symbols) -> an entry that pops them all, or ()."""
         return {}
 
 
@@ -256,7 +275,7 @@ def _bit_steps(
     stack buf, in place, appending emissions to out. Returns (position,
     state): the position of the bit that had no move, or None when all of
     x ran, and the state the run ended in."""
-    free, bit, _ = C._tables
+    free, bit, _, _, _ = C._tables
     if (q, buf[-1]) in free:
         q = _close(C, q, buf)
     for i, b in enumerate(x):
@@ -317,17 +336,18 @@ def _steps(
     C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
 ) -> tuple[Optional[int], int]:
     """`_bit_steps`, with the same result and effects, but one memo lookup
-    per block of PDC_BLOCK bits (two if it pops below the top) wherever
-    the memo has the block."""
-    free = C._tables[0]
+    per block of PDC_BLOCK bits (two if a closure pops below the top)
+    wherever the memo has the block. A popping state's blocks are looked
+    up on the stack window at once."""
+    free, _, _, popping, _ = C._tables
     blocks = C._blocks
     if (q, buf[-1]) in free:
         q = _close(C, q, buf)
     for i in range(0, len(x), PDC_BLOCK):
         block = x[i : i + PDC_BLOCK]
         key = (q, block, buf[-1])
-        move = blocks.get(key)
-        if not move:  # not memoized, no block, or _DEEP
+        move = _DEEP if q in popping else blocks.get(key)
+        if not move:  # not memoized, no block, _DEEP, or a popping state
             if move is None and len(blocks) < BLOCK_MEMO_CAP:
                 move = blocks[key] = _block_move(C, q, block, buf[-1:])
             if move is _DEEP:
@@ -384,6 +404,10 @@ def pdc_run(
         raise ValidationError(f"stack must end with the bottom marker {Z0!r}")
     elif max(stack) > "\xff":
         raise ValidationError(f"stack symbol {max(stack)!r} is at or above U+0100")
+    transducer = C._tables[4]
+    if transducer is not None and stack == Z0:
+        run = fst_run(transducer, x, start=q)
+        return PdcRun(run.output, run.final_state, Z0)
     buf = bytearray(stack[::-1], "latin-1")
     out: list[str] = []
     pos, q = _steps(C, x, q, buf, out)
@@ -398,6 +422,10 @@ def pdc_lengths(
     """The output bit count of C on bits[:n] for each n of the ascending
     `points` (all <= len(bits)), or the StuckError that stops it, which
     every later point repeats."""
+    transducer = C._tables[4]
+    if transducer is not None:
+        yield from fst_lengths(transducer, bits, points)
+        return
     # The engine closes over input-free moves on entry and after every
     # bit, and a closed configuration closes to itself, so resuming from
     # the last (state, stack) runs exactly as a fresh run would. The
@@ -428,26 +456,32 @@ def pdc_il_check(C: PdcSpec, L: int) -> Optional[tuple[str, str]]:
     injective for all |x| <= L, else the first colliding pair found.
 
     Inputs that strand the machine are skipped; they identify themselves.
+    Each frontier entry is (input, output, closed state, bottom-first
+    stack), and extends by one bit with `_bit_steps` on a copy of its
+    stack.
     """
     if L < 1:
         raise ValidationError("L must be >= 1")
-    start = pdc_run(C, "")
-    seen: dict[tuple[str, int], str] = {("", start.final_state): ""}
-    frontier = [("", "", start)]  # (input, output so far, closed configuration)
+    buf = bytearray(Z0, "latin-1")
+    _, q = _bit_steps(C, "", C.start, buf, [])  # closes the start
+    seen: dict[tuple[str, int], str] = {("", q): ""}
+    frontier = [("", "", q, buf)]
+    out: list[str] = []
     for _ in range(L):
         nxt = []
-        for x, outp, run in frontier:
+        for x, outp, q, buf in frontier:
             for b in BITS:
-                try:
-                    step = pdc_run(C, b, state=run.final_state, stack=run.final_stack)
-                except StuckError:
+                buf2 = buf[:]
+                pos, q2 = _bit_steps(C, b, q, buf2, out)
+                if pos is not None:
                     continue
-                x2, out2 = x + b, outp + step.output
-                sig = (out2, step.final_state)
+                x2, out2 = x + b, outp + "".join(out)
+                out.clear()
+                sig = (out2, q2)
                 if sig in seen:
                     return (seen[sig], x2)
                 seen[sig] = x2
-                nxt.append((x2, out2, step))
+                nxt.append((x2, out2, q2, buf2))
         frontier = nxt
     return None
 

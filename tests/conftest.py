@@ -16,6 +16,7 @@ from depthlab import (  # noqa: E402
     ValidationError,
     encode_fst,
     fst_run,
+    pdc_run,
     repeater_fst,
 )
 from depthlab.codec import complement  # noqa: E402
@@ -273,6 +274,33 @@ def oracle_il_check(T: FstSpec, L: int) -> Optional[tuple[str, str]]:
                     return (seen[key], x2)
                 seen[key] = x2
                 nxt.append((x2, q2, out2))
+        frontier = nxt
+    return None
+
+
+def oracle_pdc_il_check(C: PdcSpec, L: int) -> Optional[tuple[str, str]]:
+    """Oracle for pdc_il_check: the breadth-first search that extends each
+    closed configuration by one bit with the public pdc_run, skipping a
+    bit whose run raises StuckError."""
+    if L < 1:
+        raise ValidationError("L must be >= 1")
+    start = pdc_run(C, "")
+    seen: dict[tuple[str, int], str] = {("", start.final_state): ""}
+    frontier = [("", "", start)]  # (input, output so far, closed configuration)
+    for _ in range(L):
+        nxt = []
+        for x, outp, run in frontier:
+            for b in BITS:
+                try:
+                    step = pdc_run(C, b, state=run.final_state, stack=run.final_stack)
+                except StuckError:
+                    continue
+                x2, out2 = x + b, outp + step.output
+                sig = (out2, step.final_state)
+                if sig in seen:
+                    return (seen[sig], x2)
+                seen[sig] = x2
+                nxt.append((x2, out2, step))
         frontier = nxt
     return None
 

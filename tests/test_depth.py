@@ -1,4 +1,5 @@
 import random
+import re
 from functools import partial
 
 import pytest
@@ -13,7 +14,7 @@ from depthlab import (
     parse_grid,
     random_bits,
 )
-from depthlab.depth import Compressor, DepthProfile, load_profile_csv
+from depthlab.depth import Compressor, DepthProfile, load_machine, load_profile_csv
 from depthlab.pushdown import Z0, pdc_lengths
 
 
@@ -115,6 +116,17 @@ def test_machine_file_compressors(tmp_path):
     p = tmp_path / "ident.pdc"
     p.write_text(format_pdc(identity_pdc()))
     assert output_bits(make_compressor(str(p)), "0101") == 4
+
+
+def test_empty_machine_files_are_not_a_machine_format(tmp_path):
+    for name, text in (("empty.pdc", ""), ("blank.fst", " \n\t\n  ")):
+        path = tmp_path / name
+        path.write_text(text)
+        message = f"^{re.escape(str(path))}: not a recognized machine format$"
+        with pytest.raises(ValidationError, match=message):
+            load_machine(str(path))
+        with pytest.raises(ValidationError, match=message):
+            make_compressor(str(path))
 
 
 def test_stuck_rows_are_flagged_not_fatal():

@@ -27,8 +27,9 @@ from depthlab import (
     make_compressor,
     pdc_run,
     random_bits,
+    stack_free,
 )
-from depthlab import pushdown
+from depthlab import fst, pushdown
 from depthlab.depth import Compressor, DepthProfile
 from depthlab.fst import fst_lengths
 from depthlab.pushdown import Z0, pdc_lengths
@@ -98,10 +99,25 @@ def assert_same_stuck(C, comp, bits, grid):
         assert got == (want.position, want.state, want.top, want.partial_output)
 
 
+def oracle_pair(C, label):
+    """A compressor over C, paired with the output bit count of
+    oracle_pdc_run on a prefix, which shares no code with the engines."""
+    return Compressor(label, partial(pdc_lengths, C)), (
+        lambda prefix: len(oracle_pdc_run(C, prefix).output)
+    )
+
+
 def random_grid(rng, length):
     """Unsorted points with duplicates, some beyond the stream end."""
     grid = [rng.randint(1, length + 20) for _ in range(rng.randint(1, 12))]
     return grid + rng.choices(grid, k=3)
+
+
+def step_grid(rng, length):
+    """A linear grid past the stream end whose step is 1, a multiple of
+    neither PDC_BLOCK nor FST_BLOCK, or one of them."""
+    step = rng.choice([1, 5, 7, 11, 13, 6, 8])
+    return list(range(rng.randint(1, step), length + 20, step))
 
 
 @pytest.mark.parametrize("kind", ["binary", "unary"])
@@ -113,14 +129,24 @@ def test_random_machines_match_batch(kind):
         C = random_pdc(rng, kind=kind)
         partial_pdc = drop_bit_move(rng, random_pdc(rng, kind=kind))
         T = random_fst(rng)
+        # A total stack-free spec streams on fst_lengths; one missing a
+        # move streams on the block engine and sticks. Both are drawn from
+        # their own generator, on a random grid and on a linear one.
+        lanes = random.Random(f"stream-{kind}-lanes-{trial}")
+        free = stack_free(random_fst(lanes, max_emit=lanes.choice([0, 3])))
+        partial_free = drop_bit_move(lanes, stack_free(random_fst(lanes)))
         pairs = [
             pdc_pair(C, "pdc"),
             pdc_pair(partial_pdc, "partial-pdc"),
             (Compressor("fst", partial(fst_lengths, T)), fresh_fst(T)),
             (make_compressor("lz78"), fresh_lz),
+            oracle_pair(free, "stack-free"),
+            oracle_pair(partial_free, "partial-stack-free"),
         ]
-        assert_matches_batch(bits, pairs, grid)
-        assert_same_stuck(partial_pdc, pairs[1][0], bits, grid)
+        for points in (grid, step_grid(lanes, len(bits))):
+            assert_matches_batch(bits, pairs, points)
+            assert_same_stuck(partial_pdc, pairs[1][0], bits, points)
+            assert_same_stuck(partial_free, pairs[5][0], bits, points)
 
 
 def test_stuck_after_first_point_reports_absolute_position():
@@ -165,17 +191,22 @@ def test_recipe_streams_match_batch():
 
 def test_every_prefix_length_costs_one_pass(monkeypatch):
     # The paper's liminf/limsup range over every n; a step-1 grid must still
-    # push each bit through each compressor exactly once.
+    # push each bit through each compressor exactly once. identity-pdc is a
+    # transducer, so its bits go through fst_run, the half-compressor's
+    # through the pushdown block engine.
     bits = SequenceRecipe(kind="b", k=9, stages=14, seed=7).generate().bits
     assert len(bits) >= 5000
     fed = []
-    steps = pushdown._steps
 
-    def counting_steps(C, x, *args):
-        fed.append(len(x))
-        return steps(C, x, *args)
+    def counting(engine):
+        def counted(machine, x, *args, **kwargs):
+            fed.append(len(x))
+            return engine(machine, x, *args, **kwargs)
 
-    monkeypatch.setattr(pushdown, "_steps", counting_steps)
+        return counted
+
+    monkeypatch.setattr(pushdown, "_steps", counting(pushdown._steps))
+    monkeypatch.setattr(fst, "fst_run", counting(fst.fst_run))
     strong = make_compressor("half-compressor(9,9,0)")
     grid = list(range(1, len(bits) + 1))
     prof = compute_profile(bits, [make_compressor("identity-pdc"), strong], grid)

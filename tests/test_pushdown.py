@@ -14,6 +14,7 @@ from conftest import (
     flag_free_bits,
     oracle_closure,
     oracle_compose_pdc_fst,
+    oracle_pdc_il_check,
     oracle_pdc_run,
     oracle_pdc_validate,
     pdc_fields,
@@ -27,6 +28,7 @@ from depthlab import (
     ValidationError,
     build_half_compressor,
     compose_pdc_fst,
+    enum_fsts,
     format_pdc,
     fst_run,
     identity_fst,
@@ -36,6 +38,7 @@ from depthlab import (
     pdc_run,
     pushdown,
     repeater_fst,
+    stack_free,
 )
 from depthlab.pushdown import (
     _BELOW,
@@ -231,6 +234,24 @@ def test_il_check_matches_step_loop():
             assert pdc_il_check(C, L) == want
             outcomes.add(want is None)
     assert outcomes == {True, False}
+
+
+def test_il_check_matches_the_run_oracle_up_to_ten_bits():
+    # The frontier steps the compiled tables; the oracle steps pdc_run.
+    rng = random.Random(48)
+    cases = [stack_free(T) for _, T in enum_fsts(14).entries]
+    for i in range(60):
+        kind = "unary" if i % 2 else "binary"
+        C = random_pdc(rng, kind=kind, lambda_prob=rng.choice([0.2, 0.6]))
+        cases += [C, drop_bit_move(rng, C)]
+    outcomes = Counter()
+    for C in cases:
+        for L in range(1, 11):
+            want = oracle_pdc_il_check(C, L)
+            assert pdc_il_check(C, L) == want, (C, L)
+            outcomes["injective" if want is None else f"collides at {len(want[1])}"] += 1
+    assert outcomes["injective"] > 100, outcomes
+    assert outcomes["collides at 5"] > 0, outcomes
 
 
 def test_prefix_monotone_outputs():
@@ -714,8 +735,48 @@ def test_block_engine_matches_oracle_cold_and_warm():
                 kinds["window blocks"] += sum(map(bool, windows))
                 kinds["window no-blocks"] += windows.count(())
                 kinds["deep markers"] += list(spec._blocks.values()).count(_DEEP)
+                popping_states = spec._tables[3]
+                kinds["popping-state windows"] += sum(
+                    key[0] in popping_states for key in window_keys(spec)
+                )
     assert min(kinds.values()) > 500, kinds
     assert stuck_offsets == set(range(PDC_BLOCK))
+
+
+def test_transducer_lane_matches_oracle_cold_and_warm():
+    # A total stack-free spec runs on fst_run over its transducer view
+    # whenever its stack is just z, and never fills its own block memo. A
+    # copy missing one move stays on the block engine and sticks where
+    # the oracle does, and a stack-free spec over 0z sticks at once. From
+    # every state, on a cold memo and then on the memo that run filled.
+    rng = random.Random(94)
+    kinds = Counter()
+    for _ in range(40):
+        T = random_fst(rng, max_states=4, max_emit=rng.choice([0, 2, 3]))
+        total = stack_free(T)
+        assert total._tables[4] == T
+        partial = drop_bit_move(rng, total)
+        assert partial._tables[4] is None
+        for name, machine in (("total", total), ("partial", partial)):
+            for state in (None, *range(1, machine.num_states + 1)):
+                for stack in (None, Z0, "0" + Z0):
+                    x = "".join(rng.choice("01") for _ in range(rng.randint(0, 26)))
+                    spec = cold_copy(machine)
+                    for memo in ("cold", "warm"):
+                        got = run_outcome(pdc_run, spec, x, state, stack)
+                        assert got == run_outcome(oracle_pdc_run, spec, x, state, stack)
+                        if stack == "0" + Z0:
+                            assert got[:2] == (("stuck", 0) if x else ("ran", ""))
+                        kinds[f"{name} {got[0]} {memo}"] += 1
+                    on_lane_1 = spec._tables[4] is not None and stack != "0" + Z0
+                    assert bool(spec._blocks) == (not on_lane_1 and bool(x))
+                    if on_lane_1 and x:
+                        assert spec._tables[4]._blocks
+    assert min(kinds.values()) > 50, kinds
+    assert kinds.keys() == {
+        f"{name} {end} {memo}" for name in ("total", "partial")
+        for end in ("ran", "stuck") for memo in ("cold", "warm")
+    }, kinds
 
 
 def test_block_memo_stays_under_its_cap(monkeypatch):
@@ -762,7 +823,8 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     stack = "0001000" + "01" + Z0
     window = bytes(stack[:PDC_WINDOW][::-1], "latin-1")
     # Six pops from a full window: one entry, which a different rest of the
-    # stack then reuses.
+    # stack then reuses. State 1 pops, so the block is keyed on its window
+    # at once, with no entry on the top alone.
     C = pop_machine()
     assert oracle_pdc_validate(*pdc_fields(C)) == []
     for rest in ("01" + Z0, "1" * 40 + Z0):
@@ -771,9 +833,14 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
             oracle_pdc_run, C, "000000", 1, st
         )
     assert C._blocks == {
-        (1, "000000", ord("0")): _DEEP,
         (1, "000000", window): (1, slice(-PDC_WINDOW, None), b"0", "000000"),
     }
+    # A stack shorter than a window is keyed on all of it, down to z.
+    short = "01" + Z0
+    got = run_outcome(pdc_run, C, "000000", 1, short)
+    assert got == run_outcome(oracle_pdc_run, C, "000000", 1, short)
+    assert got == ("ran", "000000", 1, Z0)
+    assert C._blocks[(1, "000000", b"z10")] == (1, slice(-3, None), b"z", "000000")
     # A bit with no move on top 1: the fourth bit of the block sticks.
     stuck = pop_machine(drop=(1, "1", "1"))
     got = run_outcome(pdc_run, stuck, "111111", 1, stack)
@@ -794,6 +861,48 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     assert chained._blocks[(1, "000100", window)] == (
         6, slice(-PDC_WINDOW, None), b"000", "000100"
     )
+    # A block whose closure pops past its window: the sixth bit pops the
+    # sixth symbol and two input-free pops follow, so its replay needs the
+    # eighth symbol. It is no block, and runs bit by bit on the real stack.
+    deeper = {(1, "1", "0"): (2, "")}
+    deeper.update({(q, LAMBDA, "0"): (q + 1, "") for q in (2, 3)})
+    deeper.update({(4, b, t): (4, t) for b in "01" for t in "01" + Z0})
+    past = pop_machine(deeper, budget=2)
+    zeros = "0" * 9 + Z0
+    got = run_outcome(pdc_run, past, "000001", 1, zeros)
+    assert got == run_outcome(oracle_pdc_run, past, "000001", 1, zeros)
+    assert got == ("ran", "000001", 4, "0" + Z0)
+    assert past._blocks == {(1, "000001", b"0" * PDC_WINDOW): ()}
+
+
+def test_popping_lane_under_a_small_memo_cap(monkeypatch):
+    # Popping-heavy machines from every state over stacks shorter and
+    # taller than a window, cold and then warm, with room for no block,
+    # one, or a few: the memo never outgrows the cap, and a block it lacks
+    # runs bit by bit with the oracle's result.
+    rng = random.Random(95)
+    full = Counter()
+    for cap in (0, 1, 3):
+        monkeypatch.setattr(pushdown, "BLOCK_MEMO_CAP", cap)
+        for i in range(30):
+            kind = "unary" if i % 2 else "binary"
+            C = popping(rng, random_pdc(rng, kind=kind, max_states=4))
+            syms = C.stack_symbols()
+            for state in range(1, C.num_states + 1):
+                height = rng.choice([rng.randint(0, PDC_WINDOW - 1), 2 * PDC_WINDOW])
+                stack = "".join(rng.choice(syms) for _ in range(height)) + Z0
+                length = rng.randint(1, 5 * PDC_BLOCK)
+                x = "".join(rng.choice("01") for _ in range(length))
+                spec = cold_copy(C)
+                for _ in range(2):
+                    got = run_outcome(pdc_run, spec, x, state, stack)
+                    assert got == run_outcome(oracle_pdc_run, spec, x, state, stack)
+                assert len(spec._blocks) <= cap
+                full[cap] += len(spec._blocks) == cap
+                full["popping-state windows"] += sum(
+                    key[0] in spec._tables[3] for key in window_keys(spec)
+                )
+    assert min(full.values()) > 20, full
 
 
 def test_pdc_run_reports_a_popped_bottom_marker():
@@ -812,8 +921,9 @@ def test_matching_phase_runs_in_blocks(monkeypatch):
     # The engine's shape, not its time: on recipe b the half-compressor
     # spends most bits in matching phases, which pop one symbol per bit.
     # Measured share of bits stepped one at a time, replays included:
-    # 7,236 of 107,019 (6.8 %) on a cold memo, 240 (0.2 %) on a warm one;
-    # 54 % when popping blocks ran bit by bit.
+    # 6,081 of 107,019 (5.7 %) on a cold memo, 240 (0.2 %) on a warm one;
+    # 7,236 when popping states first looked up their top byte, and 54 %
+    # when popping blocks ran bit by bit.
     bits = SequenceRecipe(kind="b", k=9, stages=81, seed=1).generate().bits
     stepped = []
     bit_steps = pushdown._bit_steps
