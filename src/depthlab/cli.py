@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -28,6 +29,7 @@ from .fst import FstSpec, fst_run, parse_fst, format_fst
 from .pushdown import compose_pdc_fst, fst_compose, parse_pdc, format_pdc, pdc_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_STUCK = 0, 1, 2, 3
+_BIT_STRING = re.compile("[01]*").fullmatch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +50,7 @@ def _read_bits_arg(args) -> str:
     else:
         raise ValidationError("need --bits or --input")
     bits = "".join(bits.split())
-    if bits.strip("01"):
+    if not _BIT_STRING(bits):
         raise ValidationError("input must be a string over 0/1")
     return bits
 

@@ -104,7 +104,14 @@ def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
 
 def fst_lengths(T: FstSpec, bits: str, points: Sequence[int]) -> Iterator[int]:
     """The output bit count of T on bits[:n] for each n of the ascending
-    `points` (all <= len(bits)), resuming from the last point's state."""
+    `points` (all <= len(bits)), resuming from the last point's state.
+    When every move emits c bits, bits[:n] yields c*n without a run: the
+    move map is total, so no run can stop early."""
+    widths = {len(e) for _, e in T.moves.values()}
+    if len(widths) == 1:
+        c = widths.pop()
+        yield from (c * n for n in points)
+        return
     q, total, prev = T.start, 0, 0
     for n in points:
         run = fst_run(T, bits[prev:n], start=q)

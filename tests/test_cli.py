@@ -592,3 +592,52 @@ def test_valid_commands_never_build_the_full_parser(tmp_path, monkeypatch, capsy
     for argv in runs:
         assert main(argv) == 0, argv
     capsys.readouterr()
+
+
+# Characters that str.split() drops (ASCII and Unicode whitespace), digits
+# 0 and 1 from other scripts, and other text around a stream of 0/1.
+STREAM_CHARS = list("01 \t\n\r\x0b\x0c\x1c\x85\u00a0\u2028\u3000\u0660\u0661\uff10\uff11\x002a-")
+STREAMS = st.one_of(
+    st.text(st.sampled_from(STREAM_CHARS), max_size=24),
+    st.lists(st.text("01", max_size=6), max_size=5).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+def main_outcome(argv):
+    """main's exit code with what it wrote; an exception escapes it."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("stream")
+    (tmp / "id.pdc").write_text(format_pdc(identity_pdc()))
+    return tmp
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=STREAMS)
+def test_stream_check_accepts_exactly_the_bit_strings(stream_dir, s):
+    # The old predicate, with whitespace dropped first, is the oracle.
+    bits = "".join(s.split())
+    accepted = bits.strip("01") == ""
+    refused = (2, "", "error: input must be a string over 0/1\n")
+    machine, stream = str(stream_dir / "id.pdc"), stream_dir / "s.bits"
+    got = main_outcome(["pdc-run", "--machine", machine, f"--bits={s}"])
+    if accepted:
+        assert got == (0, f"output {bits or '-'}\nfinal_state 1\nfinal_stack z\n", "")
+    else:
+        assert got == refused
+    stream.write_text(s, encoding="utf-8", newline="")
+    got = main_outcome(["ratio", "--input", str(stream), "--compressor", "lz78",
+                        "--grid", "1:4:1"])
+    if not accepted:
+        assert got == refused
+    elif bits:
+        assert got[0] == 0 and got[1].startswith("n,bits,ratio\n")
+    else:
+        assert (got[0], got[2]) == (2, "error: no usable rows\n")

@@ -2,6 +2,7 @@
 grid prefix afresh from bit 0."""
 import random
 from functools import partial
+from itertools import accumulate
 
 import pytest
 
@@ -14,6 +15,7 @@ from conftest import (
     random_pdc,
 )
 from depthlab import (
+    FstSpec,
     PdcSpec,
     SequenceRecipe,
     StuckError,
@@ -149,6 +151,49 @@ def test_random_machines_match_batch(kind):
             assert_same_stuck(partial_free, pairs[5][0], bits, points)
 
 
+def uniform_fst(rng, c):
+    """A random 1-4-state transducer whose every move emits c bits."""
+    m = rng.randint(1, 4)
+    moves = {
+        (q, b): (rng.randint(1, m), random_bits(rng, c)) for q in range(1, m + 1) for b in "01"
+    }
+    return FstSpec(m, rng.randint(1, m), moves)
+
+
+def mixed_fst(rng):
+    """A random 1-4-state transducer with emissions of at least two lengths."""
+    while True:
+        T = random_fst(rng, max_states=4, max_emit=3)
+        if len({len(e) for _, e in T.moves.values()}) > 1:
+            return T
+
+
+@pytest.mark.parametrize("c", [0, 1, 2, 3, "mixed"])
+def test_closed_form_lengths_match_runs(monkeypatch, c):
+    # A transducer whose every move emits c bits reads c*n without calling
+    # fst_run; any other runs. Both must equal a fresh run of every prefix,
+    # directly and as a stack-free pushdown compressor, and repeater(01)
+    # must read 2n.
+    runs = []
+    monkeypatch.setattr(fst, "fst_run", lambda *a, **kw: runs.append(a) or fst_run(*a, **kw))
+    rng = random.Random(f"closed-form-{c}")
+    for _ in range(30):
+        T = mixed_fst(rng) if c == "mixed" else uniform_fst(rng, c)
+        bits = random_bits(rng, rng.randint(0, 100))
+        full = list(range(1, len(bits) + 1))
+        for grid in (full, random_grid(rng, len(bits)), step_grid(rng, len(bits))):
+            points = sorted(n for n in set(grid) if n <= len(bits))
+            want = [len(fst_run(T, bits[:n]).output) for n in points]
+            if c != "mixed":
+                assert want == [c * n for n in points]
+            if c == 2:
+                assert list(make_compressor("repeater(01)").lengths(bits, points)) == want
+            runs.clear()
+            assert list(fst_lengths(T, bits, points)) == want
+            assert list(pdc_lengths(stack_free(T), bits, points)) == want
+            assert (runs != []) == (c == "mixed" and points != [])
+
+
 def test_stuck_after_first_point_reports_absolute_position():
     zeros_only = PdcSpec(1, 1, "unary", {(1, "0", Z0): (1, Z0, "0")}, 0)
     comp, fresh = pdc_pair(zeros_only, "zeros-only")
@@ -191,26 +236,29 @@ def test_recipe_streams_match_batch():
 
 def test_every_prefix_length_costs_one_pass(monkeypatch):
     # The paper's liminf/limsup range over every n; a step-1 grid must still
-    # push each bit through each compressor exactly once. identity-pdc is a
-    # transducer, so its bits go through fst_run, the half-compressor's
-    # through the pushdown block engine.
+    # push each bit through each compressor at most once. The
+    # half-compressor's bits go through the pushdown block engine once.
+    # identity-pdc is a transducer whose every move emits one bit, so its
+    # column reads n without a run; a transducer whose emissions differ in
+    # length runs each bit through fst_run once.
     bits = SequenceRecipe(kind="b", k=9, stages=14, seed=7).generate().bits
     assert len(bits) >= 5000
-    fed = []
+    fed = {"_steps": [], "fst_run": []}
 
-    def counting(engine):
+    def counting(engine, name):
         def counted(machine, x, *args, **kwargs):
-            fed.append(len(x))
+            fed[name].append(len(x))
             return engine(machine, x, *args, **kwargs)
 
         return counted
 
-    monkeypatch.setattr(pushdown, "_steps", counting(pushdown._steps))
-    monkeypatch.setattr(fst, "fst_run", counting(fst.fst_run))
+    monkeypatch.setattr(pushdown, "_steps", counting(pushdown._steps, "_steps"))
+    monkeypatch.setattr(fst, "fst_run", counting(fst.fst_run, "fst_run"))
     strong = make_compressor("half-compressor(9,9,0)")
     grid = list(range(1, len(bits) + 1))
     prof = compute_profile(bits, [make_compressor("identity-pdc"), strong], grid)
-    assert sum(fed) == 2 * len(bits)
+    assert sum(fed["_steps"]) == len(bits)
+    assert fed["fst_run"] == []
     assert [n for n, _, _ in prof.rows] == grid
     C = build_half_compressor(9, 9, 0)
     rng = random.Random(11)
@@ -218,6 +266,11 @@ def test_every_prefix_length_costs_one_pass(monkeypatch):
     for n, (weak_bits, strong_bits), note in sample:
         want = len(pdc_run(C, bits[:n]).output)
         assert (weak_bits, strong_bits, note) == (n, want, "")
+
+    square = FstSpec(1, 1, {(1, "0"): (1, ""), (1, "1"): (1, "11")})
+    got = list(fst_lengths(square, bits, grid))
+    assert sum(fed["fst_run"]) == len(bits)
+    assert got == list(accumulate(2 * int(b) for b in bits))
 
 
 def test_deep_stack_profile_resumes_from_string_stacks():
