@@ -41,6 +41,15 @@ class _Parser(argparse.ArgumentParser):
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(EXIT_USAGE)
 
+    def _get_values(self, action, arg_strings):
+        # argparse before 3.12 drops "--" even from "--bits=--", which
+        # left an empty list as the option's value.
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _read_bits_arg(args) -> str:
     if getattr(args, "bits", None) is not None:

@@ -6,9 +6,9 @@ points, in emitted bits for machines and in coded bits for LZ78. Each
 engine module owns its stream (`fst.fst_lengths`, `pushdown.pdc_lengths`,
 `lz78.lz_lengths`, `fscomplexity.kfs_lengths`), which walks the stream
 once, resuming from its own checkpoint at every grid point, so a profile
-costs one pass per compressor whatever the grid (kfs(k) still searches
-every prefix afresh). This module keeps the names, the grids and the
-table. Rows always come out sorted by n.
+costs one pass per compressor whatever the grid (for kfs(k), one pass per
+behaviour class of its universe). This module keeps the names, the grids
+and the table. Rows always come out sorted by n.
 """
 from __future__ import annotations
 
@@ -76,10 +76,11 @@ def make_compressor(name: str) -> Compressor:
         return Compressor(name, partial(fst_lengths, T))
     if name.startswith("kfs(") and name.endswith(")"):
         k = _int_arg(name[len("kfs(") : -1], name)
-        entries = enum_fsts(k).entries
-        if not entries:
+        universe = enum_fsts(k)
+        if not universe.entries:
             raise ValidationError(f"no machines with descriptions <= {k} bits")
-        return Compressor(f"kfs({k})", partial(kfs_lengths, k, entries))
+        firsts = [universe.entries[i] for i in universe.classes]
+        return Compressor(f"kfs({k})", partial(kfs_lengths, k, firsts))
     path = Path(name)
     if not path.exists():
         raise ValidationError(f"no builtin or machine file named {name!r}")

@@ -5,13 +5,17 @@ for a target string x, for the shortest input some machine in that set
 maps to x. The per-machine search is a breadth-first shortest path over
 (state, matched-prefix-length) nodes, so it is exact and terminates even
 when emissions are empty.
+
+Machines whose outputs agree on every input form a behaviour class, and
+only the first machine of each class is searched. A `kfs(k)` profile makes
+one pass per class over the stream, settling nodes in order of matched
+length, so it costs one pass whatever the grid.
 """
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 from itertools import product
 from typing import Iterator, Optional, Sequence, Union
 
@@ -36,6 +40,43 @@ class FstUniverse:
 
     def __len__(self) -> int:
         return len(self.entries)
+
+    @cached_property
+    def classes(self) -> tuple[int, ...]:
+        """The index of the first entry of each behaviour class, ascending.
+        A move's emission is what T(y b) adds to T(y), so machines whose
+        outputs agree on every input agree move by move, and their minimal
+        machines, numbered breadth-first, are equal: that table keys the
+        class."""
+        firsts: dict[tuple, int] = {}
+        for i, (_, T) in enumerate(self.entries):
+            firsts.setdefault(_minimal(T), i)
+        return tuple(firsts.values())
+
+
+def _minimal(T: FstSpec) -> tuple:
+    """The moves of T's minimal machine, (target, emission) per state and
+    bit, its states numbered from 1 breadth-first from the start: Mealy
+    partition refinement on (per-bit emission, target block) over the
+    reachable states."""
+    rows = T._rows
+    if T.num_states == 1:
+        return rows[1]
+    reach = [T.start]
+    for q in reach:
+        for t, _ in rows[q]:
+            if t not in reach:
+                reach.append(t)
+    block, size = dict.fromkeys(reach, 0), 0
+    while True:
+        ids: dict[tuple, int] = {}  # reach is breadth-first, so blocks are too
+        block = {q: ids.setdefault(tuple((block[t], e) for t, e in rows[q]), len(ids))
+                 for q in reach}
+        if len(ids) == size:
+            break
+        size = len(ids)
+    first = {block[q]: q for q in reversed(reach)}  # each block's first state
+    return tuple((block[t] + 1, e) for b in range(size) for t, e in rows[first[b]])
 
 
 @dataclass(frozen=True)
@@ -121,17 +162,14 @@ def min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:
     n = len(x)
     if n == 0:
         return (0, "")
-    moves = T.moves
-    seen = defaultdict(set)  # state -> matched lengths reached
-    seen[T.start].add(0)
-    queue = deque([(T.start, 0, "", None)])
-    while queue:
-        cell = queue.popleft()
+    rows = T._rows
+    seen = {(T.start, 0)}
+    queue = [(T.start, 0, "", None)]
+    for cell in queue:  # the list grows behind the cursor: a FIFO queue
         q, pos, _, _ = cell
-        for b in BITS:  # bit order makes the first-found path lex-least
-            tgt, e = moves[(q, b)]
+        for b, (tgt, e) in zip(BITS, rows[q]):  # bit order: lex-least first
             end = pos + len(e)
-            if end > n or x[pos:end] != e or end in seen[tgt]:
+            if not x.startswith(e, pos) or (tgt, end) in seen:  # past n: no match
                 continue
             if end == n:
                 bits = [b]
@@ -139,7 +177,7 @@ def min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:
                     bits.append(cell[2])
                     cell = cell[3]
                 return (len(bits), "".join(reversed(bits)))
-            seen[tgt].add(end)
+            seen.add((tgt, end))
             queue.append((tgt, end, b, cell))
     return None
 
@@ -152,11 +190,18 @@ def kfs_over_set(
 
     Ties resolve to the earliest entry in the list (callers pass lists
     ordered by description), and within a machine to the lex-least input.
+    Once a best length is found, a machine whose longest emission c gives
+    ceil(|x| / c) >= it is skipped, as is a silent one (c = 0, which
+    outputs only ""): only a strictly shorter input replaces the best.
     """
     if not entries:
         raise ValidationError("machine list must be nonempty")
+    n = len(x)
     best: Optional[tuple[int, str, int]] = None
     for idx, (_, T) in enumerate(entries):
+        c = T._longest
+        if best is not None and (c == 0 or -(-n // c) >= best[0]):
+            continue
         found = min_input_for_output(T, x)
         if found is None:
             continue
@@ -172,17 +217,53 @@ def kfs_over_set(
 def kfs_lengths(
     k: int, entries: Sequence[tuple[str, FstSpec]], bits: str, points: Sequence[int]
 ) -> Iterator[Union[int, UnreachableError]]:
-    """kfs_over_set(bits[:n], entries) for each n of `points`, searched
-    afresh per prefix; a prefix that no machine of <= k bits outputs
-    yields an UnreachableError."""
+    """kfs_over_set(bits[:n], entries).value for each n of the ascending
+    `points` (all <= len(bits)), in one pass per machine over the stream.
+
+    Nodes are (state, matched length) and settle in order of matched
+    length; moves with empty emissions relax within a length, and every
+    move costs one input bit. A prefix that no machine of <= k bits
+    outputs yields an UnreachableError.
+    """
+    best: dict[int, float] = dict.fromkeys(points, INFINITE)
+    for _, T in entries:
+        rows = T._rows
+        levels = {0: {T.start: 0}}  # matched length -> {state: shortest input}
+        for j in range(max(points, default=0) + 1):
+            nodes = levels.pop(j, None)
+            if nodes is None:
+                if not levels:
+                    break
+                continue
+            stack = list(nodes)
+            while stack:
+                q = stack.pop()
+                for t, e in rows[q]:
+                    if not e and nodes[q] + 1 < nodes.get(t, INFINITE):
+                        nodes[t] = nodes[q] + 1
+                        stack.append(t)
+            if j in best:
+                best[j] = min(best[j], *nodes.values())
+            for q, d in nodes.items():
+                for t, e in rows[q]:
+                    if e and bits.startswith(e, j):
+                        level = levels.setdefault(j + len(e), {})
+                        if d + 1 < level.get(t, INFINITE):
+                            level[t] = d + 1
     for n in points:
-        value = kfs_over_set(bits[:n], entries).value
-        yield UnreachableError(k, n) if math.isinf(value) else int(value)
+        yield UnreachableError(k, n) if math.isinf(best[n]) else int(best[n])
 
 
 def kfs_complexity(x: str, k: int) -> ComplexityResult:
-    """Minimum input length over every machine described in <= k bits."""
+    """Minimum input length over every machine described in <= k bits,
+    searched on the first machine of each behaviour class; the witness
+    indexes enum_fsts(k).entries."""
     universe = enum_fsts(k)
     if not universe.entries:
         return ComplexityResult(INFINITE, None)
-    return kfs_over_set(x, universe.entries)
+    firsts = universe.classes
+    result = kfs_over_set(x, [universe.entries[i] for i in firsts])
+    if result.witness is None:
+        return result
+    w = result.witness
+    return replace(result, witness=replace(w, machine_index=firsts[w.machine_index]))

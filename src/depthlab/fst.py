@@ -36,8 +36,8 @@ class FstSpec:
     """A finite-state transducer: states 1..num_states, total on (state, bit).
 
     `moves` maps (state, bit) -> (target state, emitted bits, possibly
-    empty). Runs memoize blocks in `_blocks`, so the map must not change
-    after the first run.
+    empty). Searches read it by state from `_rows`, built with the spec,
+    and runs memoize blocks in `_blocks`, so the map must not change.
     """
 
     num_states: int
@@ -59,10 +59,17 @@ class FstSpec:
             if not 1 <= t <= m:
                 raise ValidationError(f"target state {t} out of range 1..{m} in {key}")
         for key, (_, e) in self.moves.items():
-            check_bits(e, f"emission {key}")
+            if e.strip("01"):  # the move is named only when it is refused
+                check_bits(e, f"emission {key}")
+        # For searches that step every state, built here rather than on
+        # first use: a cached_property's first read costs more than these.
+        moves = self.moves
+        rows = ((), *((moves[(q, "0")], moves[(q, "1")]) for q in range(1, m + 1)))
+        object.__setattr__(self, "_rows", rows)  # rows[q]: q's moves on 0 and 1
+        object.__setattr__(self, "_longest", max(len(e) for _, e in moves.values()))
 
     def max_emission(self) -> int:
-        return max(len(e) for _, e in self.moves.values())
+        return self._longest
 
     @cached_property
     def _blocks(self) -> dict[tuple[int, str], tuple[int, str]]:

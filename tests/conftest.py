@@ -1,18 +1,22 @@
+import math
 import random
 import sys
+from collections import defaultdict, deque
 from itertools import product
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from depthlab import (  # noqa: E402
+    ComplexityResult,
     FstSpec,
     FstUniverse,
     PdcRun,
     PdcSpec,
     RunResult,
     StuckError,
+    UnreachableError,
     ValidationError,
     encode_fst,
     fst_run,
@@ -20,6 +24,7 @@ from depthlab import (  # noqa: E402
     repeater_fst,
 )
 from depthlab.codec import complement  # noqa: E402
+from depthlab.fscomplexity import Witness  # noqa: E402
 from depthlab.fst import check_bits  # noqa: E402
 from depthlab.lz78 import _ROOT, LzParse, pointer_width  # noqa: E402
 from depthlab.pushdown import _BELOW, LAMBDA, Z0  # noqa: E402
@@ -231,6 +236,64 @@ def brute_force_min_input(T: FstSpec, x: str, max_len: int):
             if fst_run(T, s).output == x:
                 return s
     return None
+
+
+def oracle_min_input_for_output(T: FstSpec, x: str) -> Optional[tuple[int, str]]:
+    """Oracle for min_input_for_output: the search over the move map, a
+    per-state set of matched lengths and a deque."""
+    n = len(x)
+    if n == 0:
+        return (0, "")
+    moves = T.moves
+    seen = defaultdict(set)  # state -> matched lengths reached
+    seen[T.start].add(0)
+    queue = deque([(T.start, 0, "", None)])
+    while queue:
+        cell = queue.popleft()
+        q, pos, _, _ = cell
+        for b in BITS:  # bit order makes the first-found path lex-least
+            tgt, e = moves[(q, b)]
+            end = pos + len(e)
+            if end > n or x[pos:end] != e or end in seen[tgt]:
+                continue
+            if end == n:
+                bits = [b]
+                while cell[3] is not None:
+                    bits.append(cell[2])
+                    cell = cell[3]
+                return (len(bits), "".join(reversed(bits)))
+            seen[tgt].add(end)
+            queue.append((tgt, end, b, cell))
+    return None
+
+
+def oracle_kfs_over_set(
+    x: str, entries: Sequence[tuple[str, FstSpec]]
+) -> ComplexityResult:
+    """Oracle for kfs_over_set and kfs_complexity: every machine of the
+    list searched, no class skipped and no bound applied."""
+    if not entries:
+        raise ValidationError("machine list must be nonempty")
+    best: Optional[tuple[int, str, int]] = None
+    for idx, (_, T) in enumerate(entries):
+        found = oracle_min_input_for_output(T, x)
+        if found is None:
+            continue
+        length, y = found
+        if best is None or length < best[0]:
+            best = (length, y, idx)
+    if best is None:
+        return ComplexityResult(math.inf, None)
+    length, y, idx = best
+    return ComplexityResult(length, Witness(entries[idx][0], y, idx))
+
+
+def oracle_kfs_lengths(k: int, entries, bits: str, points):
+    """Oracle for kfs_lengths: each prefix searched afresh over every
+    machine of the list."""
+    for n in points:
+        value = oracle_kfs_over_set(bits[:n], entries).value
+        yield UnreachableError(k, n) if math.isinf(value) else value
 
 
 def output_bits(comp, x: str) -> int:

@@ -10,12 +10,15 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_pdc, chain_pdc_text, counter_fst
+from conftest import chain_pdc, chain_pdc_text, counter_fst, oracle_kfs_lengths
 from depthlab import (
+    SequenceRecipe,
     cli,
+    depth,
+    enum_fsts,
     format_fst,
     format_pdc,
     identity_fst,
@@ -621,6 +624,7 @@ def stream_dir(tmp_path_factory):
 
 @settings(max_examples=200, deadline=None)
 @given(s=STREAMS)
+@example(s="--")  # argparse drops "--" from "--bits=--" unless told not to
 def test_stream_check_accepts_exactly_the_bit_strings(stream_dir, s):
     # The old predicate, with whitespace dropped first, is the oracle.
     bits = "".join(s.split())
@@ -641,3 +645,60 @@ def test_stream_check_accepts_exactly_the_bit_strings(stream_dir, s):
         assert got[0] == 0 and got[1].startswith("n,bits,ratio\n")
     else:
         assert (got[0], got[2]) == (2, "error: no usable rows\n")
+
+
+@pytest.mark.parametrize("k", [8, 10, 12, 14])
+def test_kfs_ratio_csv_matches_per_prefix_oracle(k, tmp_path, monkeypatch):
+    # recipe a opens with 000, so kfs(10) has usable rows before its
+    # unreachable ones, and kfs(8) has none (exit 2).
+    bits = SequenceRecipe(kind="a", stages=5, seed=0).generate().bits[:400]
+    (tmp_path / "s.bits").write_text(bits)
+    runs = [["ratio", "--input", str(tmp_path / "s.bits"), "--compressor", f"kfs({k})",
+             "--grid", grid] for grid in ("1:400:1", "1:450:x1.1")]
+    got = [main_outcome(argv) for argv in runs]
+    assert {code for code, _, _ in got} == ({2} if k == 8 else {0})
+
+    def oracle(k, entries, bits, points):
+        return oracle_kfs_lengths(k, enum_fsts(k).entries, bits, points)
+
+    monkeypatch.setattr(depth, "kfs_lengths", oracle)
+    assert [main_outcome(argv) for argv in runs] == got
+
+
+# Argument text for builtin names and grids: signs, underscores, spaces,
+# huge integers (one past int()'s digit limit) and other scripts' digits.
+ARG_TEXT = st.one_of(
+    st.integers(-20, 300).map(str),
+    st.sampled_from(["0", "9", "81", "10", "12", "14", "+9", "-9", "1_4", " 14 ", "٣",
+                     "０", "１４", "٩", "", " ", "_", "x", "01", "0b1", "1e3",
+                     str(10**30), "9" * 5000]),
+    st.text(alphabet="0123456789+-_ ٣０x,.", max_size=6),
+)
+NAMES = st.one_of(
+    st.builds("kfs({})".format, ARG_TEXT),
+    st.builds("half-compressor({},{},{})".format, ARG_TEXT, ARG_TEXT, ARG_TEXT),
+    st.builds("repeater({})".format, ARG_TEXT),
+    st.text(max_size=12),
+)
+GRIDS = st.one_of(
+    st.builds("{}:{}:{}".format, *[st.integers(1, 60)] * 3),
+    st.builds("{}:{}:{}".format, ARG_TEXT, ARG_TEXT, ARG_TEXT),
+    st.builds("{}:{}:x{}".format, ARG_TEXT, ARG_TEXT, st.one_of(
+        ARG_TEXT, st.sampled_from(["1.1", "1", "0.5", "nan", "inf", "1e308", "1.0000001"]))),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=NAMES, grid=GRIDS)
+def test_compressor_names_and_grids_fuzzed(stream_dir, name, grid):
+    stream = stream_dir / "fuzz.bits"
+    stream.write_text("0110100110010110" * 3)
+    try:
+        code, _, err = main_outcome(["ratio", "--input", str(stream),
+                                     "--compressor", name, "--grid", grid])
+    except SystemExit as exc:  # argparse refuses the argv
+        code, err = exc.code, ""
+    assert code in (0, 1, 2, 3)
+    assert sum("error:" in line for line in err.splitlines()) <= 1
+    assert "Traceback" not in err

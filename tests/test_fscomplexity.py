@@ -13,11 +13,15 @@ from conftest import (
     enum_fsts_by_decoding,
     fst_key,
     machines,
+    oracle_kfs_lengths,
+    oracle_kfs_over_set,
+    oracle_min_input_for_output,
     random_fst,
     silent_fst,
 )
 from depthlab import (
     FstSpec,
+    SequenceRecipe,
     ValidationError,
     decode_fst,
     encode_fst,
@@ -28,8 +32,10 @@ from depthlab import (
     kfs_complexity,
     kfs_over_set,
     min_input_for_output,
+    random_bits,
     repeater_fst,
 )
+from depthlab.fscomplexity import kfs_lengths
 from depthlab.fst import BITS
 
 
@@ -77,6 +83,102 @@ def test_kfs_matches_decoding_oracle(k):
     for _ in range(200):
         x = "".join(rng.choice("01") for _ in range(rng.randint(0, 24)))
         assert kfs_complexity(x, k) == kfs_over_set(x, oracle.entries)
+        assert kfs_complexity(x, k) == oracle_kfs_over_set(x, oracle.entries)
+
+
+# Behaviour classes per k = 0..16, k = 16 past the ceiling.
+CLASS_COUNTS = [0] * 8 + [1, 1, 5, 5, 17, 17, 49, 49, 145]
+
+
+def outputs_up_to(T: FstSpec, L: int) -> tuple[str, ...]:
+    """T's output on every input of length <= L, shortest inputs first."""
+    outs, level = [], [("", T.start)]
+    for length in range(L + 1):
+        outs.extend(out for out, _ in level)
+        if length < L:
+            level = [(out + e, t) for out, q in level
+                     for t, e in (T.moves[(q, b)] for b in BITS)]
+    return tuple(outs)
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_behaviour_classes_match_bounded_outputs(k, monkeypatch):
+    # Machines with m1 and m2 states agree on every input exactly when they
+    # agree on every input of length <= m1 * m2 (a first difference shows
+    # within that many steps of their product). Every machine here has at
+    # most M states, so tables over length <= M * M group the same way.
+    monkeypatch.setattr(fscomplexity, "ENUM_CEILING", 16)
+    u = enum_fsts(k)
+    assert len(u.classes) == CLASS_COUNTS[k]
+    M = max((T.num_states for T in machines(u)), default=1)
+    firsts: dict[tuple, int] = {}
+    for i, T in enumerate(machines(u)):
+        firsts.setdefault(outputs_up_to(T, M * M), i)
+    # Each class is represented by its lowest index, in ascending order.
+    assert u.classes == tuple(firsts.values())
+
+
+def kfs_probes(rng: random.Random) -> list[str]:
+    """Random strings of 0-40 bits, then strings whose winner the classes
+    and the length bound decide."""
+    xs = [random_bits(rng, rng.randint(0, 40)) for _ in range(40)]
+    xs += [p * t for p in ("01", "110") for t in range(14)]
+    xs += [b * n for b in "01" for n in range(30)]
+    return xs
+
+
+@pytest.mark.parametrize("k", range(8, 15))
+def test_kfs_matches_search_oracle(k):
+    entries = enum_fsts(k).entries
+    for x in kfs_probes(random.Random(k)):
+        want = oracle_kfs_over_set(x, entries)
+        # value, description, input and machine_index, field by field
+        assert kfs_complexity(x, k) == want, x
+        assert kfs_over_set(x, entries) == want, x
+
+
+def test_min_input_matches_search_oracle():
+    rng = random.Random(23)
+    for _ in range(60):
+        T = random_fst(rng, max_states=3)
+        for x in all_inputs(5):
+            assert min_input_for_output(T, x) == oracle_min_input_for_output(T, x)
+
+
+def comparable(values):
+    return [v if isinstance(v, int) else (type(v).__name__, str(v)) for v in values]
+
+
+def assert_one_pass_matches(k, entries, bits, oracle_entries=None):
+    points = list(range(1, len(bits) + 1))
+    got = comparable(kfs_lengths(k, entries, bits, points))
+    want = comparable(oracle_kfs_lengths(k, oracle_entries or entries, bits, points))
+    assert got == want, bits
+
+
+@pytest.mark.parametrize("k", [10, 12, 14])
+def test_one_pass_kfs_matches_per_prefix_oracle(k):
+    u = enum_fsts(k)
+    firsts = [u.entries[i] for i in u.classes]
+    rng = random.Random(k)
+    streams = [random_bits(rng, rng.randint(0, 300)) for _ in range(3)]
+    streams.append(SequenceRecipe(kind="a", stages=5, seed=k).generate().bits[:300])
+    streams.append("0" * 40 + "1" + "0" * 20)  # reachable, then not, at k = 10
+    for bits in streams:
+        assert_one_pass_matches(k, firsts, bits, u.entries)
+
+
+def test_one_pass_relaxes_empty_emissions():
+    # Reachability need not be monotone in n: repeater(01) reaches only
+    # the even prefixes of (01)^t.
+    assert_one_pass_matches(14, described(repeater_fst("01")), "01" * 30)
+    multi = [e for e in enum_fsts(14).entries if e[1].num_states > 1]
+    rng = random.Random(41)
+    randoms = described(*(random_fst(rng, max_states=3) for _ in range(30)))
+    assert any(not e for _, T in randoms for _, e in T.moves.values())
+    for entries in (described(*machines(enum_fsts(12))), multi, randoms):
+        for bits in [random_bits(rng, 120), "0" * 60, "01" * 40 + "1" * 20]:
+            assert_one_pass_matches(14, entries, bits)
 
 
 def test_enum_cache_keeps_ceiling(monkeypatch):
