@@ -8,7 +8,8 @@ Each command is declared once, in COMMANDS. `main` builds only the parser
 of the command that argv names; argv that the command's parser cannot take
 whole (no command, an unknown one, a leading option or leftover arguments)
 goes to the full parser, so usage and error messages are the same either
-way.
+way. Each parser is built at most once per process and reused by later
+calls of `main`: parsing leaves a parser as it found it.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ import math
 import os
 import re
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -317,6 +319,7 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser() -> _Parser:
     """The full parser: every command as a subparser."""
     parser = _Parser(prog="depthlab")
@@ -328,6 +331,7 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
 def _command_parser(name: str) -> _Parser:
     """One command's parser, alike in prog, arguments and help to its
     subparser in build_parser()."""

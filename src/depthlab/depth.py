@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -25,6 +25,7 @@ from .lz78 import lz_lengths
 from .pushdown import (
     PdcSpec,
     build_half_compressor,
+    check_half_compressor,
     identity_pdc,
     parse_pdc,
     pdc_lengths,
@@ -33,6 +34,10 @@ from .pushdown import (
 # Most points of a linear grid, and most multiplications parse_grid spends
 # walking a geometric grid.
 MAX_GRID_STEPS = 10**6
+# Builtin machines a process keeps for later requests, dropping the least
+# recently used: one profile's weak and strong side. A kept machine keeps
+# the blocks its runs memoized.
+BUILTIN_CACHE_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -52,17 +57,26 @@ def _int_arg(text: str, name: str) -> int:
         raise ValidationError(f"{name}: argument {text!r} is not an integer") from exc
 
 
+@lru_cache(maxsize=BUILTIN_CACHE_SIZE)
+def _builtin(build: Callable, *args) -> Union[FstSpec, PdcSpec]:
+    """build(*args), kept for reuse; a build that raises is not kept."""
+    return build(*args)
+
+
 def make_compressor(name: str) -> Compressor:
     """Resolve a builtin name or a machine file path.
 
     Builtins: identity-fst, identity-pdc, lz78, half-compressor(k,v,m),
-    repeater(bits), kfs(k).
+    repeater(bits), kfs(k). The identity, half-compressor and repeater
+    machines are kept for later calls (see BUILTIN_CACHE_SIZE); every limit
+    is still checked on every call, and a machine file is read on every
+    call.
     """
     name = name.strip()
     if name == "identity-fst":
-        return Compressor(name, partial(fst_lengths, identity_fst()))
+        return Compressor(name, partial(fst_lengths, _builtin(identity_fst)))
     if name == "identity-pdc":
-        return Compressor(name, partial(pdc_lengths, identity_pdc()))
+        return Compressor(name, partial(pdc_lengths, _builtin(identity_pdc)))
     if name == "lz78":
         return Compressor(name, lz_lengths)
     if name.startswith("half-compressor(") and name.endswith(")"):
@@ -70,17 +84,18 @@ def make_compressor(name: str) -> Compressor:
         if len(args) != 3:
             raise ValidationError("half-compressor takes (k, v, m)")
         k, v, m = (_int_arg(a, name) for a in args)
-        return Compressor(name, partial(pdc_lengths, build_half_compressor(k, v, m)))
+        check_half_compressor(k, v, m)  # a kept machine skips the build's checks
+        C = _builtin(build_half_compressor, k, v, m)
+        return Compressor(name, partial(pdc_lengths, C))
     if name.startswith("repeater(") and name.endswith(")"):
-        T = repeater_fst(name[len("repeater(") : -1])
+        T = _builtin(repeater_fst, name[len("repeater(") : -1])
         return Compressor(name, partial(fst_lengths, T))
     if name.startswith("kfs(") and name.endswith(")"):
         k = _int_arg(name[len("kfs(") : -1], name)
         universe = enum_fsts(k)
         if not universe.entries:
             raise ValidationError(f"no machines with descriptions <= {k} bits")
-        firsts = [universe.entries[i] for i in universe.classes]
-        return Compressor(f"kfs({k})", partial(kfs_lengths, k, firsts))
+        return Compressor(f"kfs({k})", partial(kfs_lengths, k, universe.representatives))
     path = Path(name)
     if not path.exists():
         raise ValidationError(f"no builtin or machine file named {name!r}")

@@ -53,6 +53,11 @@ class FstUniverse:
             firsts.setdefault(_minimal(T), i)
         return tuple(firsts.values())
 
+    @cached_property
+    def representatives(self) -> tuple[tuple[str, FstSpec], ...]:
+        """The entries that `classes` indexes, in the same order."""
+        return tuple(self.entries[i] for i in self.classes)
+
 
 def _minimal(T: FstSpec) -> tuple:
     """The moves of T's minimal machine, (target, emission) per state and
@@ -261,9 +266,9 @@ def kfs_complexity(x: str, k: int) -> ComplexityResult:
     universe = enum_fsts(k)
     if not universe.entries:
         return ComplexityResult(INFINITE, None)
-    firsts = universe.classes
-    result = kfs_over_set(x, [universe.entries[i] for i in firsts])
+    result = kfs_over_set(x, universe.representatives)
     if result.witness is None:
         return result
     w = result.witness
-    return replace(result, witness=replace(w, machine_index=firsts[w.machine_index]))
+    index = universe.classes[w.machine_index]
+    return replace(result, witness=replace(w, machine_index=index))

@@ -18,6 +18,7 @@ from .errors import ValidationError
 from .fst import check_bits
 
 _ROOT = 0
+FEED_CHUNK = 1 << 16  # input bits LzParser.feed encodes to bytes at a time
 
 
 @dataclass
@@ -57,18 +58,20 @@ class LzParser:
         c0, c1, ptrs, lits, node = self.c0, self.c1, self.ptrs, self.lits, self.node
         # Indexed by the input byte: b"0"[0] == 48 picks c0, 49 picks c1.
         tables = (c0, c1) * 25
-        for b in x.encode():
-            kids = tables[b]
-            nxt = kids[node]
-            if nxt:
-                node = nxt
-            else:
-                kids[node] = len(c0)
-                c0.append(0)
-                c1.append(0)
-                ptrs.append(node)
-                lits.append(b)
-                node = _ROOT
+        # A chunk at a time, so that a long x is never copied whole.
+        for start in range(0, len(x), FEED_CHUNK):
+            for b in x[start : start + FEED_CHUNK].encode():
+                kids = tables[b]
+                nxt = kids[node]
+                if nxt:
+                    node = nxt
+                else:
+                    kids[node] = len(c0)
+                    c0.append(0)
+                    c1.append(0)
+                    ptrs.append(node)
+                    lits.append(b)
+                    node = _ROOT
         self.node = node
 
     def coded_bits(self) -> int:

@@ -595,21 +595,11 @@ def fst_compose(A: FstSpec, B: FstSpec) -> FstSpec:
     return FstSpec(N.num_states, N.start, moves)
 
 
-def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
-    """The palindrome-zone compressor (binary stack).
-
-    After skipping an m-bit prefix verbatim, it copies its input while
-    pushing it and scanning k-bit groups for an all-ones flag; on the
-    flag it pops the k flag bits and then checks the following input
-    against the stack in reverse, emitting a single 0 per v matched bits.
-    A mismatch emits 1^(3m+i) 0 x and falls into an absorbing copy state
-    (always the highest-numbered state).
-
-    Output on R 1^k reverse(R) with flag-free R and m = 0 is
-    R 1^k 0^(|R|/v) when v divides |R|. A machine of over
-    COMPOSE_STATE_CEILING states, or whose escape codes emit over
-    ESCAPE_BITS_CEILING bits in all, is refused before any state is listed.
-    """
+def check_half_compressor(k: int, v: int, m: int) -> None:
+    """Refuse half-compressor parameters, in closed form: k <= 8, m < 0, v
+    not a power of k, a machine of over COMPOSE_STATE_CEILING states, or
+    escape codes that emit over ESCAPE_BITS_CEILING bits in all. Both
+    ceilings are read when called."""
     if k <= 8:
         raise ValidationError("need k > 8")
     if m < 0:
@@ -633,6 +623,22 @@ def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
             f"over {ESCAPE_BITS_CEILING}"
         )
 
+
+def build_half_compressor(k: int, v: int, m: int = 0) -> PdcSpec:
+    """The palindrome-zone compressor (binary stack).
+
+    After skipping an m-bit prefix verbatim, it copies its input while
+    pushing it and scanning k-bit groups for an all-ones flag; on the
+    flag it pops the k flag bits and then checks the following input
+    against the stack in reverse, emitting a single 0 per v matched bits.
+    A mismatch emits 1^(3m+i) 0 x and falls into an absorbing copy state
+    (always the highest-numbered state).
+
+    Output on R 1^k reverse(R) with flag-free R and m = 0 is
+    R 1^k 0^(|R|/v) when v divides |R|. Parameters that
+    `check_half_compressor` refuses are refused before any state is listed.
+    """
+    check_half_compressor(k, v, m)
     names: list[tuple] = []
     names.append(("count", 0))
     names.extend(("count", i) for i in range(1, m + 1))

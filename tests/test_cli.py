@@ -568,6 +568,37 @@ def test_glued_tail_only_changes_argv_whose_tail_value_read_as_an_option(argv):
         assert before[2].endswith("error: argument --tail: expected one argument\n")
 
 
+def parse_fresh(argv):
+    """cli.parse_args on parsers built for this call alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_command_parser", cli._command_parser.__wrapped__)
+        mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        return cli.parse_args(argv)
+
+
+def option_args(flag, value, glued):
+    return [f"{flag}={value}"] if glued else [flag, value]
+
+
+VALUES = st.sampled_from(["0110", "12", "x", "", "-", "-x", "--", "1:4:1", "lz78",
+                          "b", "-1", "0.5", "a b"])
+ARGVS = st.builds(
+    lambda head, opts, tail: [*head, *(a for opt in opts for a in opt), *tail],
+    st.sampled_from([[name] for name in cli.COMMANDS] + [[], ["nope"], ["-h"]]),
+    st.lists(st.builds(option_args, st.sampled_from([*declared_flags(), "--nope", "-x"]),
+                       VALUES, st.booleans()), max_size=5),
+    st.lists(st.sampled_from(["--", "extra", "-", "--k", "01", "-h"]), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.one_of(ARGVS, st.lists(TOKENS, max_size=8)))
+def test_kept_parsers_parse_like_fresh_ones(argv):
+    kept = parse_outcome(cli.parse_args, argv)
+    assert kept == parse_outcome(parse_fresh, argv), argv
+    assert parse_outcome(cli.parse_args, argv) == kept, argv
+
+
 def test_valid_commands_never_build_the_full_parser(tmp_path, monkeypatch, capsys):
     def refuse():
         raise AssertionError("the full parser was built")
@@ -702,3 +733,82 @@ def test_compressor_names_and_grids_fuzzed(stream_dir, name, grid):
     assert code in (0, 1, 2, 3)
     assert sum("error:" in line for line in err.splitlines()) <= 1
     assert "Traceback" not in err
+
+
+# Machine files: good ones, bad headers, a huge declared state count,
+# duplicate lines, other scripts' digits, bytes that are not UTF-8, empty
+# and blank files, and lines drawn from pieces of the format.
+MACHINE_TEXTS = st.one_of(
+    st.sampled_from([
+        format_fst(identity_fst()), format_pdc(identity_pdc()),
+        "fst 1 1\n1 0 -> 1 -\n1 1 -> 1 11\n", "fst", "fst x 1\n", "fst 1\n", "fsm 1 1\n",
+        "pdc 1 1 unary\n", "pdc 1 1 stacky 0\n", "pdc 1 1 unary x\n",
+        "fst 100000000000 1\n1 0 -> 1 -\n", "pdc 10000000000 1 unary 0\n1 0 z -> 1 z 0\n",
+        "fst 1 1\n1 0 -> 1 0\n1 0 -> 1 0\n1 1 -> 1 1\n",
+        "pdc 1 1 unary 0\n1 0 z -> 1 z 0\n1 0 z -> 1 z 0\n1 1 z -> 1 z 1\n",
+        "fst ٣ 1\n", "fst 1 1\n1 0 -> ١ 0\n1 1 -> 1 1\n", "pdc ０ 1 unary 0\n",
+        "fst 1 1\n1 0 -> 1 ０\n1 1 -> 1 1\n", b"fst 1 1\n\xff\xfe\n", b"\x80", "", " \n\t",
+    ]),
+    st.lists(st.sampled_from(["fst 1 1", "fst 2 1", "pdc 1 1 unary 0", "pdc 2 1 binary 1",
+                              "1 0 -> 1 0", "1 1 -> 2 -", "2 0 -> 1 11", "2 1 -> 2 1",
+                              "1 0 z -> 1 z 0", "1 1 z -> 1 0z -", "1 - 0 -> 2 - 1",
+                              "2 0 0 -> 1 - -", "1 1 z -> 1 z 1", "->", "٣ 0 -> 1 0"]),
+             max_size=6).map("\n".join),
+    st.text(max_size=30),
+)
+SEEDS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["", " ", "x", "٣", "０", "1_0", " 7 ", "+3", "1e3", "0x10", "9" * 5000]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+            max_size=6),
+)
+
+
+def fuzz_outcome(argv, seed_env):
+    with pytest.MonkeyPatch.context() as mp:
+        if seed_env is None:
+            mp.delenv("DEPTHLAB_SEED", raising=False)
+        else:
+            mp.setenv("DEPTHLAB_SEED", seed_env)
+        try:
+            return main_outcome(argv)
+        except SystemExit as exc:  # argparse refuses the argv
+            return exc.code, "", ""
+
+
+@settings(max_examples=120, deadline=None)
+@given(texts=st.lists(MACHINE_TEXTS, min_size=2, max_size=2), seed=SEEDS,
+       seed_env=st.one_of(st.none(), SEEDS), paths=st.lists(
+           st.sampled_from(["a.fst", "b.pdc", "missing.fst", ".", "gone/out.bits"]),
+           min_size=2, max_size=2))
+def test_machine_files_seeds_and_paths_fuzzed(tmp_path_factory, texts, seed, seed_env,
+                                              paths):
+    tmp = tmp_path_factory.getbasetemp() / "machine-fuzz"
+    tmp.mkdir(exist_ok=True)
+    (tmp / "missing.fst").unlink(missing_ok=True)  # generate may have written it
+    for name, text in zip(("a.fst", "b.pdc"), texts):
+        data = text if isinstance(text, bytes) else text.encode()
+        (tmp / name).write_bytes(data)
+    (tmp / "s.bits").write_text("0110100110010110")
+    one, two = (str(tmp / p) for p in paths)
+    bits = ["--bits", "0110"]
+    stream = ["--input", str(tmp / "s.bits"), "--grid", "1:16:3"]
+    runs = [
+        ["fst-run", "--machine", one, *bits],
+        ["pdc-run", "--machine", two, *bits],
+        ["compose", "--outer", two, "--inner", one],
+        ["profile", *stream, "--weak", one, "--strong", two],
+        ["ratio", *stream, "--compressor", two, "--seed", seed],
+        ["ratio", "--recipe", "b", "--k", "9", "--stages", "2", f"--seed={seed}",
+         "--compressor", one, "--grid", "1:200:9"],
+        ["generate", "--recipe", "b", "--k", "9", "--stages", "2", f"--seed={seed}",
+         "--out", two],
+        ["generate", "--recipe", "a", "--stages", "3", "--out", str(tmp / "g.bits")],
+    ]
+    for argv in runs:
+        got = fuzz_outcome(argv, seed_env)
+        code, _, err = got
+        assert code in (0, 1, 2, 3), argv
+        assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+        assert "Traceback" not in err
+        assert fuzz_outcome(argv, seed_env) == got, argv

@@ -1,20 +1,27 @@
 import random
 import re
 from functools import partial
+from pathlib import Path
 
 import pytest
 
 from conftest import output_bits
 from depthlab import (
     PdcSpec,
+    SequenceRecipe,
     ValidationError,
     compute_profile,
+    depth,
+    fscomplexity,
     lz_encode,
     make_compressor,
     parse_grid,
+    pushdown,
     random_bits,
 )
+from depthlab.cli import main
 from depthlab.depth import Compressor, DepthProfile, load_machine, load_profile_csv
+from depthlab.lz78 import lz_lengths
 from depthlab.pushdown import Z0, pdc_lengths
 
 
@@ -165,8 +172,6 @@ def test_profile_csv_roundtrip_and_check():
 
 
 def test_desk_scale_profile_examples():
-    from depthlab import SequenceRecipe
-
     # Weak identity vs the palindrome-zone compressor on its home stream:
     # the tail gap sits near one half.
     b = SequenceRecipe(kind="b", k=9, stages=20, seed=6).generate().bits
@@ -216,3 +221,102 @@ def test_tail_bracket_skips_flagged_rows():
     for empty in empties:
         with pytest.raises(ValidationError, match="^no usable rows$"):
             empty.tail_bracket()
+
+
+def machine_of(comp):
+    return comp.lengths.args[0]
+
+
+def test_builtin_machines_are_kept_for_later_calls():
+    depth._builtin.cache_clear()
+    half = "half-compressor(9,9,0)"
+    first = machine_of(make_compressor(half))
+    assert machine_of(make_compressor(f" {half} ")) is first
+    assert machine_of(make_compressor("identity-pdc")) is machine_of(
+        make_compressor("identity-pdc"))
+    assert machine_of(make_compressor("repeater(01)")) is machine_of(
+        make_compressor("repeater(01)"))
+    # Two more builtins were used since, so the cache no longer holds it.
+    assert depth._builtin.cache_info().maxsize == depth.BUILTIN_CACHE_SIZE == 2
+    assert machine_of(make_compressor(half)) is not first
+
+
+def run_main(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_profiles_on_kept_machines_match_a_cold_run(tmp_path, capsys):
+    bits = SequenceRecipe(kind="b", k=9, stages=12, seed=4).generate().bits
+    (tmp_path / "b.bits").write_text(bits)
+    argv = ["profile", "--input", str(tmp_path / "b.bits"), "--weak", "identity-pdc",
+            "--strong", "half-compressor(9,9,0)", "--grid", f"1:{len(bits)}:37"]
+    depth._builtin.cache_clear()
+    cold = run_main(argv, capsys)
+    assert cold[0] == 0 and cold[1].count("\n") > 20
+    hits = depth._builtin.cache_info().hits
+    assert [run_main(argv, capsys) for _ in range(2)] == [cold, cold]
+    assert depth._builtin.cache_info().hits == hits + 4
+    depth._builtin.cache_clear()
+    assert run_main(argv, capsys) == cold
+
+
+def ratio_argv(tmp_path, compressor):
+    (tmp_path / "s.bits").write_text("0110")
+    return ["ratio", "--input", str(tmp_path / "s.bits"), "--compressor", compressor,
+            "--grid", "4:4:1"]
+
+
+def test_machine_files_are_read_on_every_call(tmp_path, capsys):
+    path = tmp_path / "m.pdc"
+    argv = ratio_argv(tmp_path, str(path))
+    path.write_text("pdc 1 1 unary 0\n1 0 z -> 1 z 0\n1 1 z -> 1 z 1\n")
+    assert run_main(argv, capsys)[:2] == (0, "n,bits,ratio\n4,4,1.000000\n")
+    path.write_text("pdc 1 1 unary 0\n1 0 z -> 1 z -\n1 1 z -> 1 z 1\n")
+    assert run_main(argv, capsys)[:2] == (0, "n,bits,ratio\n4,2,0.500000\n")
+    path.unlink()
+    code, _, err = run_main(argv, capsys)
+    assert (code, err) == (2, f"error: no builtin or machine file named {str(path)!r}\n")
+
+
+def test_builtin_names_win_over_files_of_the_same_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    silent = "fst 1 1\n1 0 -> 1 -\n1 1 -> 1 -\n"
+    for name in ("lz78", "identity-fst", "identity-pdc", "half-compressor(9,9,0)",
+                 "repeater(01)"):
+        Path(name).write_text(silent)
+    assert make_compressor("lz78").lengths is lz_lengths
+    x = "0110100110010110"
+    assert output_bits(make_compressor("identity-fst"), x) == len(x)
+    assert output_bits(make_compressor("identity-pdc"), x) == len(x)
+    assert output_bits(make_compressor("repeater(01)"), x) == 2 * len(x)
+    assert output_bits(make_compressor("half-compressor(9,9,0)"), x) == len(x)
+    assert make_compressor("./lz78").label == "lz78"  # a path reads the file
+    assert output_bits(make_compressor("./lz78"), x) == 0
+
+
+@pytest.mark.parametrize("ceiling", ["COMPOSE_STATE_CEILING", "ESCAPE_BITS_CEILING"])
+def test_lowered_ceilings_refuse_a_kept_half_compressor(ceiling, tmp_path, monkeypatch,
+                                                       capsys):
+    argv = ratio_argv(tmp_path, "half-compressor(9,9,0)")
+    assert run_main(argv, capsys)[0] == 0  # now kept
+    monkeypatch.setattr(pushdown, ceiling, 10)
+    refused = run_main(argv, capsys)
+    depth._builtin.cache_clear()
+    assert run_main(argv, capsys) == refused
+    assert refused[0] == 2 and refused[2].startswith("error: half-compressor(9,9,0) ")
+    assert refused[2].endswith(", over 10\n")
+
+
+def test_lowered_enum_ceiling_refuses_kfs(tmp_path, monkeypatch, capsys):
+    argv = ratio_argv(tmp_path, "kfs(12)")
+    assert run_main(argv, capsys)[0] == 0
+    assert run_main(["kfs", "--bits", "0110", "--k", "12"], capsys)[0] == 0
+    monkeypatch.setattr(fscomplexity, "ENUM_CEILING", 11)
+    message = "error: enumeration bound 12 exceeds ceiling 11"
+    for args in (argv, ["kfs", "--bits", "0110", "--k", "12"]):
+        code, out, err = run_main(args, capsys)
+        assert (code, out) == (2, "") and err.startswith(message), err
+    with pytest.raises(ValidationError, match="exceeds ceiling 11"):
+        make_compressor("kfs(12)")

@@ -16,6 +16,7 @@ from depthlab import (
     random_bits,
     repeat_bound,
 )
+from depthlab import lz78
 from depthlab.lz78 import LzParser, pointer_width
 
 
@@ -75,13 +76,18 @@ def test_parser_resumes_across_chunks():
 @given(
     st.lists(st.text(alphabet="01", max_size=12), max_size=30),
     st.text(alphabet="01", max_size=40),
+    st.sampled_from([1, 2, 5, lz78.FEED_CHUNK]),
 )
-@example(["0", "", "0"], "0")  # "00" ends inside phrase "0"
-@example(["01", "", "0110"], "1")  # ends on a phrase boundary
-def test_parser_matches_oracle_on_any_chunking(chunks, y):
+@example(["0", "", "0"], "0", lz78.FEED_CHUNK)  # "00" ends inside phrase "0"
+@example(["01", "", "0110"], "1", lz78.FEED_CHUNK)  # ends on a phrase boundary
+@example(["0110100"], "", 3)  # a phrase spans two encoded pieces
+def test_parser_matches_oracle_on_any_chunking(chunks, y, feed_chunk):
+    # feed_chunk is how many bits LzParser.feed encodes to bytes at a time.
     parser, oracle = LzParser(), OracleLzParser()
     for chunk in chunks:
-        parser.feed(chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lz78, "FEED_CHUNK", feed_chunk)
+            parser.feed(chunk)
         oracle.feed(chunk)
         assert parser.coded_bits() == oracle.coded_bits()
     got, want = parser.result(), oracle.result()
