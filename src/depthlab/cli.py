@@ -27,7 +27,7 @@ from . import depth, lz78, seqgen
 from .codec import decode_fst, encode_fst
 from .errors import StuckError, ValidationError
 from .fscomplexity import kfs_complexity
-from .fst import FstSpec, fst_run, parse_fst, format_fst
+from .fst import FstSpec, ascii_int, fst_run, parse_fst, format_fst
 from .pushdown import compose_pdc_fst, fst_compose, parse_pdc, format_pdc, pdc_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_STUCK = 0, 1, 2, 3
@@ -71,9 +71,17 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("DEPTHLAB_SEED")
     try:
-        return int(env) if env else 0
+        return ascii_int(env) if env else 0
     except ValueError as exc:
         raise ValidationError(f"DEPTHLAB_SEED must be an integer, got {env!r}") from exc
+
+
+def _seed_arg(text: str) -> int:
+    """--seed's type: ascii_int, refused with the message argparse gives int."""
+    try:
+        return ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _recipe_from_args(args) -> seqgen.SequenceRecipe:
@@ -238,7 +246,7 @@ def _add_sequence_flags(p: _Parser, include_input: bool = True) -> None:
     p.add_argument("--recipe", choices=["a", "b", "c"], help="builtin sequence")
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--v", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed_arg, default=None,
                    help="defaults to $DEPTHLAB_SEED, then 0")
     p.add_argument("--growth", choices=["exponential", "scaled"], default="scaled")
     p.add_argument("--g", type=int, default=4)

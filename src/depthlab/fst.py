@@ -31,6 +31,13 @@ def check_bits(s: str, what: str) -> None:
         raise ValidationError(f"{what} must be a string over 0/1, got {s!r}")
 
 
+def ascii_int(s: str) -> int:
+    """int(s), refusing the other scripts' digits and the '_' that int() reads."""
+    if not s.isascii() or "_" in s:
+        raise ValueError(f"not an ASCII integer: {s!r}")
+    return int(s)
+
+
 @dataclass(frozen=True)
 class FstSpec:
     """A finite-state transducer: states 1..num_states, total on (state, bit).
@@ -158,7 +165,7 @@ def parse_fst(text: str) -> FstSpec:
     if len(head) != 3 or head[0] != "fst":
         raise ValidationError(f"bad fst header: {lines[0]!r}")
     try:
-        m, start = int(head[1]), int(head[2])
+        m, start = ascii_int(head[1]), ascii_int(head[2])
     except ValueError as exc:
         raise ValidationError(f"bad fst header: {lines[0]!r}") from exc
     moves: dict[tuple[int, str], tuple[int, str]] = {}
@@ -167,7 +174,7 @@ def parse_fst(text: str) -> FstSpec:
         if len(parts) != 5 or parts[2] != "->":
             raise ValidationError(f"bad fst line: {ln!r}")
         try:
-            q, b, tgt, e = int(parts[0]), parts[1], int(parts[3]), parts[4]
+            q, b, tgt, e = ascii_int(parts[0]), parts[1], ascii_int(parts[3]), parts[4]
         except ValueError as exc:
             raise ValidationError(f"bad fst line: {ln!r}") from exc
         if b not in BITS:

@@ -51,12 +51,14 @@ that sticks, for the output before the stuck bit.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import BITS, BLOCK_MEMO_CAP, FstSpec, fst_lengths, fst_run, identity_fst
+from .fst import (BITS, BLOCK_MEMO_CAP, FstSpec, ascii_int, fst_lengths, fst_run,
+                  identity_fst)
 
 Z0 = "z"
 LAMBDA = ""
@@ -157,43 +159,49 @@ def pdc_validate(C: PdcSpec) -> list[str]:
     Checks key well-formedness, determinism per (state, top), bottom-marker
     preservation, emissions over 0/1, silence of input-free moves, unary
     stack discipline, and that no chain of input-free moves can exceed the
-    budget (a cycle in the move graph counts as unbounded). Structural
-    problems of every move come before emission problems.
+    budget (a cycle in the move graph counts as unbounded). One pass over
+    the moves lists every structural problem, then every emission problem.
     """
-    problems = []
+    problems, late = [], []  # late: emission problems, listed after the others
     syms = C.stack_symbols()
     tops = (*syms, Z0)
-    for key, (tgt, push, _) in C.moves.items():
+    moves, m = C.moves, C.num_states
+    free, odd = [], set()  # (state, top) of input-free moves, of non-bit inputs
+    for key, (tgt, push, bits) in moves.items():
         q, inp, top = key
-        if not 1 <= q <= C.num_states:
+        if not 1 <= q <= m:
             problems.append(f"state out of range in {key}")
-        if inp not in (LAMBDA, "0", "1"):
+        if inp == LAMBDA:
+            free.append((q, top))
+        elif inp != "0" and inp != "1":
             problems.append(f"bad input symbol in {key}")
+            odd.add((q, top))
         if top not in tops:
             problems.append(f"bad stack top in {key}")
-        if not 1 <= tgt <= C.num_states:
+        if not 1 <= tgt <= m:
             problems.append(f"target state out of range in {key}")
-        if top == Z0:
-            if not push.endswith(Z0) or Z0 in push[:-1]:
-                problems.append(f"bottom marker not preserved in {key}")
-            body = push[:-1]
-        else:
-            body = push
-            if Z0 in push:
-                problems.append(f"bottom marker pushed mid-stack in {key}")
-        if body.lstrip(syms):
-            problems.append(f"push alphabet violation in {key}")
-    for key, (_, _, bits) in C.moves.items():
-        if bits.strip("01"):
-            problems.append(f"emission {key} must be a string over 0/1, got {bits!r}")
-        if key[1] == LAMBDA and bits:
-            problems.append(f"input-free move must not emit: {key}")
-    free = {(q, top) for q, inp, top in C.moves if inp == LAMBDA}
-    read = {(q, top) for q, inp, top in C.moves if inp != LAMBDA}
-    for pair in sorted(free & read):
-        problems.append(f"both input-free and bit moves on {pair}")
+        if push.lstrip(syms) != (Z0 if top == Z0 else ""):  # some push rule fails
+            if top == Z0:
+                if not push.endswith(Z0) or Z0 in push[:-1]:
+                    problems.append(f"bottom marker not preserved in {key}")
+                body = push[:-1]
+            else:
+                body = push
+                if Z0 in push:
+                    problems.append(f"bottom marker pushed mid-stack in {key}")
+            if body.lstrip(syms):
+                problems.append(f"push alphabet violation in {key}")
+        if bits:
+            if bits.strip("01"):
+                late.append(f"emission {key} must be a string over 0/1, got {bits!r}")
+            if inp == LAMBDA:
+                late.append(f"input-free move must not emit: {key}")
+    problems += late
+    for q, top in sorted(free):
+        if (q, "0", top) in moves or (q, "1", top) in moves or (q, top) in odd:
+            problems.append(f"both input-free and bit moves on {(q, top)}")
 
-    chains = _lambda_chains(C.moves, syms + Z0)
+    chains = _lambda_chains(moves, syms + Z0)
     if chains is None or chains[0] > C.lambda_budget:
         problems.append(
             f"input-free moves can chain beyond budget {C.lambda_budget}"
@@ -516,9 +524,9 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     COMPOSE_STATE_CEILING states.
 
     A product state that buffers a symbol keeps its parent's replays, per
-    bit: finished, stuck, or a continuation (`_Resume`) that runs on over
-    the new top. Each (state, top, unread input) is replayed once per call,
-    so a state costs a lookup per top and bit, not a walk over its buffer.
+    bit, queued in build order: finished, stuck, or a `_Resume` that runs on
+    over the new top. A state reads T's two moves once, and each (state,
+    top, unread input) is replayed once per call: a lookup per top and bit.
     """
     d = T.max_emission()
     syms = C.stack_symbols()
@@ -530,19 +538,19 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     cap = pclose * (d + 1) + d
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
-    kept: dict[int, tuple] = {}  # product states not yet built: parent's replays
+    kept: deque = deque()  # per state to build: replays on 0, 1, or None, None
 
-    def ref(key: tuple[int, int, str], replays: tuple = ()) -> int:
-        if key not in index:
+    def ref(key: tuple[int, int, str], g0=None, g1=None) -> int:
+        i = index.get(key)
+        if i is None:
             if len(order) >= COMPOSE_STATE_CEILING:
                 raise ValidationError(
                     f"composition exceeds state ceiling {COMPOSE_STATE_CEILING}"
                 )
-            index[key] = len(order) + 1
+            i = index[key] = len(order) + 1
             order.append(key)
-            if replays:
-                kept[index[key]] = replays
-        return index[key]
+            kept.extend((g0, g1))
+        return i
 
     memo: dict[tuple[int, str, str], object] = {}
 
@@ -553,36 +561,37 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
             return None
         if type(got) is not _Resume:
             return got[0], got[1] + a, got[2]
-        key = (got.state, a, got.rest)
-        if key not in memo:
-            new = _replay(C, got.state, a.encode(), got.rest)
+        q, rest, emitted = got
+        key = (q, a, rest)
+        new = memo.get(key, memo)  # the memo itself marks a miss
+        if new is memo:
+            new = memo[key] = _replay(C, q, a.encode(), rest)
             if new and type(new) is not _Resume:
-                new = (new[0], new[1][::-1].decode("latin-1"), new[2])
-            memo[key] = new
-        new = memo[key]
-        if not new or not got.emitted:
+                new = memo[key] = (new[0], new[1][::-1].decode("latin-1"), new[2])
+        if not new or not emitted:
             return new
         if type(new) is _Resume:
-            return _Resume(new.state, new.rest, got.emitted + new.emitted)
-        return new[0], new[1], got.emitted + new[2]
+            return _Resume(new.state, new.rest, emitted + new.emitted)
+        return new[0], new[1], emitted + new[2]
 
     moves: dict[MoveKey, Move] = {}
     start = ref((C.start, T.start, ""))
     for idx, (qc, qt, buf) in enumerate(order, start=1):  # sees what ref() appends
-        step = [T.moves[(qt, b)] for b in BITS]  # T's (target, emission) per bit
-        replays = kept.pop(idx, None) or tuple(_Resume(qc, e, "") for _, e in step)
+        (qt0, e0), (qt1, e1) = T._rows[qt]  # T's moves on 0 and 1
+        r0, r1 = kept.popleft(), kept.popleft()
+        if r0 is r1 is None:
+            r0, r1 = _Resume(qc, e0, ""), _Resume(qc, e1, "")
         for a in (Z0, *syms):  # this order fixes the product state numbering
-            results = tuple(resume(got, a) for got in replays)  # one per bit
-            if _Resume in map(type, results):
+            g0, g1 = resume(r0, a), resume(r1, a)
+            if type(g0) is _Resume or type(g1) is _Resume:
                 if len(buf) >= cap:
                     raise AssertionError("buffer bound violated in composition")
-                moves[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a), results), "", "")
+                moves[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a), g0, g1), "", "")
                 continue
-            for b, (qt2, _), got in zip(BITS, step, results):
-                if got is None:
-                    continue
-                qc2, push, outbits = got
-                moves[(idx, b, a)] = (ref((qc2, qt2, "")), push, outbits)
+            if g0 is not None:
+                moves[(idx, "0", a)] = (ref((g0[0], qt0, "")), g0[1], g0[2])
+            if g1 is not None:
+                moves[(idx, "1", a)] = (ref((g1[0], qt1, "")), g1[1], g1[2])
     return PdcSpec(len(order), start, C.stack_kind, moves, cap)
 
 
@@ -705,31 +714,26 @@ def format_pdc(C: PdcSpec) -> str:
 
 
 def parse_pdc(text: str) -> PdcSpec:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ValidationError("empty compressor description")
     head = lines[0].split()
     if len(head) != 5 or head[0] != "pdc":
         raise ValidationError(f"bad pdc header: {lines[0]!r}")
     try:
-        m, start, budget = int(head[1]), int(head[2]), int(head[4])
+        m, start, budget = ascii_int(head[1]), ascii_int(head[2]), ascii_int(head[4])
     except ValueError as exc:
         raise ValidationError(f"bad pdc header: {lines[0]!r}") from exc
-    kind = head[3]
     moves: dict[MoveKey, Move] = {}
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 7 or parts[3] != "->":
-            raise ValidationError(f"bad pdc line: {ln!r}")
         try:
-            q, tgt = int(parts[0]), int(parts[4])
+            q, inp, top, arrow, tgt, push, e = ln.split()
+            if arrow != "->":
+                raise ValueError(arrow)
+            key = (ascii_int(q), "" if inp == "-" else inp, top)
+            move = (ascii_int(tgt), "" if push == "-" else push, "" if e == "-" else e)
         except ValueError as exc:
             raise ValidationError(f"bad pdc line: {ln!r}") from exc
-        inp, top = (LAMBDA if parts[1] == "-" else parts[1]), parts[2]
-        push = "" if parts[5] == "-" else parts[5]
-        em = "" if parts[6] == "-" else parts[6]
-        key = (q, inp, top)
-        if key in moves:
+        if moves.setdefault(key, move) is not move:
             raise ValidationError(f"duplicate entry for {key}")
-        moves[key] = (tgt, push, em)
-    return PdcSpec(m, start, kind, moves, budget)
+    return PdcSpec(m, start, head[3], moves, budget)

@@ -812,3 +812,72 @@ def test_machine_files_seeds_and_paths_fuzzed(tmp_path_factory, texts, seed, see
         assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
         assert "Traceback" not in err
         assert fuzz_outcome(argv, seed_env) == got, argv
+
+
+ASCII_ONLY_MACHINES = {
+    # file text: the one error line; int() reads each of these numbers
+    "fst ١ ١\n١ 0 -> ١ 0\n١ 1 -> ١ 1\n": "error: bad fst header: 'fst ١ ١'",
+    "fst 1 1\n1 0 -> 1 0\n1 1 -> 0_1 1\n": "error: bad fst line: '1 1 -> 0_1 1'",
+    "pdc ١ 1 unary 0\n1 0 z -> 1 z 0\n1 1 z -> 1 z 1\n":
+        "error: bad pdc header: 'pdc ١ 1 unary 0'",
+    "pdc 1 1 unary 0\n1 0 z -> 1 z 0\n٣ 1 z -> 1 z 1\n":
+        "error: bad pdc line: '٣ 1 z -> 1 z 1'",
+    "pdc 1 1 unary 0_0\n1 0 z -> 1 z 0\n1 1 z -> 1 z 1\n":
+        "error: bad pdc header: 'pdc 1 1 unary 0_0'",
+}
+
+
+@pytest.mark.parametrize("text", sorted(ASCII_ONLY_MACHINES))
+def test_machine_file_numbers_must_be_ascii(tmp_path, text):
+    path = tmp_path / ("m.fst" if text.startswith("fst") else "m.pdc")
+    path.write_text(text)
+    cmd = "fst-run" if text.startswith("fst") else "pdc-run"
+    got = main_outcome([cmd, "--machine", str(path), "--bits", "01"])
+    assert got == (2, "", ASCII_ONLY_MACHINES[text] + "\n")
+
+
+def test_machine_file_numbers_keep_signs_and_zeros(tmp_path):
+    (tmp_path / "m.fst").write_text("fst 1 +1\n01 0 -> 1 0\n1 1 -> +1 1\n")
+    (tmp_path / "m.pdc").write_text(
+        "pdc 1 01 unary +0\n1 0 z -> 01 z 0\n1 1 z -> 1 z 1\n")
+    for cmd, name in (("fst-run", "m.fst"), ("pdc-run", "m.pdc")):
+        argv = [cmd, "--machine", str(tmp_path / name), "--bits", "01"]
+        code, out, err = main_outcome(argv)
+        assert (code, out.splitlines()[0], err) == (0, "output 01", "")
+
+
+@pytest.mark.parametrize("seed", ["٣", "1_0", "x"])
+def test_seed_flag_takes_ascii_integers_only(tmp_path, capsys, seed):
+    argv = ["generate", "--recipe", "b", "--k", "9", "--stages", "2", "--seed", seed,
+            "--out", str(tmp_path / "g.bits")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --seed: invalid int value: {seed!r}\n"), err
+    assert not (tmp_path / "g.bits").exists()
+
+
+@pytest.mark.parametrize("seed", ["٣", "1_0"])
+def test_seed_variable_takes_ascii_integers_only(tmp_path, monkeypatch, seed):
+    monkeypatch.setenv("DEPTHLAB_SEED", seed)
+    argv = ["generate", "--recipe", "b", "--k", "9", "--stages", "2",
+            "--out", str(tmp_path / "g.bits")]
+    want = f"error: DEPTHLAB_SEED must be an integer, got {seed!r}\n"
+    assert main_outcome(argv) == (2, "", want)
+
+
+def test_seeds_keep_signs_spaces_and_zeros(tmp_path, monkeypatch):
+    streams = set()
+    cases = (("3", None), ("+3", None), (" 03 ", None), (None, "+3"), (None, " 3"))
+    for i, (flag, env) in enumerate(cases):
+        if env is None:
+            monkeypatch.delenv("DEPTHLAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DEPTHLAB_SEED", env)
+        out = tmp_path / f"g{i}.bits"
+        seed = [] if flag is None else [f"--seed={flag}"]
+        assert main_outcome(["generate", "--recipe", "b", "--k", "9", "--stages", "2",
+                             *seed, "--out", str(out)])[0] == 0
+        streams.add(out.read_text())
+    assert len(streams) == 1

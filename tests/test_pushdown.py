@@ -5,6 +5,8 @@ from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     chain_pdc,
@@ -14,6 +16,7 @@ from conftest import (
     flag_free_bits,
     oracle_closure,
     oracle_compose_pdc_fst,
+    oracle_parse_pdc,
     oracle_pdc_il_check,
     oracle_pdc_run,
     oracle_pdc_validate,
@@ -346,6 +349,21 @@ def test_compose_matches_whole_buffer_oracle(monkeypatch):
     assert min(kinds.values()) > 20, kinds
 
 
+def test_compose_matches_whole_buffer_oracle_where_replays_stick():
+    # With bit moves dropped, a replay can stick on one bit while the
+    # other needs a deeper symbol, so a buffering state keeps a stuck replay.
+    rng = random.Random(113)
+    for i in range(300):
+        C = random_pdc(rng, kind="unary" if i % 2 else "binary", max_states=4,
+                       lambda_prob=(0.2, 0.4, 0.6)[i % 3])
+        for _ in range(rng.randint(1, 3)):
+            if any(inp != LAMBDA for _, inp, _ in C.moves):
+                C = drop_bit_move(rng, C)
+        T = random_fst(rng, max_states=3, max_emit=2)
+        got = compose_outcome(compose_pdc_fst, C, T)
+        assert got == compose_outcome(oracle_compose_pdc_fst, C, T), (C, T)
+
+
 def mutate(rng, fields):
     """The fields of a spec with one more random defect of a kind
     pdc_validate reports; a defect can bring others with it, such as a bit
@@ -557,6 +575,73 @@ def test_text_format_rejects_garbage():
         parse_pdc("pdc 1 1 binary")
     with pytest.raises(ValidationError):
         parse_pdc("pdc 1 1 ternary 0\n1 0 z -> 1 z -")
+
+
+# Tokens an edit puts in a line: numbers, numbers that only int() reads
+# (other scripts' digits, '_'), wrong arrows and pieces of other fields.
+SWAP_TOKENS = ("1", "2", "+1", "01", "-1", "x", "1.0", "١", "٣", "1_0", "１",
+               "=>", "-", ">", "z", "0z", "?", "a")
+
+
+@st.composite
+def pdc_texts(draw):
+    """A formatted random compressor, then up to three edits: swap, drop
+    or add a token, repeat a line (as it is or to another target), or
+    add a blank line; the lines are joined by a drawn separator and line
+    end."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["unary", "binary"]))
+    lines = [ln.split() for ln in format_pdc(random_pdc(rng, kind=kind)).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = list(lines[i])
+        ops = ["swap", "drop", "add", "repeat", "retarget", "blank"]
+        op = draw(st.sampled_from(ops))
+        j = draw(st.integers(0, max(len(tokens) - 1, 0)))
+        if op == "swap" and tokens:
+            tokens[j] = draw(st.sampled_from(SWAP_TOKENS))
+        elif op == "drop" and tokens:
+            del tokens[j]
+        elif op == "add":
+            tokens.insert(j, draw(st.sampled_from(SWAP_TOKENS)))
+        elif op in ("repeat", "retarget") and i and len(tokens) == 7:
+            if op == "retarget":
+                tokens[4] = "1"
+            lines.insert(draw(st.integers(1, len(lines))), tokens)
+            continue
+        elif op == "blank":
+            lines.insert(i, [])
+            continue
+        lines[i] = tokens
+    sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(sep.join(tokens) for tokens in lines) + end
+
+
+def parse_outcome(parse, text):
+    """The spec parsed from text, or the message of the ValidationError."""
+    try:
+        return parse(text)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=pdc_texts())
+@example(text="pdc 1 1 unary 0\n1 0 z -> 1 z 0\n1 1 z -> 1 z 1\n")
+@example(text="pdc 1 1 unary 0\r\n\r\n1\t0 z -> 1 z 0\r\n \t\r\n1 1 z -> 1\tz 1\r\n")
+@example(text="pdc 1 1 unary 0\n1 0 z -> 1 z\n")  # 6 tokens
+@example(text="pdc 1 1 unary 0\n1 0 z -> 1 z 0 0\n")  # 8 tokens
+@example(text="pdc 1 1 unary 0\n1 0 z => 1 z 0\n1 1 z -> 1 z 1\n")
+@example(text="pdc 1 1 unary 0\n1 0 z -> x z 0\n1 1 z -> 1 z 1\n")
+@example(text="pdc 1 1 unary 0\n١ 0 z -> 1 z 0\n1 1 z -> 1 z 1\n")
+@example(text="pdc 1 1 unary 0\n1 0 z -> 1_0 z 0\n1 1 z -> 1 z 1\n")
+@example(text="pdc ١ 1 unary 0\n1 0 z -> 1 z 0\n1 1 z -> 1 z 1\n")
+@example(text="pdc 1 1 unary 0\n1 0 z -> 1 z 0\n1 0 z -> 1 z 1\n1 1 z -> 1 z 1\n")
+@example(text="pdc 1 +1 unary 00\n01 0 z -> +1 z 0\n1 1 z -> 1 z 1\n")
+def test_parser_matches_line_loop_oracle(text):
+    # The same spec, or the same refusal, as the per-field line loop.
+    assert parse_outcome(parse_pdc, text) == parse_outcome(oracle_parse_pdc, text)
 
 
 def test_lambda_chains_match_brute_force_random():
