@@ -76,8 +76,8 @@ def _resolve_seed(args) -> int:
         raise ValidationError(f"DEPTHLAB_SEED must be an integer, got {env!r}") from exc
 
 
-def _seed_arg(text: str) -> int:
-    """--seed's type: ascii_int, refused with the message argparse gives int."""
+def _int_option(text: str) -> int:
+    """Every integer option's type: ascii_int, refused as argparse refuses int."""
     try:
         return ascii_int(text)
     except ValueError:
@@ -244,17 +244,17 @@ def cmd_compose(args) -> int:
 
 def _add_sequence_flags(p: _Parser, include_input: bool = True) -> None:
     p.add_argument("--recipe", choices=["a", "b", "c"], help="builtin sequence")
-    p.add_argument("--k", type=int, default=0)
-    p.add_argument("--v", type=int, default=0)
-    p.add_argument("--seed", type=_seed_arg, default=None,
+    p.add_argument("--k", type=_int_option, default=0)
+    p.add_argument("--v", type=_int_option, default=0)
+    p.add_argument("--seed", type=_int_option, default=None,
                    help="defaults to $DEPTHLAB_SEED, then 0")
     p.add_argument("--growth", choices=["exponential", "scaled"], default="scaled")
-    p.add_argument("--g", type=int, default=4)
-    p.add_argument("--stages", type=int, default=None)
-    p.add_argument("--bits-budget", type=int, default=None, dest="bits_budget")
+    p.add_argument("--g", type=_int_option, default=4)
+    p.add_argument("--stages", type=_int_option, default=None)
+    p.add_argument("--bits-budget", type=_int_option, default=None, dest="bits_budget")
     if include_input:
         p.add_argument("--input", help="read the sequence from a bit file")
-        p.add_argument("--m", type=int, default=0,
+        p.add_argument("--m", type=_int_option, default=0,
                        help="m of a bare half-compressor name")
 
 
@@ -301,7 +301,7 @@ def _args_encode_fst(p: _Parser) -> None:
 
 def _args_kfs(p: _Parser) -> None:
     _args_bits(p)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_int_option, required=True)
 
 
 def _args_compose(p: _Parser) -> None:

@@ -13,13 +13,12 @@ and the table. Rows always come out sorted by n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import FstSpec, fst_lengths, identity_fst, parse_fst, repeater_fst
+from .fst import FstSpec, ascii_int, fst_lengths, identity_fst, parse_fst, repeater_fst
 from .fscomplexity import enum_fsts, kfs_lengths
 from .lz78 import lz_lengths
 from .pushdown import (
@@ -40,8 +39,7 @@ MAX_GRID_STEPS = 10**6
 BUILTIN_CACHE_SIZE = 2
 
 
-@dataclass(frozen=True)
-class Compressor:
+class Compressor(NamedTuple):
     """A label and its stream of output lengths: `lengths(bits, points)`
     yields the output bit count of bits[:n] for each n of the ascending
     `points` (all <= len(bits)), or the StuckError that stops it."""
@@ -52,7 +50,7 @@ class Compressor:
 
 def _int_arg(text: str, name: str) -> int:
     try:
-        return int(text)
+        return ascii_int(text)
     except ValueError as exc:
         raise ValidationError(f"{name}: argument {text!r} is not an integer") from exc
 
@@ -171,8 +169,7 @@ def parse_grid(text: str) -> list[int]:
     return points
 
 
-@dataclass(frozen=True)
-class DepthProfile:
+class DepthProfile(NamedTuple):
     """Output bit counts over a prefix grid, one column per compressor.
 
     Each row is (n, counts, note): the output bit count of bits[:n] per

@@ -14,29 +14,29 @@ length, so it costs one pass whatever the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from itertools import product
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .codec import diamond, double_bits, nat_bin, target_code
 from .errors import UnreachableError, ValidationError
-from .fst import BITS, FstSpec
+from .fst import BITS, FrozenRecord, FstSpec
 
 INFINITE = math.inf
 ENUM_CEILING = 14
 
 
-@dataclass(frozen=True)
-class FstUniverse:
+class FstUniverse(FrozenRecord):
     """All machines with a description of length <= k.
 
     Entries are (canonical description, machine), ordered by description
     length then description bits.
     """
 
-    k: int
-    entries: tuple[tuple[str, FstSpec], ...]
+    _fields = ("k", "entries")
+
+    def __init__(self, k: int, entries: tuple[tuple[str, FstSpec], ...]) -> None:
+        vars(self).update(k=k, entries=entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -84,15 +84,13 @@ def _minimal(T: FstSpec) -> tuple:
     return tuple((block[t] + 1, e) for b in range(size) for t, e in rows[first[b]])
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     description: str
     input_bits: str
     machine_index: int
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(NamedTuple):
     """Minimum input length (math.inf when no machine can emit the target)."""
 
     value: float
@@ -271,4 +269,4 @@ def kfs_complexity(x: str, k: int) -> ComplexityResult:
         return result
     w = result.witness
     index = universe.classes[w.machine_index]
-    return replace(result, witness=replace(w, machine_index=index))
+    return result._replace(witness=w._replace(machine_index=index))

@@ -14,9 +14,8 @@ same whichever run writes it, so concurrent use needs no coordination.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError
 
@@ -38,8 +37,27 @@ def ascii_int(s: str) -> int:
     return int(s)
 
 
-@dataclass(frozen=True)
-class FstSpec:
+class FrozenRecord:
+    """Field equality, a Name(field=value, ...) repr and read-only fields,
+    for a record that checks what it is built from: a subclass names its
+    fields in `_fields`, and its __init__ sets them through vars(self)."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FstSpec(FrozenRecord):
     """A finite-state transducer: states 1..num_states, total on (state, bit).
 
     `moves` maps (state, bit) -> (target state, emitted bits, possibly
@@ -47,33 +65,31 @@ class FstSpec:
     and runs memoize blocks in `_blocks`, so the map must not change.
     """
 
-    num_states: int
-    start: int
-    moves: Mapping[tuple[int, str], tuple[int, str]]
+    _fields = ("num_states", "start", "moves")
 
-    def __post_init__(self) -> None:
-        m = self.num_states
+    def __init__(self, num_states: int, start: int,
+                 moves: Mapping[tuple[int, str], tuple[int, str]]) -> None:
+        m = num_states
         if m < 1:
             raise ValidationError("num_states must be >= 1")
-        if not 1 <= self.start <= m:
-            raise ValidationError(f"start state {self.start} not in 1..{m}")
+        if not 1 <= start <= m:
+            raise ValidationError(f"start state {start} not in 1..{m}")
         # Count first: a huge header with a short table fails at once.
-        if len(self.moves) != 2 * m or any(
-            (q, b) not in self.moves for q in range(1, m + 1) for b in BITS
+        if len(moves) != 2 * m or any(
+            (q, b) not in moves for q in range(1, m + 1) for b in BITS
         ):
             raise ValidationError("moves must be total on states x bits")
-        for key, (t, _) in self.moves.items():
+        for key, (t, _) in moves.items():
             if not 1 <= t <= m:
                 raise ValidationError(f"target state {t} out of range 1..{m} in {key}")
-        for key, (_, e) in self.moves.items():
+        for key, (_, e) in moves.items():
             if e.strip("01"):  # the move is named only when it is refused
                 check_bits(e, f"emission {key}")
-        # For searches that step every state, built here rather than on
-        # first use: a cached_property's first read costs more than these.
-        moves = self.moves
+        # rows[q] is q's moves on 0 and 1, for searches that step every state:
+        # built here, as a cached_property's first read costs more than these.
         rows = ((), *((moves[(q, "0")], moves[(q, "1")]) for q in range(1, m + 1)))
-        object.__setattr__(self, "_rows", rows)  # rows[q]: q's moves on 0 and 1
-        object.__setattr__(self, "_longest", max(len(e) for _, e in moves.values()))
+        vars(self).update(num_states=m, start=start, moves=moves, _rows=rows,
+                          _longest=max(len(e) for _, e in moves.values()))
 
     def max_emission(self) -> int:
         return self._longest
@@ -85,8 +101,7 @@ class FstSpec:
         return {}
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     output: str
     final_state: int
 

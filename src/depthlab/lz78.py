@@ -11,8 +11,7 @@ pointer-only tail token.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError
 from .fst import check_bits
@@ -21,14 +20,13 @@ _ROOT = 0
 FEED_CHUNK = 1 << 16  # input bits LzParser.feed encodes to bytes at a time
 
 
-@dataclass
-class LzParse:
+class LzParse(NamedTuple):
     """Greedy parse: tokens are (pointer, final bit); a tail pointer marks
     an input that ended inside an already-known phrase."""
 
-    tokens: list[tuple[int, str]] = field(default_factory=list)
-    tail: Optional[int] = None
-    phrases: list[str] = field(default_factory=list)
+    tokens: list[tuple[int, str]]
+    tail: Optional[int]
+    phrases: list[str]
 
 
 class LzParser:

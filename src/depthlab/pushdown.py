@@ -52,13 +52,12 @@ that sticks, for the output before the stuck bit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import (BITS, BLOCK_MEMO_CAP, FstSpec, ascii_int, fst_lengths, fst_run,
-                  identity_fst)
+from .fst import (BITS, BLOCK_MEMO_CAP, FrozenRecord, FstSpec, ascii_int, fst_lengths,
+                  fst_run, identity_fst)
 
 Z0 = "z"
 LAMBDA = ""
@@ -74,31 +73,29 @@ COMPOSE_STATE_CEILING = 200_000  # most product states compose_pdc_fst builds
 ESCAPE_BITS_CEILING = 10**7  # most bits build_half_compressor's escape codes emit
 
 
-@dataclass(frozen=True)
-class PdcSpec:
+class PdcSpec(FrozenRecord):
     """A pushdown compressor.
 
-    moves maps (state, input, top) -> (state, push string, emission);
-    the push replaces the consumed top, so an empty push is a pop, and a
-    move that writes nothing has emission "". The map is compiled on the
-    first run, so it must not change after it, and each spec memoizes the
-    blocks its runs read (`_blocks`).
+    stack_kind is "binary" or "unary". moves maps (state, input, top) ->
+    (state, push string, emission); the push replaces the consumed top, so
+    an empty push is a pop, and a move that writes nothing has emission "".
+    The map is compiled on the first run, so it must not change after it,
+    and each spec memoizes the blocks its runs read (`_blocks`).
     """
 
-    num_states: int
-    start: int
-    stack_kind: str  # "binary" or "unary"
-    moves: Mapping[MoveKey, Move]
-    lambda_budget: int
+    _fields = ("num_states", "start", "stack_kind", "moves", "lambda_budget")
 
-    def __post_init__(self) -> None:
-        if self.num_states < 1:
+    def __init__(self, num_states: int, start: int, stack_kind: str,
+                 moves: Mapping[MoveKey, Move], lambda_budget: int) -> None:
+        vars(self).update(num_states=num_states, start=start, stack_kind=stack_kind,
+                          moves=moves, lambda_budget=lambda_budget)
+        if num_states < 1:
             raise ValidationError("num_states must be >= 1")
-        if not 1 <= self.start <= self.num_states:
+        if not 1 <= start <= num_states:
             raise ValidationError("start state out of range")
-        if self.stack_kind not in ("binary", "unary"):
-            raise ValidationError(f"unknown stack kind {self.stack_kind!r}")
-        if self.lambda_budget < 0:
+        if stack_kind not in ("binary", "unary"):
+            raise ValidationError(f"unknown stack kind {stack_kind!r}")
+        if lambda_budget < 0:
             raise ValidationError("lambda_budget must be >= 0")
         problems = pdc_validate(self)
         if problems:
@@ -145,8 +142,7 @@ class PdcSpec:
         return {}
 
 
-@dataclass(frozen=True)
-class PdcRun:
+class PdcRun(NamedTuple):
     output: str
     final_state: int
     final_stack: str  # top first, ends with the bottom marker

@@ -14,8 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ValidationError
 from . import fscomplexity
@@ -39,8 +38,7 @@ def random_bits(rng: random.Random, n: int) -> str:
     return format(rng.getrandbits(n), f"0{n}b")
 
 
-@dataclass(frozen=True)
-class IntervalPartition:
+class IntervalPartition(NamedTuple):
     """Consecutive interval lengths starting at index 0.
 
     In exponential mode |I_1| = 2 and each later interval has length
@@ -86,8 +84,7 @@ def intervals(
     return IntervalPartition(tuple(lengths), truncated)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     mode: str  # "certified" or "surrogate"
     k: int
     bound: int
@@ -128,8 +125,7 @@ def fs_random_string(
     )
 
 
-@dataclass(frozen=True)
-class GeneratedStream:
+class GeneratedStream(NamedTuple):
     bits: str
     blocks: tuple[dict, ...]
     truncated: bool = False
@@ -138,8 +134,7 @@ class GeneratedStream:
         return hashlib.sha256(self.bits.encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class SequenceRecipe:
+class SequenceRecipe(NamedTuple):
     """Deterministic description of one generated sequence.
 
     kind "a": interval-schedule stream (uses growth/g/seed/certify;
@@ -178,7 +173,7 @@ class SequenceRecipe:
         return self.bit_budget is not None and total >= self.bit_budget
 
     def fields(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def devoted_k(j: int) -> int:

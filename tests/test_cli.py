@@ -858,6 +858,33 @@ def test_seed_flag_takes_ascii_integers_only(tmp_path, capsys, seed):
     assert not (tmp_path / "g.bits").exists()
 
 
+@pytest.mark.parametrize("value", ["١٢", "1_2"])
+@pytest.mark.parametrize("argv", [
+    ["kfs", "--bits", "0110", "--k"],
+    *(["ratio", "--recipe", "b", "--k", "9", "--stages", "2", "--compressor", "lz78",
+       "--grid", "1:10:1", option] for option in
+      ("--k", "--v", "--g", "--stages", "--bits-budget", "--m")),
+], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+def test_integer_options_take_ascii_integers_only(capsys, argv, value):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, value])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: {value!r}\n"), err
+
+
+@pytest.mark.parametrize("name, arg", [
+    ("kfs(١٢)", "١٢"), ("kfs(1_2)", "1_2"),
+    ("half-compressor(٩,٩,0)", "٩"), ("half-compressor(9,9,1_0)", "1_0"),
+])
+def test_builtin_name_arguments_take_ascii_integers_only(stream_dir, name, arg):
+    stream = stream_dir / "ascii.bits"
+    stream.write_text("0110")
+    argv = ["ratio", "--input", str(stream), "--compressor", name, "--grid", "1:4:1"]
+    want = f"error: {name}: argument {arg!r} is not an integer\n"
+    assert main_outcome(argv) == (2, "", want)
+
+
 @pytest.mark.parametrize("seed", ["٣", "1_0"])
 def test_seed_variable_takes_ascii_integers_only(tmp_path, monkeypatch, seed):
     monkeypatch.setenv("DEPTHLAB_SEED", seed)

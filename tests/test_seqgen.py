@@ -1,7 +1,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -114,7 +113,7 @@ def test_bit_budget_stage_rules(recipe, length, truncated):
     assert (len(stream.bits), stream.truncated) == (length, truncated)
     n = stream.blocks[-1]["stage"]
     before, at, after = (
-        len(replace(recipe, bit_budget=None, stages=s).generate().bits)
+        len(recipe._replace(bit_budget=None, stages=s).generate().bits)
         for s in (n - 1, n, n + 1)
     )
     assert at == length
