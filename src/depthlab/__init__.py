@@ -11,7 +11,6 @@ from .codec import (
     diamond,
     double_bits,
     encode_fst,
-    fst_size,
     nat_bin,
 )
 from .depth import (

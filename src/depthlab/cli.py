@@ -76,12 +76,20 @@ def _resolve_seed(args) -> int:
         raise ValidationError(f"DEPTHLAB_SEED must be an integer, got {env!r}") from exc
 
 
-def _int_option(text: str) -> int:
-    """Every integer option's type: ascii_int, refused as argparse refuses int."""
-    try:
-        return ascii_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _ascii_option(read):
+    """An option's type: read() of ASCII text with no '_' (for int, as
+    ascii_int reads), refused as argparse refuses read."""
+    def option(text: str):
+        try:
+            if text.isascii() and "_" not in text:
+                return read(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"invalid {read.__name__} value: {text!r}")
+    return option
+
+
+_int_option, _float_option = _ascii_option(int), _ascii_option(float)
 
 
 def _recipe_from_args(args) -> seqgen.SequenceRecipe:
@@ -268,7 +276,7 @@ def _args_profile(p: _Parser) -> None:
     p.add_argument("--weak", required=True)
     p.add_argument("--strong", required=True)
     p.add_argument("--grid", required=True, help="a:b:step or a:b:xF")
-    p.add_argument("--tail", type=float, default=0.5)
+    p.add_argument("--tail", type=_float_option, default=0.5)
     p.add_argument("--out")
 
 
@@ -276,7 +284,7 @@ def _args_ratio(p: _Parser) -> None:
     _add_sequence_flags(p)
     p.add_argument("--compressor", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--tail", type=float, default=0.5)
+    p.add_argument("--tail", type=_float_option, default=0.5)
     p.add_argument("--out")
 
 
@@ -383,7 +391,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at shutdown
+        return code
+    except BrokenPipeError:  # stdout was closed: stop quietly, as a filter does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VALIDATION
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -97,15 +97,3 @@ def decode_fst(bits: str) -> Optional[FstSpec]:
         for idx, (tgt_code, emit_code) in enumerate(entries)
     }
     return FstSpec(m, start, moves)
-
-
-def fst_size(T: FstSpec) -> int:
-    """Length of the shortest description of T.
-
-    The canonical description is the unique shortest string that decodes
-    to T: m is fixed by the entry count and the start pointer by its
-    value, a larger offset n' = n (mod m) has at least as many binary
-    digits as the minimal n, and a self-loop written with a dagger chunk
-    is longer than the empty chunk.
-    """
-    return len(encode_fst(T))

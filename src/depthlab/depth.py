@@ -128,9 +128,12 @@ def parse_grid(text: str) -> list[int]:
     if len(parts) != 3:
         raise ValidationError(f"grid must be a:b:step or a:b:xF, got {text!r}")
     try:
-        a, b = int(parts[0]), int(parts[1])
-        factor = float(parts[2][1:]) if parts[2].startswith("x") else None
-        step = None if parts[2].startswith("x") else int(parts[2])
+        a, b = ascii_int(parts[0]), ascii_int(parts[1])
+        geometric = parts[2].startswith("x")
+        if geometric and (not parts[2].isascii() or "_" in parts[2]):
+            raise ValueError(f"not an ASCII factor: {parts[2]!r}")
+        factor = float(parts[2][1:]) if geometric else None
+        step = None if geometric else ascii_int(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}") from exc
     if a < 1 or b < a:

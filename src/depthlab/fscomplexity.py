@@ -115,8 +115,8 @@ def enum_fsts(k: int) -> FstUniverse:
 def _universe(k: int) -> FstUniverse:
     """Build canonical descriptions straight from the grammar of encode_fst.
 
-    Each machine has exactly one canonical description, its shortest (see
-    fst_size), so no two branches meet and nothing needs deduplicating.
+    Each machine has exactly one canonical description, its shortest
+    (encode_fst's), so no two branches meet and nothing needs deduplicating.
     """
     entries: list[tuple[str, FstSpec]] = []
     # m states take >= 4 + 4m bits: a start pointer, then 2m entries.

@@ -7,7 +7,9 @@ empty string, and at most `lambda_budget` of them may run back to back.
 A spec is checked against these rules when it is built (`pdc_validate`),
 and an invalid one raises ValidationError, so a run over any spec either
 reads all of its input or sticks on a bit with no move: it never loses
-the bottom marker and never loops on input-free moves.
+the bottom marker and never loops on input-free moves. The check's one
+pass collects the input-free moves for one walk of their graph, and the
+spec keeps that walk's longest chain and most pops for composition.
 
 At the public boundary (`pdc_run`'s `stack` argument and
 `PdcRun.final_stack`) a stack is a top-first string whose last character
@@ -156,19 +158,22 @@ def pdc_validate(C: PdcSpec) -> list[str]:
     preservation, emissions over 0/1, silence of input-free moves, unary
     stack discipline, and that no chain of input-free moves can exceed the
     budget (a cycle in the move graph counts as unbounded). One pass over
-    the moves lists every structural problem, then every emission problem.
+    the moves lists every structural problem, then every emission problem,
+    and collects the input-free moves for the move-graph walk, whose
+    (most moves, most pops) C keeps as `_chains`.
     """
     problems, late = [], []  # late: emission problems, listed after the others
     syms = C.stack_symbols()
     tops = (*syms, Z0)
     moves, m = C.moves, C.num_states
-    free, odd = [], set()  # (state, top) of input-free moves, of non-bit inputs
+    free = {}  # input-free moves: (state, top) -> (target, push)
+    odd = set()  # (state, top) of moves on a non-bit input
     for key, (tgt, push, bits) in moves.items():
         q, inp, top = key
         if not 1 <= q <= m:
             problems.append(f"state out of range in {key}")
         if inp == LAMBDA:
-            free.append((q, top))
+            free[(q, top)] = (tgt, push)
         elif inp != "0" and inp != "1":
             problems.append(f"bad input symbol in {key}")
             odd.add((q, top))
@@ -196,8 +201,7 @@ def pdc_validate(C: PdcSpec) -> list[str]:
     for q, top in sorted(free):
         if (q, "0", top) in moves or (q, "1", top) in moves or (q, top) in odd:
             problems.append(f"both input-free and bit moves on {(q, top)}")
-
-    chains = _lambda_chains(moves, syms + Z0)
+    chains = vars(C)["_chains"] = _lambda_chains(free, syms + Z0)
     if chains is None or chains[0] > C.lambda_budget:
         problems.append(
             f"input-free moves can chain beyond budget {C.lambda_budget}"
@@ -206,27 +210,20 @@ def pdc_validate(C: PdcSpec) -> list[str]:
 
 
 def _lambda_chains(
-    moves: Mapping[MoveKey, Move], tops: str
+    free: Mapping[tuple[int, str], tuple[int, str]], tops: str
 ) -> Optional[tuple[int, int]]:
-    """(most moves, most pops) over chains of the input-free moves in
-    `moves`, or None when the move graph has a cycle, so chains are
-    unbounded.
+    """(most moves, most pops) over chains of the input-free moves `free`,
+    (state, top) -> (target, push), or None when the move graph has a
+    cycle, so chains are unbounded.
 
     Nodes are (state, top). A push leads to its first pushed symbol; a
     pure pop leaves the next top unknown, so it fans out to every symbol
     of `tops`. The walk is iterative, so chain length is not limited by
     recursion.
     """
-    edges: dict[tuple[int, str], tuple[int, list[tuple[int, str]]]] = {}
-    for (q, inp, top), (tgt, push, _) in moves.items():
-        if inp == LAMBDA:
-            if push:
-                edges[(q, top)] = (0, [(tgt, push[0])])
-            else:
-                edges[(q, top)] = (1, [(tgt, t) for t in tops])
     best: dict[tuple[int, str], tuple[int, int]] = {}  # finished nodes
     on_path: set[tuple[int, str]] = set()
-    for root in edges:
+    for root in free:
         if root in best:
             continue
         todo = [root]
@@ -234,17 +231,19 @@ def _lambda_chains(
             node = todo[-1]
             if node in best:
                 todo.pop()
-            elif node not in on_path:  # first visit: queue its successors
+                continue
+            tgt, push = free[node]
+            nxt = [(tgt, push[0])] if push else [(tgt, t) for t in tops]
+            if node not in on_path:  # first visit: queue its successors
                 on_path.add(node)
-                for s in edges[node][1]:
+                for s in nxt:
                     if s in on_path:
                         return None
-                    if s in edges and s not in best:
+                    if s in free and s not in best:
                         todo.append(s)
             else:  # second visit: every successor has finished
                 todo.pop()
                 on_path.discard(node)
-                pops, nxt = edges[node]
                 moves_below = pops_below = 0
                 for s in nxt:
                     m, p = best.get(s, (0, 0))
@@ -252,11 +251,9 @@ def _lambda_chains(
                         moves_below = m
                     if p > pops_below:
                         pops_below = p
-                best[node] = (1 + moves_below, pops + pops_below)
-    return (
-        max((m for m, _ in best.values()), default=0),
-        max((p for _, p in best.values()), default=0),
-    )
+                best[node] = (1 + moves_below, (not push) + pops_below)
+    return (max((m for m, _ in best.values()), default=0),
+            max((p for _, p in best.values()), default=0))
 
 
 def _close(C: PdcSpec, q: int, buf: bytearray) -> int:
@@ -530,8 +527,7 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     # start state can be unclosed, but unreachable product states are
     # built from arbitrary configurations) plus, per emitted bit, one
     # bit-move pop and one closure.
-    pclose = _lambda_chains(C.moves, syms + Z0)[1]
-    cap = pclose * (d + 1) + d
+    cap = C._chains[1] * (d + 1) + d
     index: dict[tuple[int, int, str], int] = {}
     order: list[tuple[int, int, str]] = []
     kept: deque = deque()  # per state to build: replays on 0, 1, or None, None

@@ -38,6 +38,18 @@ def silent_fst() -> FstSpec:
     return repeater_fst("")
 
 
+def fst_size(T: FstSpec) -> int:
+    """Length of the shortest description of T.
+
+    The canonical description is the unique shortest string that decodes
+    to T: m is fixed by the entry count and the start pointer by its
+    value, a larger offset n' = n (mod m) has at least as many binary
+    digits as the minimal n, and a self-loop written with a dagger chunk
+    is longer than the empty chunk.
+    """
+    return len(encode_fst(T))
+
+
 def fst_key(T: FstSpec):
     """Hashable value identity, independent of dict insertion order."""
     return T.num_states, T.start, tuple(sorted(T.moves.items()))
@@ -425,6 +437,13 @@ def oracle_pdc_run(C: PdcSpec, x: str, state=None, stack=None) -> PdcRun:
         q = tgt
         q, st = oracle_closure(C, q, st)
     return PdcRun("".join(out), q, st)
+
+
+def free_moves(moves) -> dict:
+    """The input-free moves of a raw move map, (state, top) -> (target,
+    push), as pdc_validate's pass hands them to _lambda_chains."""
+    return {(q, top): (tgt, push)
+            for (q, inp, top), (tgt, push, _) in moves.items() if inp == LAMBDA}
 
 
 def chains_by_brute_force(moves, tops):

@@ -885,6 +885,57 @@ def test_builtin_name_arguments_take_ascii_integers_only(stream_dir, name, arg):
     assert main_outcome(argv) == (2, "", want)
 
 
+@pytest.mark.parametrize("grid", [
+    "١:٤:١", "1:٤:1", "1:4:١", "1_0:20:5", "1:2_0:5", "1:20:1_0", "1:4:x1_5", "1:4:x١.٥",
+])
+def test_grid_takes_ascii_numbers_only(stream_dir, grid):
+    stream = stream_dir / "ascii.bits"
+    stream.write_text("0110")
+    argv = ["ratio", "--input", str(stream), "--compressor", "lz78", "--grid", grid]
+    assert main_outcome(argv) == (2, "", f"error: bad grid {grid!r}\n")
+
+
+@pytest.mark.parametrize("tail", ["٠.٥", "0_5", "0.2_5", "x"])
+@pytest.mark.parametrize("command", ["ratio", "profile"])
+def test_tail_takes_ascii_numbers_only(stream_dir, capsys, command, tail):
+    stream = stream_dir / "ascii.bits"
+    stream.write_text("0110")
+    flags = (["--compressor", "lz78"] if command == "ratio"
+             else ["--weak", "identity-fst", "--strong", "lz78"])
+    with pytest.raises(SystemExit) as info:
+        main([command, "--input", str(stream), *flags, "--grid", "1:4:1", "--tail", tail])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --tail: invalid float value: {tail!r}\n"), err
+
+
+def test_grid_and_tail_keep_ascii_forms(stream_dir):
+    stream = stream_dir / "ascii.bits"
+    stream.write_text("0110")
+    for plain, other in ((("1:4:1", "0.5"), ("+1: 04 :1", " .5 ")),
+                         (("1:4:x2", "1"), ("1:4:x2.0e0", "1e0"))):
+        got = [main_outcome(["ratio", "--input", str(stream), "--compressor", "lz78",
+                             "--grid", grid, "--tail", tail]) for grid, tail in (plain, other)]
+        assert got[0][0] == 0 and got[0] == got[1], got
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_2_quietly(stream_dir, unbuffered):
+    # A reader that has gone away is no error to report: exit 2, stderr empty.
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONUNBUFFERED": unbuffered}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "depthlab", "pdc-run", "--machine",
+             str(stream_dir / "id.pdc"), "--bits", "0110"],
+            stdout=write, stderr=subprocess.PIPE, env=env, cwd=ROOT, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, b"")
+
+
 @pytest.mark.parametrize("seed", ["٣", "1_0"])
 def test_seed_variable_takes_ascii_integers_only(tmp_path, monkeypatch, seed):
     monkeypatch.setenv("DEPTHLAB_SEED", seed)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_decode_fst, random_fst, silent_fst
+from conftest import fst_size, oracle_decode_fst, random_fst, silent_fst
 from depthlab import (
     FstSpec,
     ValidationError,
@@ -14,7 +14,6 @@ from depthlab import (
     diamond,
     double_bits,
     encode_fst,
-    fst_size,
     identity_fst,
     nat_bin,
 )

@@ -14,6 +14,7 @@ from conftest import (
     chains_by_brute_force,
     drop_bit_move,
     flag_free_bits,
+    free_moves,
     oracle_closure,
     oracle_compose_pdc_fst,
     oracle_parse_pdc,
@@ -43,6 +44,7 @@ from depthlab import (
     repeater_fst,
     stack_free,
 )
+from depthlab.cli import main
 from depthlab.pushdown import (
     _BELOW,
     _DEEP,
@@ -340,8 +342,7 @@ def test_compose_matches_whole_buffer_oracle(monkeypatch):
         assert got == compose_outcome(oracle_compose_pdc_fst, C, T, ceiling), (C, T)
         if isinstance(got, str):  # N's input-free moves each buffer a symbol
             N = parse_pdc(got)
-            chains = _lambda_chains(N.moves, N.stack_symbols() + Z0)
-            kinds[f"buffers {min(chains[0], 2)}"] += 1
+            kinds[f"buffers {min(N._chains[0], 2)}"] += 1
         else:
             assert got[1].startswith("composition exceeds state ceiling"), got
             kinds["ceiling"] += 1
@@ -423,13 +424,13 @@ def test_validate_matches_oracle_on_mutated_machines():
         for _ in range(rng.randint(1, 3)):
             M = mutate(rng, M)
         got = oracle_pdc_validate(*M)
+        tops = C.stack_symbols() + Z0
+        chains = _lambda_chains(free_moves(M[3]), tops)
+        assert chains == chains_by_brute_force(M[3], tops), M
         if got:
             assert refused(*M) == "; ".join(got), M
         else:
-            PdcSpec(*M)  # builds
-        tops = C.stack_symbols() + Z0
-        chains = _lambda_chains(M[3], tops)
-        assert chains == chains_by_brute_force(M[3], tops), M
+            assert PdcSpec(*M)._chains == chains, M  # builds, and keeps its walk
         seen.update(k for k in PROBLEM_KINDS for p in got if k in p)
         if got and "chain beyond budget" in got[-1]:
             seen["cycle" if chains is None else "over budget"] += 1
@@ -650,13 +651,14 @@ def test_lambda_chains_match_brute_force_random():
         kind = "unary" if i % 2 else "binary"
         C = random_pdc(rng, kind=kind, max_states=5, lambda_prob=rng.choice([0.3, 0.8]))
         tops = C.stack_symbols() + Z0
-        assert _lambda_chains(C.moves, tops) == chains_by_brute_force(C.moves, tops)
-        assert _lambda_chains(C.moves, tops) is not None
+        chains = _lambda_chains(free_moves(C.moves), tops)
+        assert chains == C._chains == chains_by_brute_force(C.moves, tops)
+        assert chains is not None
 
 
 def test_lambda_chains_self_loop_is_a_cycle():
     moves = {(1, LAMBDA, "0"): (1, "0", "")}
-    assert _lambda_chains(moves, "01z") is None
+    assert _lambda_chains(free_moves(moves), "01z") is None
     assert chains_by_brute_force(moves, "01z") is None
     assert refused(1, 1, "binary", moves, 5) == (
         "input-free moves can chain beyond budget 5"
@@ -677,16 +679,44 @@ def test_lambda_chains_pure_pop_fans_out():
     # Most pops: states 1, 2, 3, 4 over tops 1, 0, 0 (three of each).
     # Most moves: states 1, 2, 5, 6, 7, 8 over tops 1, z, 0, 0, 0 (five
     # moves, one pop).
-    assert _lambda_chains(moves, "01z") == chains_by_brute_force(moves, "01z") == (5, 3)
+    assert _lambda_chains(free_moves(moves), "01z") == (5, 3)
+    assert C._chains == chains_by_brute_force(moves, "01z") == (5, 3)
     assert oracle_pdc_validate(*pdc_fields(C)) == []
     assert refused(8, 1, "binary", moves, 4) == (
         "input-free moves can chain beyond budget 4"
     )
 
 
+def test_each_spec_walks_its_input_free_moves_once(monkeypatch, tmp_path, capsys):
+    # Each walk gets the input-free moves that its spec's validation pass
+    # collected, and compose reads the outer spec's kept pops.
+    C = build_half_compressor(9, 9, 0)
+    walk, sizes = pushdown._lambda_chains, []
+
+    def counted(free, tops):
+        sizes.append(len(free))
+        return walk(free, tops)
+
+    monkeypatch.setattr(pushdown, "_lambda_chains", counted)
+    N = compose_pdc_fst(C, identity_fst())
+    free = [len(free_moves(M.moves)) for M in (C, N)]
+    assert free == [33, 1516] and len(N.moves) == 6792
+    assert sizes == free[1:]
+    (tmp_path / "half.pdc").write_text(format_pdc(C))
+    (tmp_path / "ident.fst").write_text("fst 1 1\n1 0 -> 1 0\n1 1 -> 1 1\n")
+    composed = tmp_path / "composed.pdc"
+    sizes.clear()
+    assert main(["compose", "--outer", str(tmp_path / "half.pdc"),
+                 "--inner", str(tmp_path / "ident.fst"), "--out", str(composed)]) == 0
+    assert main(["pdc-run", "--machine", str(composed), "--bits", "0110"]) == 0
+    assert capsys.readouterr().out.startswith("output 0110\n")
+    assert sizes == [free[0], free[1], free[1]]
+
+
 def test_long_input_free_chain():
     C = chain_pdc(2000, 1999)
-    assert _lambda_chains(C.moves, "0z") == chains_by_brute_force(C.moves, "0z") == (1999, 0)
+    assert _lambda_chains(free_moves(C.moves), "0z") == (1999, 0)
+    assert C._chains == chains_by_brute_force(C.moves, "0z") == (1999, 0)
     assert oracle_pdc_validate(*pdc_fields(C)) == []
     assert format_pdc(C) == chain_pdc_text(2000, 1999)
     r = pdc_run(C, "01")

@@ -18,7 +18,7 @@ CLAIMS = {
     "dl.stack_free(T) == dl.identity_pdc()": ("True", True),
     "desc = dl.encode_fst(T)": ("'110101100100'", "110101100100"),
     "dl.decode_fst(desc) == T": ("True", True),
-    "dl.fst_size(T)": ("12", 12),
+    "len(desc)": ("12", 12),
     'dl.pdc_run(C, "110110110" + "1"*9 + "011011011").output': (
         "'110110110' + '1'*9 + '0'", "110110110" + "1" * 9 + "0"
     ),
