@@ -24,20 +24,17 @@ The same pass picks the lane a run takes. A spec that is a transducer
 and a move on every (state, bit)) never touches its stack, so while the
 stack is the bottom marker alone it runs on `fst_run` and `fst_lengths`
 over an FstSpec of its moves. Any other run reads its input in blocks of
-PDC_BLOCK bits and looks each up in a memo the spec owns, keyed by
-(state, block, top byte): a hit pops symbols, pushes a string and emits
-in one step, so a run costs one lookup per block rather than per bit. A
-miss builds the block by replaying it over the top alone (`_replay`).
-A popping state, one with a bit move that pops, as in a matching phase
-that pops one symbol per bit, keys its blocks on the top PDC_WINDOW
-symbols at once. Any other block whose outcome depends on deeper
-symbols, as when an input-free closure pops, is marked _DEEP under its
-top byte and looked up again under that window. A window entry is built
-by a replay over the window. A block that sticks or reads below its
-window is memoized as no block and runs one bit at a time on the real
-stack, so stuck positions are exactly those of a bit-by-bit run. Past
-BLOCK_MEMO_CAP entries of either kind a spec's memo stops growing, and
-blocks it lacks run one bit at a time.
+PDC_BLOCK bits and looks each up once in a memo the spec owns: a hit pops
+symbols, pushes a string and emits in one step, so a run costs one lookup
+per block rather than per bit. A popping state, one with a bit move that
+pops, as in a matching phase that pops one symbol per bit, keys its
+blocks on (state, block, top PDC_WINDOW symbols); any other state keys
+them on (state, block, top byte). A miss replays the block over those
+symbols (`_replay`). A block whose replay sticks or reads below them, as
+when an input-free closure pops, is memoized as no block and runs one
+bit at a time on the real stack, so stuck positions are exactly those of
+a bit-by-bit run. Past BLOCK_MEMO_CAP entries a spec's memo stops
+growing, and blocks it lacks run one bit at a time.
 
 A replay that needs the symbol below its top has, at that point, nothing
 left on its stack but the unknown rest. So it stops with a continuation
@@ -135,12 +132,11 @@ class PdcSpec(FrozenRecord):
 
     @cached_property
     def _blocks(self) -> dict[tuple, tuple]:
-        """The block memo, filled as runs go. (state, block, top byte) ->
-        (state, slice of the top symbols popped, bottom-first push,
-        emission), () for no block, or _DEEP when the block reads below
-        the top; then, for such a block and for every block of a popping
-        state, (state, block, bottom-first bytes of the top PDC_WINDOW
-        symbols) -> an entry that pops them all, or ()."""
+        """The block memo, filled as runs go. (state, block, key symbols)
+        -> (state, slice of the key symbols popped, bottom-first push,
+        emission), or () for no block; the key symbols are the top byte,
+        or in a popping state the bottom-first bytes of the top PDC_WINDOW
+        symbols."""
         return {}
 
 
@@ -328,34 +324,29 @@ def _replay(C: PdcSpec, q: int, known: bytes, e: str):
     return q, bytes(buf[1:]), "".join(out)
 
 
-# Memo marker: the block reads below the top, so look up its window. It is
-# falsy, so the one test for a miss on the hot path also catches it.
-_DEEP = False
-
-
 def _steps(
     C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
 ) -> tuple[Optional[int], int]:
     """`_bit_steps`, with the same result and effects, but one memo lookup
-    per block of PDC_BLOCK bits (two if a closure pops below the top)
-    wherever the memo has the block. A popping state's blocks are looked
-    up on the stack window at once."""
+    per block of PDC_BLOCK bits wherever the memo has the block. A miss
+    replays the block over its key symbols; the entry's slice is built
+    once rather than per hit."""
     free, _, _, popping, _ = C._tables
     blocks = C._blocks
     if (q, buf[-1]) in free:
         q = _close(C, q, buf)
     for i in range(0, len(x), PDC_BLOCK):
         block = x[i : i + PDC_BLOCK]
-        key = (q, block, buf[-1])
-        move = _DEEP if q in popping else blocks.get(key)
-        if not move:  # not memoized, no block, _DEEP, or a popping state
+        key = (q, block, bytes(buf[-PDC_WINDOW:]) if q in popping else buf[-1])
+        move = blocks.get(key)
+        if not move:  # not memoized, or no block
             if move is None and len(blocks) < BLOCK_MEMO_CAP:
-                move = blocks[key] = _block_move(C, q, block, buf[-1:])
-            if move is _DEEP:
-                key = (q, block, bytes(buf[-PDC_WINDOW:]))
-                move = blocks.get(key)
-                if move is None and len(blocks) < BLOCK_MEMO_CAP:
-                    move = blocks[key] = _block_move(C, q, block, key[2]) or ()
+                known = buf[-PDC_WINDOW:] if q in popping else buf[-1:]
+                got = _replay(C, q, known, block)
+                move = blocks[key] = (
+                    (got[0], slice(-len(known), None), *got[1:])
+                    if type(got) is tuple else ()
+                )
             if not move:
                 pos, q = _bit_steps(C, block, q, buf, out)
                 if pos is not None:
@@ -367,20 +358,6 @@ def _steps(
         if e:
             out.append(e)
     return None, q
-
-
-def _block_move(C: PdcSpec, q: int, block: str, known: bytes) -> tuple:
-    """The memo entry of `block` read in closed state q over `known`, the
-    top symbols of the stack, bottom-first: (state, the slice `known`
-    fills, built once rather than per hit, the bottom-first symbols that
-    replace them, emission); _DEEP when the outcome could depend on the
-    symbols below `known`; or () for no block, when the block sticks."""
-    got = _replay(C, q, known, block)
-    if type(got) is _Resume:
-        return _DEEP
-    if got is None:
-        return ()
-    return got[0], slice(-len(known), None), got[1], got[2]
 
 
 def pdc_run(

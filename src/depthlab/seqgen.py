@@ -163,6 +163,10 @@ class SequenceRecipe(NamedTuple):
         gen = {"a": gen_recipe_a, "b": gen_recipe_b, "c": gen_recipe_c}.get(self.kind)
         if gen is None:
             raise ValidationError(f"unknown recipe kind {self.kind!r}")
+        if self.stages is not None and self.stages < 0:
+            raise ValidationError(f"need stages >= 0, got {self.stages}")
+        if self.bit_budget is not None and self.bit_budget < 0:
+            raise ValidationError(f"need a bit budget >= 0, got {self.bit_budget}")
         return gen(self)
 
     def stops_before(self, j: int, total: int) -> bool:

@@ -959,3 +959,19 @@ def test_seeds_keep_signs_spaces_and_zeros(tmp_path, monkeypatch):
                              *seed, "--out", str(out)])[0] == 0
         streams.add(out.read_text())
     assert len(streams) == 1
+
+
+@pytest.mark.parametrize("flag, field", [("--stages", "stages"),
+                                         ("--bits-budget", "a bit budget")])
+@pytest.mark.parametrize("recipe", [["a"], ["b", "--k", "9"], ["c", "--k", "4", "--v", "1"]],
+                         ids=lambda recipe: recipe[0])
+@pytest.mark.parametrize("command", ["generate", "ratio"])
+def test_negative_stages_and_bit_budgets_exit_2(tmp_path, recipe, flag, field, command):
+    # Refused before any stream is made: no file, no CSV row, one error line.
+    out = tmp_path / "g.bits"
+    tail = (["--out", str(out)] if command == "generate"
+            else ["--compressor", "lz78", "--grid", "1:10:1"])
+    for value in ("-1", "-3"):
+        argv = [command, "--recipe", *recipe, flag, value, *tail]
+        assert main_outcome(argv) == (2, "", f"error: need {field} >= 0, got {value}\n")
+    assert list(tmp_path.iterdir()) == []

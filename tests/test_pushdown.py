@@ -47,7 +47,6 @@ from depthlab import (
 from depthlab.cli import main
 from depthlab.pushdown import (
     _BELOW,
-    _DEEP,
     LAMBDA,
     PDC_BLOCK,
     PDC_WINDOW,
@@ -849,7 +848,6 @@ def test_block_engine_matches_oracle_cold_and_warm():
                 windows = [spec._blocks[key] for key in window_keys(spec)]
                 kinds["window blocks"] += sum(map(bool, windows))
                 kinds["window no-blocks"] += windows.count(())
-                kinds["deep markers"] += list(spec._blocks.values()).count(_DEEP)
                 popping_states = spec._tables[3]
                 kinds["popping-state windows"] += sum(
                     key[0] in popping_states for key in window_keys(spec)
@@ -990,6 +988,25 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     assert past._blocks == {(1, "000001", b"0" * PDC_WINDOW): ()}
 
 
+def test_a_closure_below_the_top_byte_runs_bit_by_bit():
+    # State 1 never pops on a bit, so its blocks are keyed on the top byte.
+    # A 1 leads to state 2, whose input-free move pops that top, so the
+    # block's replay reads below its key: the block is memoized as no
+    # block, with no window entry, and runs bit by bit on the real stack.
+    moves = {(q, b, t): (2 if q == 1 and b == "1" else 1, t, b)
+             for q in (1, 3) for b in "01" for t in "01" + Z0}
+    moves.update({(2, LAMBDA, t): (3, "" if t != Z0 else Z0, "") for t in "01" + Z0})
+    C = PdcSpec(3, 1, "binary", moves, 1)
+    assert not C._tables[3]  # no popping state
+    top = "0110100"
+    for rest in ("01" + Z0, "1" * 20 + Z0):  # cold, then warm
+        stack = top + rest
+        got = run_outcome(pdc_run, C, "100000", 1, stack)
+        assert got == run_outcome(oracle_pdc_run, C, "100000", 1, stack)
+        assert got == ("ran", "100000", 1, stack[1:])
+        assert C._blocks == {(1, "100000", ord("0")): ()}
+
+
 def test_popping_lane_under_a_small_memo_cap(monkeypatch):
     # Popping-heavy machines from every state over stacks shorter and
     # taller than a window, cold and then warm, with room for no block,
@@ -1032,14 +1049,9 @@ def test_pdc_run_reports_a_popped_bottom_marker():
         assert not C._blocks
 
 
-def test_matching_phase_runs_in_blocks(monkeypatch):
-    # The engine's shape, not its time: on recipe b the half-compressor
-    # spends most bits in matching phases, which pop one symbol per bit.
-    # Measured share of bits stepped one at a time, replays included:
-    # 6,081 of 107,019 (5.7 %) on a cold memo, 240 (0.2 %) on a warm one;
-    # 7,236 when popping states first looked up their top byte, and 54 %
-    # when popping blocks ran bit by bit.
-    bits = SequenceRecipe(kind="b", k=9, stages=81, seed=1).generate().bits
+def count_stepped_bits(monkeypatch):
+    """A list that gets the length of every input `_bit_steps` runs on from
+    now on, a block replay's included."""
     stepped = []
     bit_steps = pushdown._bit_steps
 
@@ -1048,13 +1060,41 @@ def test_matching_phase_runs_in_blocks(monkeypatch):
         return bit_steps(C, x, *args)
 
     monkeypatch.setattr(pushdown, "_bit_steps", counting)
+    return stepped
+
+
+def test_matching_phase_runs_in_blocks(monkeypatch):
+    # The engine's shape, not its time: on recipe b the half-compressor
+    # spends most bits in matching phases, which pop one symbol per bit.
+    # Measured share of bits stepped one at a time, replays included:
+    # 6,183 of 107,019 (5.8 %) on a cold memo, 486 (0.45 %) on a warm one;
+    # 6,081 and 240 when a block whose closure read below its top byte was
+    # looked up again on its window, 7,236 cold when popping states first
+    # looked up their top byte, and 54 % when popping blocks ran bit by bit.
+    bits = SequenceRecipe(kind="b", k=9, stages=81, seed=1).generate().bits
+    stepped = count_stepped_bits(monkeypatch)
     C = build_half_compressor(9, 9, 0)
     out = pdc_run(C, bits).output
-    assert sum(stepped) < 0.08 * len(bits)  # 6.8 %, plus room for ~1,300 bits
+    assert sum(stepped) < 0.08 * len(bits)  # 5.8 %, plus room for ~2,400 bits
     stepped.clear()
     assert pdc_run(C, bits).output == out
-    assert sum(stepped) < 0.005 * len(bits)  # 0.2 %, plus room for ~300 bits
+    assert sum(stepped) < 0.005 * len(bits)  # 0.45 %, plus room for 49 bits
     assert out == oracle_pdc_run(C, bits).output
+
+
+def test_composed_deep_run_steps_few_bits_warm(monkeypatch):
+    # The engine's shape on a stack that grows to the stream length: the
+    # composed half-compressor over flag-free bits keys its blocks on the
+    # top byte. Measured bits stepped one at a time on a warm memo, replays
+    # included, for seeds 1 to 5: 90, 222, 162, 150 and 150 of 50,000.
+    stepped = count_stepped_bits(monkeypatch)
+    for seed in range(1, 6):
+        bits = flag_free_bits(50_000, seed)
+        N = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
+        assert pdc_run(N, bits).output == bits
+        stepped.clear()
+        assert pdc_run(N, bits).output == bits
+        assert sum(stepped) <= 0.005 * len(bits)  # 222 at most, room for 28 bits
 
 
 def test_profile_keeps_block_alignment_across_grid_points():
