@@ -24,14 +24,14 @@ The same pass picks the lane a run takes. A spec that is a transducer
 and a move on every (state, bit)) never touches its stack, so while the
 stack is the bottom marker alone it runs on `fst_run` and `fst_lengths`
 over an FstSpec of its moves. Any other run reads its input in blocks of
-PDC_BLOCK bits and looks each up once in a memo the spec owns: a hit pops
-symbols, pushes a string and emits in one step, so a run costs one lookup
-per block rather than per bit. A popping state, one with a bit move that
-pops, as in a matching phase that pops one symbol per bit, keys its
-blocks on (state, block, top PDC_WINDOW symbols); any other state keys
-them on (state, block, top byte). A miss replays the block over those
-symbols (`_replay`). A block whose replay sticks or reads below them, as
-when an input-free closure pops, is memoized as no block and runs one
+PDC_BLOCK bits and looks each up once in a memo the spec owns. A popping
+state, one with a bit move that pops, as in a matching phase that pops
+one symbol per bit, keys its blocks on (state, block, top PDC_WINDOW
+symbols); any other state keys them on (state, block, top byte). A hit
+pops the key symbols the block replaces, pushes what it adds and emits,
+so a run costs one lookup per block rather than per bit. A miss replays
+the block (`_replay`). One whose replay sticks or reads below its key,
+as when an input-free closure pops, is memoized as no block and runs one
 bit at a time on the real stack, so stuck positions are exactly those of
 a bit-by-bit run. Past BLOCK_MEMO_CAP entries a spec's memo stops
 growing, and blocks it lacks run one bit at a time.
@@ -51,7 +51,7 @@ that sticks, for the output before the stuck bit.
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
@@ -133,10 +133,11 @@ class PdcSpec(FrozenRecord):
     @cached_property
     def _blocks(self) -> dict[tuple, tuple]:
         """The block memo, filled as runs go. (state, block, key symbols)
-        -> (state, slice of the key symbols popped, bottom-first push,
-        emission), or () for no block; the key symbols are the top byte,
-        or in a popping state the bottom-first bytes of the top PDC_WINDOW
-        symbols."""
+        -> (state, slice of the key symbols popped or None for none,
+        bottom-first push of what the block adds over the key symbols it
+        keeps, emission), or () for no block; the key symbols are the top
+        byte, or in a popping state the bottom-first bytes of the top
+        PDC_WINDOW symbols."""
         return {}
 
 
@@ -194,9 +195,9 @@ def pdc_validate(C: PdcSpec) -> list[str]:
             if inp == LAMBDA:
                 late.append(f"input-free move must not emit: {key}")
     problems += late
-    for q, top in sorted(free):
-        if (q, "0", top) in moves or (q, "1", top) in moves or (q, top) in odd:
-            problems.append(f"both input-free and bit moves on {(q, top)}")
+    both = [(q, top) for q, top in free
+            if (q, "0", top) in moves or (q, "1", top) in moves or (q, top) in odd]
+    problems += [f"both input-free and bit moves on {pair}" for pair in sorted(both)]
     chains = vars(C)["_chains"] = _lambda_chains(free, syms + Z0)
     if chains is None or chains[0] > C.lambda_budget:
         problems.append(
@@ -213,41 +214,54 @@ def _lambda_chains(
     cycle, so chains are unbounded.
 
     Nodes are (state, top). A push leads to its first pushed symbol; a
-    pure pop leaves the next top unknown, so it fans out to every symbol
-    of `tops`. The walk is iterative, so chain length is not limited by
-    recursion.
+    pure pop leaves the next top unknown, so it leads to its target's
+    nodes on the symbols of `tops`, listed once per state. The walk is
+    iterative, so chain length is not limited by recursion. It lists a
+    node's successors when it enters the node and memoizes its (moves,
+    pops) once they have finished, so reaching a node entered but not
+    finished is a cycle.
     """
+    popped_into: dict[int, list[tuple[int, str]]] = {}  # state -> nodes on a symbol
+    symbols = set(tops)  # exact: a mutated top such as "1z" is no symbol
+    for node in free:
+        if node[1] in symbols:
+            popped_into.setdefault(node[0], []).append(node)
     best: dict[tuple[int, str], tuple[int, int]] = {}  # finished nodes
-    on_path: set[tuple[int, str]] = set()
+    after: dict[tuple[int, str], Sequence] = {}  # entered nodes: their successors
     for root in free:
         if root in best:
             continue
         todo = [root]
         while todo:
             node = todo[-1]
-            if node in best:
+            nxt = after.get(node)
+            if nxt is None:  # entered: list its successors, queue unfinished ones
+                tgt, push = free[node]
+                if push:
+                    nxt = ((tgt, push[0]),) if (tgt, push[0]) in free else ()
+                else:
+                    nxt = popped_into.get(tgt, ())
+                after[node] = nxt
+                waiting = len(todo)
+                for s in nxt:
+                    if s not in best:
+                        if s in after:
+                            return None
+                        todo.append(s)
+                if len(todo) > waiting:
+                    continue
+            elif node in best:  # queued twice, and finished since
                 todo.pop()
                 continue
-            tgt, push = free[node]
-            nxt = [(tgt, push[0])] if push else [(tgt, t) for t in tops]
-            if node not in on_path:  # first visit: queue its successors
-                on_path.add(node)
-                for s in nxt:
-                    if s in on_path:
-                        return None
-                    if s in free and s not in best:
-                        todo.append(s)
-            else:  # second visit: every successor has finished
-                todo.pop()
-                on_path.discard(node)
-                moves_below = pops_below = 0
-                for s in nxt:
-                    m, p = best.get(s, (0, 0))
-                    if m > moves_below:
-                        moves_below = m
-                    if p > pops_below:
-                        pops_below = p
-                best[node] = (1 + moves_below, (not push) + pops_below)
+            todo.pop()  # every successor has finished
+            moves_below = pops_below = 0
+            for s in nxt:
+                m, p = best[s]
+                if m > moves_below:
+                    moves_below = m
+                if p > pops_below:
+                    pops_below = p
+            best[node] = (1 + moves_below, (not free[node][1]) + pops_below)
     return (max((m for m, _ in best.values()), default=0),
             max((p for _, p in best.values()), default=0))
 
@@ -343,17 +357,22 @@ def _steps(
             if move is None and len(blocks) < BLOCK_MEMO_CAP:
                 known = buf[-PDC_WINDOW:] if q in popping else buf[-1:]
                 got = _replay(C, q, known, block)
-                move = blocks[key] = (
-                    (got[0], slice(-len(known), None), *got[1:])
-                    if type(got) is tuple else ()
-                )
+                move = ()
+                if type(got) is tuple:
+                    keep = len(known)  # key symbols the block leaves in place
+                    while got[1][:keep] != known[:keep]:
+                        keep -= 1
+                    popped = slice(keep - len(known), None) if keep < len(known) else None
+                    move = (got[0], popped, got[1][keep:], got[2])
+                blocks[key] = move
             if not move:
                 pos, q = _bit_steps(C, block, q, buf, out)
                 if pos is not None:
                     return i + pos, q
                 continue
         q, popped, push, e = move
-        del buf[popped]
+        if popped:
+            del buf[popped]
         buf += push
         if e:
             out.append(e)
@@ -543,6 +562,9 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
             return _Resume(new.state, new.rest, emitted + new.emitted)
         return new[0], new[1], emitted + new[2]
 
+    # A state's row lists its moves in file order: by input, then top (0, 1, z).
+    n = len(syms) + 1
+    slots = ((n - 1, Z0), *enumerate(syms))  # z first: this order fixes the numbering
     moves: dict[MoveKey, Move] = {}
     start = ref((C.start, T.start, ""))
     for idx, (qc, qt, buf) in enumerate(order, start=1):  # sees what ref() appends
@@ -550,17 +572,19 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
         r0, r1 = kept.popleft(), kept.popleft()
         if r0 is r1 is None:
             r0, r1 = _Resume(qc, e0, ""), _Resume(qc, e1, "")
-        for a in (Z0, *syms):  # this order fixes the product state numbering
+        row = [None] * (3 * n)
+        for i, a in slots:
             g0, g1 = resume(r0, a), resume(r1, a)
             if type(g0) is _Resume or type(g1) is _Resume:
                 if len(buf) >= cap:
                     raise AssertionError("buffer bound violated in composition")
-                moves[(idx, LAMBDA, a)] = (ref((qc, qt, buf + a), g0, g1), "", "")
+                row[i] = (idx, LAMBDA, a), (ref((qc, qt, buf + a), g0, g1), "", "")
                 continue
             if g0 is not None:
-                moves[(idx, "0", a)] = (ref((g0[0], qt0, "")), g0[1], g0[2])
+                row[n + i] = (idx, "0", a), (ref((g0[0], qt0, "")), g0[1], g0[2])
             if g1 is not None:
-                moves[(idx, "1", a)] = (ref((g1[0], qt1, "")), g1[1], g1[2])
+                row[2 * n + i] = (idx, "1", a), (ref((g1[0], qt1, "")), g1[1], g1[2])
+        moves.update(filter(None, row))
     return PdcSpec(len(order), start, C.stack_kind, moves, cap)
 
 
@@ -694,13 +718,14 @@ def parse_pdc(text: str) -> PdcSpec:
     except ValueError as exc:
         raise ValidationError(f"bad pdc header: {lines[0]!r}") from exc
     moves: dict[MoveKey, Move] = {}
+    number = cache(ascii_int)  # reads each distinct state-number token once
     for ln in lines[1:]:
         try:
             q, inp, top, arrow, tgt, push, e = ln.split()
             if arrow != "->":
                 raise ValueError(arrow)
-            key = (ascii_int(q), "" if inp == "-" else inp, top)
-            move = (ascii_int(tgt), "" if push == "-" else push, "" if e == "-" else e)
+            key = (number(q), "" if inp == "-" else inp, top)
+            move = (number(tgt), "" if push == "-" else push, "" if e == "-" else e)
         except ValueError as exc:
             raise ValidationError(f"bad pdc line: {ln!r}") from exc
         if moves.setdefault(key, move) is not move:

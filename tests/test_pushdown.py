@@ -364,6 +364,48 @@ def test_compose_matches_whole_buffer_oracle_where_replays_stick():
         assert got == compose_outcome(oracle_compose_pdc_fst, C, T), (C, T)
 
 
+def random_compose_cases():
+    """The (outer, inner) pairs that the three random compose tests above
+    draw, in their order, each test's seed and draws replayed."""
+    rng = random.Random(44)
+    for i in range(12):
+        yield random_pdc(rng, kind="unary" if i % 3 else "binary"), random_fst(rng, max_states=2)
+    rng = random.Random(111)
+    for i in range(600):
+        lambda_prob = (0.0, 0.2, 0.4, 0.6, 0.8)[i // 2 % 5]
+        C = random_pdc(rng, kind="unary" if i % 2 else "binary", max_states=4,
+                       lambda_prob=lambda_prob)
+        yield C, random_fst(rng, max_states=3, max_emit=2)
+        rng.choice([4, 12, 200_000])  # that test's state ceiling
+    rng = random.Random(113)
+    for i in range(300):
+        C = random_pdc(rng, kind="unary" if i % 2 else "binary", max_states=4,
+                       lambda_prob=(0.2, 0.4, 0.6)[i % 3])
+        for _ in range(rng.randint(1, 3)):
+            if any(inp != LAMBDA for _, inp, _ in C.moves):
+                C = drop_bit_move(rng, C)
+        yield C, random_fst(rng, max_states=3, max_emit=2)
+
+
+def test_products_are_built_in_file_order():
+    # compose_pdc_fst inserts each state's moves in format_pdc's key order,
+    # so the text is one ascending run of keys, and it reads back as itself.
+    half = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
+    text = format_pdc(half)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0df8bef4adff94bb6bf978272dcd855c3cc48352ec60ec45173835538daa387b"
+    )
+    products = [half, *(compose_pdc_fst(C, T) for C, T in random_compose_cases())]
+    assert len(products) == 913
+    kinds = Counter()
+    for N in products:
+        assert list(N.moves) == sorted(N.moves), N
+        text = format_pdc(N)
+        assert format_pdc(parse_pdc(text)) == text
+        kinds["input-free" if any(inp == LAMBDA for _, inp, _ in N.moves) else "bits only"] += 1
+    assert min(kinds.values()) > 100, kinds
+
+
 def mutate(rng, fields):
     """The fields of a spec with one more random defect of a kind
     pdc_validate reports; a defect can bring others with it, such as a bit
@@ -644,6 +686,28 @@ def test_parser_matches_line_loop_oracle(text):
     assert parse_outcome(parse_pdc, text) == parse_outcome(oracle_parse_pdc, text)
 
 
+@pytest.mark.parametrize("line1, line2, bad", [
+    ("+1 0 z -> 01 z 0", "01 1 z -> +1 z 1", None),
+    ("1 0 z -> 1 z 0", "1 1 z -> 1 z 1", None),
+    ("\u0661 0 z -> 1 z 0", "1 1 z -> 1 z 1", 1),  # a state's first line
+    ("1 0 z -> 1 z 0", "1 1 z -> \u0661 z 1", 2),  # a later line naming it again
+    ("1_0 0 z -> 1 z 0", "1 1 z -> 1 z 1", 1),
+    ("1 0 z -> 1 z 0", "1_0 1 z -> 1 z 1", 2),
+    ("1 0 z -> 1_0 z 0", "1 1 z -> 1_0 z 1", 1),  # the same bad token twice
+])
+def test_parser_reads_each_state_number_as_the_line_loop_did(line1, line2, bad):
+    # parse_pdc reads each distinct state-number token once per file, and
+    # refuses a bad one on the first line that has it, as the loop that
+    # read every token did: +1, 01 and 1 are state 1.
+    text = f"pdc 10 1 unary 0\n{line1}\n{line2}\n"
+    got = parse_outcome(parse_pdc, text)
+    assert got == parse_outcome(oracle_parse_pdc, text)
+    if bad is None:
+        assert {(q, tgt) for (q, _, _), (tgt, _, _) in got.moves.items()} == {(1, 1)}
+    else:
+        assert got == f"bad pdc line: {(line1, line2)[bad - 1]!r}"
+
+
 def test_lambda_chains_match_brute_force_random():
     rng = random.Random(45)
     for i in range(300):
@@ -684,6 +748,23 @@ def test_lambda_chains_pure_pop_fans_out():
     assert refused(8, 1, "binary", moves, 4) == (
         "input-free moves can chain beyond budget 4"
     )
+
+
+def test_a_pure_pop_reaches_only_stack_symbols():
+    # A pure pop leads to its target's input-free moves on the symbols 0, 1
+    # and z, found by exact membership. The move on the mutated top "1z"
+    # is a node of its own, and the chain from it pushes 0 and then pops:
+    # two moves, one pop. Were "1z" taken for a symbol because it is a
+    # substring of "01z", the pop would lead back to it: a false cycle.
+    moves = {(1, LAMBDA, "0"): (2, "", ""), (2, LAMBDA, "1z"): (1, "0", "")}
+    assert chains_by_brute_force(moves, "01z") == (2, 1)
+    assert _lambda_chains(free_moves(moves), "01z") == (2, 1)
+    assert refused(2, 1, "binary", moves, 2) == (
+        "bad stack top in (2, '', '1z')"
+    ) == "; ".join(oracle_pdc_validate(2, 1, "binary", moves, 2))
+    assert refused(2, 1, "binary", moves, 1) == "; ".join(
+        oracle_pdc_validate(2, 1, "binary", moves, 1)
+    ) == "bad stack top in (2, '', '1z'); input-free moves can chain beyond budget 1"
 
 
 def test_each_spec_walks_its_input_free_moves_once(monkeypatch, tmp_path, capsys):
@@ -773,7 +854,7 @@ def test_engine_runs_input_free_chains_at_their_budget():
     late = PdcSpec(51, 51, "unary", moves, 49)
     for C, x in ((chain, "01"), (late, "0001")):
         assert run_outcome(pdc_run, C, x) == run_outcome(oracle_pdc_run, C, x)
-    assert late._blocks == {(51, "0001", ord(Z0)): (50, slice(-1, None), b"z", "")}
+    assert late._blocks == {(51, "0001", ord(Z0)): (50, None, b"", "")}
     assert refused(51, 51, "unary", moves, 48) == (
         "input-free moves can chain beyond budget 48"
     )
@@ -946,14 +1027,14 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
             oracle_pdc_run, C, "000000", 1, st
         )
     assert C._blocks == {
-        (1, "000000", window): (1, slice(-PDC_WINDOW, None), b"0", "000000"),
+        (1, "000000", window): (1, slice(1 - PDC_WINDOW, None), b"", "000000"),
     }
     # A stack shorter than a window is keyed on all of it, down to z.
     short = "01" + Z0
     got = run_outcome(pdc_run, C, "000000", 1, short)
     assert got == run_outcome(oracle_pdc_run, C, "000000", 1, short)
     assert got == ("ran", "000000", 1, Z0)
-    assert C._blocks[(1, "000000", b"z10")] == (1, slice(-3, None), b"z", "000000")
+    assert C._blocks[(1, "000000", b"z10")] == (1, slice(-2, None), b"", "000000")
     # A bit with no move on top 1: the fourth bit of the block sticks.
     stuck = pop_machine(drop=(1, "1", "1"))
     got = run_outcome(pdc_run, stuck, "111111", 1, stack)
@@ -972,7 +1053,7 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     assert got == run_outcome(oracle_pdc_run, chained, "000100", 1, stack)
     assert got == ("ran", "000100", 6, "000" + "01" + Z0)
     assert chained._blocks[(1, "000100", window)] == (
-        6, slice(-PDC_WINDOW, None), b"000", "000100"
+        6, slice(3 - PDC_WINDOW, None), b"", "000100"
     )
     # A block whose closure pops past its window: the sixth bit pops the
     # sixth symbol and two input-free pops follow, so its replay needs the
