@@ -27,7 +27,7 @@ from . import depth, lz78, seqgen
 from .codec import decode_fst, encode_fst
 from .errors import StuckError, ValidationError
 from .fscomplexity import kfs_complexity
-from .fst import FstSpec, ascii_int, fst_run, parse_fst, format_fst
+from .fst import FstSpec, ascii_number, fst_run, parse_fst, format_fst
 from .pushdown import compose_pdc_fst, fst_compose, parse_pdc, format_pdc, pdc_run
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_STUCK = 0, 1, 2, 3
@@ -71,21 +71,20 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get("DEPTHLAB_SEED")
     try:
-        return ascii_int(env) if env else 0
+        return ascii_number(env) if env else 0
     except ValueError as exc:
         raise ValidationError(f"DEPTHLAB_SEED must be an integer, got {env!r}") from exc
 
 
 def _ascii_option(read):
-    """An option's type: read() of ASCII text with no '_' (for int, as
-    ascii_int reads), refused as argparse refuses read."""
+    """An option's type: ascii_number(text, read), refused as argparse
+    refuses read."""
     def option(text: str):
         try:
-            if text.isascii() and "_" not in text:
-                return read(text)
+            return ascii_number(text, read)
         except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"invalid {read.__name__} value: {text!r}")
+            raise argparse.ArgumentTypeError(
+                f"invalid {read.__name__} value: {text!r}") from None
     return option
 
 

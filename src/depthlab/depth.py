@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import FstSpec, ascii_int, fst_lengths, identity_fst, parse_fst, repeater_fst
+from .fst import FstSpec, ascii_number, fst_lengths, identity_fst, parse_fst, repeater_fst
 from .fscomplexity import enum_fsts, kfs_lengths
 from .lz78 import lz_lengths
 from .pushdown import (
@@ -50,7 +50,7 @@ class Compressor(NamedTuple):
 
 def _int_arg(text: str, name: str) -> int:
     try:
-        return ascii_int(text)
+        return ascii_number(text)
     except ValueError as exc:
         raise ValidationError(f"{name}: argument {text!r} is not an integer") from exc
 
@@ -128,12 +128,10 @@ def parse_grid(text: str) -> list[int]:
     if len(parts) != 3:
         raise ValidationError(f"grid must be a:b:step or a:b:xF, got {text!r}")
     try:
-        a, b = ascii_int(parts[0]), ascii_int(parts[1])
+        a, b = ascii_number(parts[0]), ascii_number(parts[1])
         geometric = parts[2].startswith("x")
-        if geometric and (not parts[2].isascii() or "_" in parts[2]):
-            raise ValueError(f"not an ASCII factor: {parts[2]!r}")
-        factor = float(parts[2][1:]) if geometric else None
-        step = None if geometric else ascii_int(parts[2])
+        factor = ascii_number(parts[2][1:], float) if geometric else None
+        step = None if geometric else ascii_number(parts[2])
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}") from exc
     if a < 1 or b < a:

@@ -15,11 +15,12 @@ same whichever run writes it, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import ValidationError
 
 BITS = ("0", "1")
+T = TypeVar("T")
 
 FST_BLOCK = 8  # input bits per memoized block
 BLOCK_MEMO_CAP = 1 << 16  # most memoized blocks per spec, FST or PDC
@@ -30,11 +31,12 @@ def check_bits(s: str, what: str) -> None:
         raise ValidationError(f"{what} must be a string over 0/1, got {s!r}")
 
 
-def ascii_int(s: str) -> int:
-    """int(s), refusing the other scripts' digits and the '_' that int() reads."""
+def ascii_number(s: str, read: Callable[[str], T] = int) -> T:
+    """read(s), for int or float, refusing the other scripts' digits and the
+    '_' that both read."""
     if not s.isascii() or "_" in s:
-        raise ValueError(f"not an ASCII integer: {s!r}")
-    return int(s)
+        raise ValueError(f"not an ASCII number: {s!r}")
+    return read(s)
 
 
 class FrozenRecord:
@@ -180,7 +182,7 @@ def parse_fst(text: str) -> FstSpec:
     if len(head) != 3 or head[0] != "fst":
         raise ValidationError(f"bad fst header: {lines[0]!r}")
     try:
-        m, start = ascii_int(head[1]), ascii_int(head[2])
+        m, start = ascii_number(head[1]), ascii_number(head[2])
     except ValueError as exc:
         raise ValidationError(f"bad fst header: {lines[0]!r}") from exc
     moves: dict[tuple[int, str], tuple[int, str]] = {}
@@ -189,7 +191,7 @@ def parse_fst(text: str) -> FstSpec:
         if len(parts) != 5 or parts[2] != "->":
             raise ValidationError(f"bad fst line: {ln!r}")
         try:
-            q, b, tgt, e = ascii_int(parts[0]), parts[1], ascii_int(parts[3]), parts[4]
+            q, b, tgt, e = ascii_number(parts[0]), parts[1], ascii_number(parts[3]), parts[4]
         except ValueError as exc:
             raise ValidationError(f"bad fst line: {ln!r}") from exc
         if b not in BITS:

@@ -8,8 +8,9 @@ A spec is checked against these rules when it is built (`pdc_validate`),
 and an invalid one raises ValidationError, so a run over any spec either
 reads all of its input or sticks on a bit with no move: it never loses
 the bottom marker and never loops on input-free moves. The check's one
-pass collects the input-free moves for one walk of their graph, and the
-spec keeps that walk's longest chain and most pops for composition.
+pass collects the input-free moves for one topological walk of their
+graph, which a cycle leaves short, and the spec keeps the walk's longest
+chain and most pops for composition.
 
 At the public boundary (`pdc_run`'s `stack` argument and
 `PdcRun.final_stack`) a stack is a top-first string whose last character
@@ -55,7 +56,7 @@ from functools import cache, cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import (BITS, BLOCK_MEMO_CAP, FrozenRecord, FstSpec, ascii_int, fst_lengths,
+from .fst import (BITS, BLOCK_MEMO_CAP, FrozenRecord, FstSpec, ascii_number, fst_lengths,
                   fst_run, identity_fst)
 
 Z0 = "z"
@@ -215,53 +216,45 @@ def _lambda_chains(
 
     Nodes are (state, top). A push leads to its first pushed symbol; a
     pure pop leaves the next top unknown, so it leads to its target's
-    nodes on the symbols of `tops`, listed once per state. The walk is
-    iterative, so chain length is not limited by recursion. It lists a
-    node's successors when it enters the node and memoizes its (moves,
-    pops) once they have finished, so reaching a node entered but not
-    finished is a cycle.
+    nodes on the symbols of `tops`, listed once per state. Three passes,
+    none recursive: list each node's successors and count its parents;
+    order the nodes topologically (Kahn), from those no move enters, so a
+    cycle and the nodes it reaches are left out of the order; then sum
+    each node's (moves, pops) from the end of the order back.
     """
     popped_into: dict[int, list[tuple[int, str]]] = {}  # state -> nodes on a symbol
     symbols = set(tops)  # exact: a mutated top such as "1z" is no symbol
     for node in free:
         if node[1] in symbols:
             popped_into.setdefault(node[0], []).append(node)
-    best: dict[tuple[int, str], tuple[int, int]] = {}  # finished nodes
-    after: dict[tuple[int, str], Sequence] = {}  # entered nodes: their successors
-    for root in free:
-        if root in best:
-            continue
-        todo = [root]
-        while todo:
-            node = todo[-1]
-            nxt = after.get(node)
-            if nxt is None:  # entered: list its successors, queue unfinished ones
-                tgt, push = free[node]
-                if push:
-                    nxt = ((tgt, push[0]),) if (tgt, push[0]) in free else ()
-                else:
-                    nxt = popped_into.get(tgt, ())
-                after[node] = nxt
-                waiting = len(todo)
-                for s in nxt:
-                    if s not in best:
-                        if s in after:
-                            return None
-                        todo.append(s)
-                if len(todo) > waiting:
-                    continue
-            elif node in best:  # queued twice, and finished since
-                todo.pop()
-                continue
-            todo.pop()  # every successor has finished
-            moves_below = pops_below = 0
-            for s in nxt:
-                m, p = best[s]
-                if m > moves_below:
-                    moves_below = m
-                if p > pops_below:
-                    pops_below = p
-            best[node] = (1 + moves_below, (not free[node][1]) + pops_below)
+    after: dict[tuple[int, str], Sequence] = {}  # node -> its successors
+    parents = dict.fromkeys(free, 0)
+    for node, (tgt, push) in free.items():
+        if push:
+            nxt = ((tgt, push[0]),) if (tgt, push[0]) in free else ()
+        else:
+            nxt = popped_into.get(tgt, ())
+        after[node] = nxt
+        for s in nxt:
+            parents[s] += 1
+    order = [node for node, n in parents.items() if not n]
+    for node in order:  # grows behind its cursor
+        for s in after[node]:
+            parents[s] -= 1
+            if not parents[s]:
+                order.append(s)
+    if len(order) < len(free):
+        return None
+    best: dict[tuple[int, str], tuple[int, int]] = {}
+    for node in reversed(order):  # its successors come later in the order
+        moves_below = pops_below = 0
+        for s in after[node]:
+            m, p = best[s]
+            if m > moves_below:
+                moves_below = m
+            if p > pops_below:
+                pops_below = p
+        best[node] = (1 + moves_below, (not free[node][1]) + pops_below)
     return (max((m for m, _ in best.values()), default=0),
             max((p for _, p in best.values()), default=0))
 
@@ -714,11 +707,11 @@ def parse_pdc(text: str) -> PdcSpec:
     if len(head) != 5 or head[0] != "pdc":
         raise ValidationError(f"bad pdc header: {lines[0]!r}")
     try:
-        m, start, budget = ascii_int(head[1]), ascii_int(head[2]), ascii_int(head[4])
+        m, start, budget = ascii_number(head[1]), ascii_number(head[2]), ascii_number(head[4])
     except ValueError as exc:
         raise ValidationError(f"bad pdc header: {lines[0]!r}") from exc
     moves: dict[MoveKey, Move] = {}
-    number = cache(ascii_int)  # reads each distinct state-number token once
+    number = cache(ascii_number)  # reads each distinct state-number token once
     for ln in lines[1:]:
         try:
             q, inp, top, arrow, tgt, push, e = ln.split()

@@ -25,7 +25,7 @@ from depthlab import (  # noqa: E402
 )
 from depthlab.codec import complement  # noqa: E402
 from depthlab.fscomplexity import Witness  # noqa: E402
-from depthlab.fst import ascii_int, check_bits  # noqa: E402
+from depthlab.fst import ascii_number, check_bits  # noqa: E402
 from depthlab.lz78 import _ROOT, LzParse, pointer_width  # noqa: E402
 from depthlab.pushdown import _BELOW, LAMBDA, Z0, MoveKey, Move  # noqa: E402
 
@@ -591,7 +591,7 @@ def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000)
 def oracle_parse_pdc(text: str) -> PdcSpec:
     """Oracle for parse_pdc: its earlier line loop, a length and arrow
     test, then a conversion of each number, then a membership test for
-    duplicates. Numbers go through ascii_int where that loop called int()."""
+    duplicates. Numbers go through ascii_number where that loop called int()."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValidationError("empty compressor description")
@@ -599,7 +599,7 @@ def oracle_parse_pdc(text: str) -> PdcSpec:
     if len(head) != 5 or head[0] != "pdc":
         raise ValidationError(f"bad pdc header: {lines[0]!r}")
     try:
-        m, start, budget = ascii_int(head[1]), ascii_int(head[2]), ascii_int(head[4])
+        m, start, budget = ascii_number(head[1]), ascii_number(head[2]), ascii_number(head[4])
     except ValueError as exc:
         raise ValidationError(f"bad pdc header: {lines[0]!r}") from exc
     kind = head[3]
@@ -609,7 +609,7 @@ def oracle_parse_pdc(text: str) -> PdcSpec:
         if len(parts) != 7 or parts[3] != "->":
             raise ValidationError(f"bad pdc line: {ln!r}")
         try:
-            q, tgt = ascii_int(parts[0]), ascii_int(parts[4])
+            q, tgt = ascii_number(parts[0]), ascii_number(parts[4])
         except ValueError as exc:
             raise ValidationError(f"bad pdc line: {ln!r}") from exc
         inp, top = (LAMBDA if parts[1] == "-" else parts[1]), parts[2]

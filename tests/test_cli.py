@@ -463,6 +463,41 @@ MALFORMED = {
         {"c.pdc": chain_pdc_text(600, 598)},
         ["pdc-run", "--machine", "{tmp}/c.pdc", "--bits", "01"], None, 2,
     ),
+    **{
+        f"fst-{name}": (
+            {"m.fst": text}, ["fst-run", "--machine", "{tmp}/m.fst", "--bits", "0"],
+            None, 2,
+        )
+        for name, text in (
+            ("no-states", "fst 0 1\n"),
+            ("target-out-of-range", "fst 1 1\n1 0 -> 2 0\n1 1 -> 1 1\n"),
+            ("bad-input-bit", "fst 1 1\n1 2 -> 1 0\n"),
+        )
+    },
+    **{
+        f"pdc-{name}": (
+            {"m.pdc": text}, ["pdc-run", "--machine", "{tmp}/m.pdc", "--bits", "0"],
+            None, 2,
+        )
+        for name, text in (
+            ("negative-budget", "pdc 1 1 unary -1\n"),
+            ("input-free-cycle", "pdc 2 1 binary 5\n1 - z -> 2 0z -\n2 - 0 -> 1 - -\n"),
+        )
+    },
+    "half-compressor-two-arguments": (
+        {"s.bits": "0110"},
+        ["ratio", "--input", "{tmp}/s.bits", "--compressor", "half-compressor(9,9)",
+         "--grid", "1:4:1"], None, 2,
+    ),
+}
+# The error line of the MALFORMED cases whose message no other test pins.
+MALFORMED_ERRORS = {
+    "fst-no-states": "num_states must be >= 1",
+    "fst-target-out-of-range": "target state 2 out of range 1..1 in (1, '0')",
+    "fst-bad-input-bit": "bad input bit in line: '1 2 -> 1 0'",
+    "pdc-negative-budget": "lambda_budget must be >= 0",
+    "pdc-input-free-cycle": "input-free moves can chain beyond budget 5",
+    "half-compressor-two-arguments": "half-compressor takes (k, v, m)",
 }
 
 
@@ -481,6 +516,8 @@ def test_malformed_input_gets_one_error_line(tmp_path, case):
         if case.endswith("-not-utf8"):  # the line names the undecodable file
             (name,) = [n for n, data in files.items() if isinstance(data, bytes)]
             assert lines[0] == f"error: {tmp_path / name}: not UTF-8 text", r.stderr
+        if case in MALFORMED_ERRORS:
+            assert lines[0] == f"error: {MALFORMED_ERRORS[case]}", r.stderr
     else:
         assert lines == [] and r.stdout.startswith("output 01\n")
 

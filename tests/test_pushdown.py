@@ -729,7 +729,7 @@ def test_lambda_chains_self_loop_is_a_cycle():
 
 
 def test_lambda_chains_pure_pop_fans_out():
-    moves = {
+    fans_out = {
         (1, LAMBDA, "1"): (2, "", ""),  # pop: the next top may be 0, 1 or z
         (2, LAMBDA, "0"): (3, "", ""),
         (3, LAMBDA, "0"): (4, "", ""),
@@ -738,16 +738,26 @@ def test_lambda_chains_pure_pop_fans_out():
         (6, LAMBDA, "0"): (7, "0", ""),
         (7, LAMBDA, "0"): (8, "0", ""),
     }
-    C = PdcSpec(8, 1, "binary", moves, 5)
     # Most pops: states 1, 2, 3, 4 over tops 1, 0, 0 (three of each).
     # Most moves: states 1, 2, 5, 6, 7, 8 over tops 1, z, 0, 0, 0 (five
     # moves, one pop).
-    assert _lambda_chains(free_moves(moves), "01z") == (5, 3)
-    assert C._chains == chains_by_brute_force(moves, "01z") == (5, 3)
-    assert oracle_pdc_validate(*pdc_fields(C)) == []
-    assert refused(8, 1, "binary", moves, 4) == (
-        "input-free moves can chain beyond budget 4"
-    )
+    two_parents = {
+        (1, LAMBDA, "0"): (2, "", ""),
+        (2, LAMBDA, "0"): (3, "", ""),
+        (2, LAMBDA, "1"): (2, "0", ""),
+    }
+    # (2, 0) has two parents: (1, 0) pops into it, and (2, 1) pushes 0 onto
+    # it, so a depth-first walk queues it twice before entering it. Most
+    # moves and pops: states 1, 2, 2 over tops 0, 1, 0 (three moves, two pops).
+    for moves, m, chains in ((fans_out, 8, (5, 3)), (two_parents, 3, (3, 2))):
+        budget = chains[0]
+        C = PdcSpec(m, 1, "binary", moves, budget)
+        assert _lambda_chains(free_moves(moves), "01z") == chains
+        assert C._chains == chains_by_brute_force(moves, "01z") == chains
+        assert oracle_pdc_validate(*pdc_fields(C)) == []
+        assert refused(m, 1, "binary", moves, budget - 1) == (
+            f"input-free moves can chain beyond budget {budget - 1}"
+        )
 
 
 def test_a_pure_pop_reaches_only_stack_symbols():
