@@ -232,14 +232,20 @@ def compute_profile(
 
 
 def load_profile_csv(text: str) -> list[tuple[int, int, int]]:
-    """Re-read profile rows, re-checking the gap arithmetic."""
+    """Re-read profile rows, re-checking the gap arithmetic; a malformed
+    row raises ValidationError naming it."""
     rows = []
     lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
     if not lines or lines[0] != "n,weak_bits,strong_bits,gap,gap_over_n":
         raise ValidationError("not a profile CSV")
     for ln in lines[1:]:
-        n_s, w_s, s_s, gap_s, over_s = ln.split(",")
-        n, w, s, gap = int(n_s), int(w_s), int(s_s), int(gap_s)
+        *ints, over_s = ln.split(",")
+        try:
+            n, w, s, gap = map(ascii_number, ints)
+        except ValueError:  # not five fields, or not ASCII integers
+            raise ValidationError(f"bad profile row {ln!r}") from None
+        if n < 1:
+            raise ValidationError(f"n must be >= 1 in row n={n}")
         if gap != w - s:
             raise ValidationError(f"gap mismatch in row n={n}")
         if f"{gap / n:.6f}" != over_s:

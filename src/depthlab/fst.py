@@ -14,7 +14,6 @@ same whichever run writes it, so concurrent use needs no coordination.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import ValidationError
@@ -64,7 +63,8 @@ class FstSpec(FrozenRecord):
 
     `moves` maps (state, bit) -> (target state, emitted bits, possibly
     empty). Searches read it by state from `_rows`, built with the spec,
-    and runs memoize blocks in `_blocks`, so the map must not change.
+    and runs memoize blocks in `_blocks`, (state, block) -> (state,
+    emission), so the map must not change.
     """
 
     _fields = ("num_states", "start", "moves")
@@ -91,16 +91,10 @@ class FstSpec(FrozenRecord):
         # built here, as a cached_property's first read costs more than these.
         rows = ((), *((moves[(q, "0")], moves[(q, "1")]) for q in range(1, m + 1)))
         vars(self).update(num_states=m, start=start, moves=moves, _rows=rows,
-                          _longest=max(len(e) for _, e in moves.values()))
+                          _longest=max(len(e) for _, e in moves.values()), _blocks={})
 
     def max_emission(self) -> int:
         return self._longest
-
-    @cached_property
-    def _blocks(self) -> dict[tuple[int, str], tuple[int, str]]:
-        """The block memo, filled as runs go: (state, block) -> (state,
-        emission)."""
-        return {}
 
 
 class RunResult(NamedTuple):

@@ -3,7 +3,9 @@
 A spec carries one partial move map from (state, input symbol, stack
 top) to (target state, push, emission), where the input symbol may be
 the empty string for a move that consumes no input. Such moves emit the
-empty string, and at most `lambda_budget` of them may run back to back.
+empty string, and at most `lambda_budget` of them may run back to back;
+a run applies them before every bit and after the last, until none
+applies.
 A spec is checked against these rules when it is built (`pdc_validate`),
 and an invalid one raises ValidationError, so a run over any spec either
 reads all of its input or sticks on a bit with no move: it never loses
@@ -80,7 +82,12 @@ class PdcSpec(FrozenRecord):
     (state, push string, emission); the push replaces the consumed top, so
     an empty push is a pop, and a move that writes nothing has emission "".
     The map is compiled on the first run, so it must not change after it,
-    and each spec memoizes the blocks its runs read (`_blocks`).
+    and each spec memoizes the blocks its runs read in `_blocks`: (state,
+    block, key symbols) -> (state, slice of the key symbols popped or None
+    for none, bottom-first push of what the block adds over the key
+    symbols it keeps, emission), or () for no block; the key symbols are
+    the top byte, or in a popping state the bottom-first bytes of the top
+    PDC_WINDOW symbols.
     """
 
     _fields = ("num_states", "start", "stack_kind", "moves", "lambda_budget")
@@ -88,7 +95,7 @@ class PdcSpec(FrozenRecord):
     def __init__(self, num_states: int, start: int, stack_kind: str,
                  moves: Mapping[MoveKey, Move], lambda_budget: int) -> None:
         vars(self).update(num_states=num_states, start=start, stack_kind=stack_kind,
-                          moves=moves, lambda_budget=lambda_budget)
+                          moves=moves, lambda_budget=lambda_budget, _blocks={})
         if num_states < 1:
             raise ValidationError("num_states must be >= 1")
         if not 1 <= start <= num_states:
@@ -130,16 +137,6 @@ class PdcSpec(FrozenRecord):
         total = len(kept_z) == len(self.moves) == 2 * self.num_states
         transducer = FstSpec(self.num_states, self.start, kept_z) if total else None
         return free, bit, frozenset(q for q, _ in free), frozenset(popping), transducer
-
-    @cached_property
-    def _blocks(self) -> dict[tuple, tuple]:
-        """The block memo, filled as runs go. (state, block, key symbols)
-        -> (state, slice of the key symbols popped or None for none,
-        bottom-first push of what the block adds over the key symbols it
-        keeps, emission), or () for no block; the key symbols are the top
-        byte, or in a popping state the bottom-first bytes of the top
-        PDC_WINDOW symbols."""
-        return {}
 
 
 class PdcRun(NamedTuple):
@@ -259,31 +256,26 @@ def _lambda_chains(
             max((p for _, p in best.values()), default=0))
 
 
-def _close(C: PdcSpec, q: int, buf: bytearray) -> int:
-    """Apply input-free moves from state q to the bottom-first stack buf,
-    in place, until none applies; returns the state reached."""
-    free = C._tables[0]
-    move = free.get((q, buf[-1]))
-    while move is not None:
-        q, push = move
-        del buf[-1]
-        buf += push
-        move = free.get((q, buf[-1]))
-    return q
-
-
 def _bit_steps(
     C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
 ) -> tuple[Optional[int], int]:
     """Run C on x one bit at a time from state q over the bottom-first
-    stack buf, in place, appending emissions to out. Returns (position,
-    state): the position of the bit that had no move, or None when all of
-    x ran, and the state the run ended in."""
+    stack buf, in place, appending emissions to out. Before every bit and
+    after the last, input-free moves run until none applies. Returns
+    (position, state): the position of the bit that had no move, or None
+    when all of x ran, and the state the run ended in."""
     free, bit, _, _, _ = C._tables
-    if (q, buf[-1]) in free:
-        q = _close(C, q, buf)
-    for i, b in enumerate(x):
-        move = bit.get((q, b, buf[-1]))
+    i, n = 0, len(x)
+    while True:
+        move = free.get((q, buf[-1]))
+        while move is not None:
+            q, push = move
+            del buf[-1]
+            buf += push
+            move = free.get((q, buf[-1]))
+        if i == n:
+            return None, q
+        move = bit.get((q, x[i], buf[-1]))
         if move is None:
             return i, q
         q, push, e = move
@@ -291,9 +283,7 @@ def _bit_steps(
         buf += push
         if e:
             out.append(e)
-        if (q, buf[-1]) in free:
-            q = _close(C, q, buf)
-    return None, q
+        i += 1
 
 
 _BELOW = "?"  # ends a partial stack: the unknown rest, read by no move
@@ -338,10 +328,8 @@ def _steps(
     per block of PDC_BLOCK bits wherever the memo has the block. A miss
     replays the block over its key symbols; the entry's slice is built
     once rather than per hit."""
-    free, _, _, popping, _ = C._tables
-    blocks = C._blocks
-    if (q, buf[-1]) in free:
-        q = _close(C, q, buf)
+    popping, blocks = C._tables[3], C._blocks
+    _, q = _bit_steps(C, "", q, buf, out)
     for i in range(0, len(x), PDC_BLOCK):
         block = x[i : i + PDC_BLOCK]
         key = (q, block, bytes(buf[-PDC_WINDOW:]) if q in popping else buf[-1])
@@ -381,8 +369,8 @@ def pdc_run(
     """Run C on x, optionally from an explicit mid-run configuration
     (`stack` top-first, ending with the bottom marker).
 
-    Input-free moves are applied exhaustively before the first bit and
-    after every bit. A missing bit transition raises StuckError naming the
+    Input-free moves are applied exhaustively before every bit and after
+    the last. A missing bit transition raises StuckError naming the
     position.
     """
     q = C.start if state is None else state
@@ -416,9 +404,9 @@ def pdc_lengths(
     if transducer is not None:
         yield from fst_lengths(transducer, bits, points)
         return
-    # The engine closes over input-free moves on entry and after every
-    # bit, and a closed configuration closes to itself, so resuming from
-    # the last (state, stack) runs exactly as a fresh run would. The
+    # The engine closes over input-free moves before every bit and after
+    # the last, and a closed configuration closes to itself, so resuming
+    # from the last (state, stack) runs exactly as a fresh run would. The
     # stack stays one bottom-first bytearray from segment to segment.
     # Each segment first runs up to the next multiple of PDC_BLOCK, so
     # blocks start at the same stream offsets whatever the grid, and a

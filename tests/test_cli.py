@@ -1012,3 +1012,22 @@ def test_negative_stages_and_bit_budgets_exit_2(tmp_path, recipe, flag, field, c
         argv = [command, "--recipe", *recipe, flag, value, *tail]
         assert main_outcome(argv) == (2, "", f"error: need {field} >= 0, got {value}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+HALF_STREAM = ["--recipe", "b", "--k", "9", "--stages", "3", "--grid", "1:300:7"]
+
+
+@pytest.mark.parametrize("command, flag", [("ratio", "--compressor"),
+                                           ("profile", "--strong")])
+@pytest.mark.parametrize("m_flag, m", [([], 0), (["--m", "2"], 2)])
+def test_bare_half_compressor_reads_k_v_and_m(command, flag, m_flag, m):
+    weak = ["--weak", "identity-fst"] if command == "profile" else []
+    argv = [command, *HALF_STREAM, "--v", "9", *weak, flag]
+    bare = main_outcome([*argv, "half-compressor", *m_flag])
+    assert bare[0] == 0 and bare[1].startswith("n,")
+    assert bare == main_outcome([*argv, f"half-compressor(9,9,{m})"])
+
+
+def test_bare_half_compressor_without_v_exits_2():
+    argv = ["ratio", *HALF_STREAM, "--compressor", "half-compressor"]
+    assert main_outcome(argv) == (2, "", "error: v must be a positive power of k\n")

@@ -171,6 +171,27 @@ def test_profile_csv_roundtrip_and_check():
         load_profile_csv("\n".join(lines))
 
 
+PROFILE_HEADER = "n,weak_bits,strong_bits,gap,gap_over_n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("n,weak,strong,gap,gap_over_n\n1,1,0,1,1.000000", "not a profile CSV"),
+    ("", "not a profile CSV"),
+    (f"{PROFILE_HEADER}\n0,0,0,0,0.000000", "n must be >= 1 in row n=0"),
+    (f"{PROFILE_HEADER}\n-1,0,0,0,-0.000000", "n must be >= 1 in row n=-1"),
+    (f"{PROFILE_HEADER}\n100,100,50", "bad profile row '100,100,50'"),
+    (f"{PROFILE_HEADER}\n100,100,50,50,0.5,0", "bad profile row '100,100,50,50,0.5,0'"),
+    (f"{PROFILE_HEADER}\n100,100,5x,95,0.950000", "bad profile row '100,100,5x,95,0.950000'"),
+    (f"{PROFILE_HEADER}\n1_00,100,50,50,0.500000", "bad profile row '1_00,100,50,50,0.500000'"),
+    (f"{PROFILE_HEADER}\n\u0661,1,0,1,1.000000", "bad profile row '\u0661,1,0,1,1.000000'"),
+    (f"{PROFILE_HEADER}\n100,100,50,50,0.400000", "gap_over_n mismatch in row n=100"),
+], ids=["header", "empty", "n-zero", "n-negative", "short-row", "long-row", "non-integer",
+        "underscore", "non-ascii-digit", "gap-over-n"])
+def test_profile_csv_refuses_malformed_rows(text, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_profile_csv(text)
+
+
 def test_desk_scale_profile_examples():
     # Weak identity vs the palindrome-zone compressor on its home stream:
     # the tail gap sits near one half.

@@ -159,6 +159,15 @@ def test_parse_structure_checked():
         check_parse(lz_parse(x))
 
 
+@pytest.mark.parametrize("phrases, message", [
+    (["0", "0"], "duplicate complete phrase"),
+    (["11"], "phrase '11' lacks its prefix"),
+])
+def test_parse_structure_check_refuses(phrases, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        check_parse(lz78.LzParse([], None, phrases))
+
+
 def test_conditional_empty_prefix_is_plain_encode():
     for x in ("", "0", "0110", "1010101"):
         bits, n = lz_conditional(x, "")
@@ -191,6 +200,12 @@ def test_repeat_bound_value_and_monotonicity():
     assert repeat_bound(2, 1, 0) >= repeat_bound(1, 1, 0)
     assert repeat_bound(1, 2, 0) >= repeat_bound(1, 1, 0)
     assert repeat_bound(1, 1, 5) >= repeat_bound(1, 1, 0)
+
+
+@pytest.mark.parametrize("len_y, n, d", [(0, 1, 0), (1, 0, 0), (1, 1, -1)])
+def test_repeat_bound_refuses_out_of_range(len_y, n, d):
+    with pytest.raises(ValidationError, match=r"^need len_y >= 1, n >= 1, d >= 0$"):
+        repeat_bound(len_y, n, d)
 
 
 def test_repeat_bound_holds_on_samples():
