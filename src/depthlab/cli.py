@@ -124,17 +124,18 @@ def cmd_generate(args) -> int:
     stream = recipe.generate()
     out = Path(args.out)
     out.write_text(stream.bits + "\n")
+    digest = stream.sha256()
     manifest = {
         "recipe": recipe.fields(),
         "length": len(stream.bits),
-        "sha256": stream.sha256(),
+        "sha256": digest,
         "truncated": stream.truncated,
         "blocks": list(stream.blocks),
     }
     Path(str(out) + ".manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
-    print(f"wrote {len(stream.bits)} bits to {out} (sha256 {stream.sha256()[:16]}...)")
+    print(f"wrote {len(stream.bits)} bits to {out} (sha256 {digest[:16]}...)")
     if stream.truncated:
         print(
             "note: schedule truncated at the bit budget; later stages "

@@ -216,6 +216,8 @@ def compute_profile(
 ) -> DepthProfile:
     """Run one compressor (a ratio table) or a weak and a strong one (a
     depth profile) over every distinct grid point, in ascending order."""
+    if len(comps) not in (1, 2):
+        raise ValidationError(f"need one or two compressors, got {len(comps)}")
     points = sorted(set(grid))
     inside = [n for n in points if n <= len(bits)]
     streams = [c.lengths(bits, inside) for c in comps]

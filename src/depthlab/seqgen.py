@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
-from typing import NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import ValidationError
 from . import fscomplexity
@@ -59,18 +59,18 @@ def intervals(
     next interval would blow the bit budget (reported via `truncated`)."""
     if count is None and bit_budget is None:
         raise ValidationError("need a count or a bit budget")
+    if mode not in (EXPONENTIAL_GROWTH, SCALED_GROWTH):
+        raise ValidationError(f"unknown growth mode {mode!r}")
+    if mode == SCALED_GROWTH and g < 2:
+        raise ValidationError("scaled growth needs g >= 2")
     lengths: list[int] = []
     total = 0
     truncated = False
     while count is None or len(lengths) < count:
-        if mode == EXPONENTIAL_GROWTH:
-            nxt = 2 if not lengths else 2**total
-        elif mode == SCALED_GROWTH:
-            if g < 2:
-                raise ValidationError("scaled growth needs g >= 2")
+        if mode == SCALED_GROWTH:
             nxt = g ** (len(lengths) + 1)
         else:
-            raise ValidationError(f"unknown growth mode {mode!r}")
+            nxt = 2**total if lengths else 2
         if bit_budget is not None and total + nxt > bit_budget:
             truncated = True
             break
@@ -143,8 +143,8 @@ class SequenceRecipe(NamedTuple):
     stream (uses k/v). `stages` caps the stage count. `bit_budget`, when
     set, caps the length by stages: recipe a stops before the first stage
     that would cross it and sets `truncated`; recipes b and c finish the
-    stage that crosses it (`stops_before`), so they can overshoot, and
-    leave `truncated` False.
+    stage that crosses it (`_staged`), so they can overshoot, and leave
+    `truncated` False.
     """
 
     kind: str
@@ -168,13 +168,6 @@ class SequenceRecipe(NamedTuple):
         if self.bit_budget is not None and self.bit_budget < 0:
             raise ValidationError(f"need a bit budget >= 0, got {self.bit_budget}")
         return gen(self)
-
-    def stops_before(self, j: int, total: int) -> bool:
-        """The stage rule of recipes b and c: stop before stage j once j is
-        past `stages`, or once the `total` bits so far reach `bit_budget`."""
-        if self.stages is not None and j > self.stages:
-            return True
-        return self.bit_budget is not None and total >= self.bit_budget
 
     def fields(self) -> dict:
         return self._asdict()
@@ -230,6 +223,27 @@ def power_ceiling(k: int, n: int) -> int:
     return t
 
 
+def _staged(
+    recipe: SequenceRecipe, stage: Callable[[int], Iterator[tuple[str, dict]]]
+) -> GeneratedStream:
+    """The stage loop of recipes b and c: before stage j, stop once j is
+    past `stages` or once the bits so far reach `bit_budget`; otherwise
+    append the (bits, manifest block) pieces that `stage(j)` yields."""
+    pieces: list[str] = []
+    blocks: list[dict] = []
+    total = 0
+    for j in itertools.count(1):
+        if recipe.stages is not None and j > recipe.stages:
+            break
+        if recipe.bit_budget is not None and total >= recipe.bit_budget:
+            break
+        for bits, block in stage(j):
+            pieces.append(bits)
+            blocks.append(block)
+            total += len(bits)
+    return GeneratedStream("".join(pieces), tuple(blocks))
+
+
 def gen_recipe_b(recipe: SequenceRecipe) -> GeneratedStream:
     """Stages R_j 1^k reverse(R_j) with |R_j| = k * (smallest power of k
     that is >= j) and R_j free of any 1^k substring.
@@ -243,12 +257,8 @@ def gen_recipe_b(recipe: SequenceRecipe) -> GeneratedStream:
         raise ValidationError("recipe b needs stages or a bit budget")
     if k <= 8:
         raise ValidationError("need k > 8")
-    pieces: list[str] = []
-    blocks: list[dict] = []
-    total = 0
-    for j in itertools.count(1):
-        if recipe.stops_before(j, total):
-            break
+
+    def stage(j: int) -> Iterator[tuple[str, dict]]:
         t = power_ceiling(k, j)
         rlen = k * t
         if 2 * rlen + k > MAX_INTERVAL_BITS:
@@ -267,13 +277,9 @@ def gen_recipe_b(recipe: SequenceRecipe) -> GeneratedStream:
                     "0" if i % k == k - 1 else c for i, c in enumerate(r)
                 )
                 fallback = True
-        stage = r + flag + r[::-1]
-        pieces.append(stage)
-        total += len(stage)
-        blocks.append(
-            {"stage": j, "t": t, "len_r": rlen, "fallback": fallback}
-        )
-    return GeneratedStream("".join(pieces), tuple(blocks))
+        yield r + flag + r[::-1], {"stage": j, "t": t, "len_r": rlen, "fallback": fallback}
+
+    return _staged(recipe, stage)
 
 
 def _no_long_ones(n: int, k: int) -> list[str]:
@@ -319,12 +325,8 @@ def gen_recipe_c(recipe: SequenceRecipe) -> GeneratedStream:
         raise ValidationError("need k >= 4 and v >= 1")
     if recipe.stages is None and recipe.bit_budget is None:
         raise ValidationError("need stages or a bit budget")
-    pieces: list[str] = []
-    blocks: list[dict] = []
-    total = 0
-    for n in itertools.count(1):
-        if recipe.stops_before(n, total):
-            break
+
+    def stage(n: int) -> Iterator[tuple[str, dict]]:
         f_n = 2 * k + (n - k) * (v + 2)
         # A stage lists each of its strings once (a zone's mirrored tail
         # holds the reversals of its head); a zone stage adds the flags
@@ -340,21 +342,14 @@ def gen_recipe_c(recipe: SequenceRecipe) -> GeneratedStream:
             # Stage k - 1 passed the guard, so k <= 27 and the bridge
             # has at most 1,080 bits.
             bridge = "".join("1" * j for j in range(k, 2 * k))
-            pieces.append(bridge)
-            total += len(bridge)
-            blocks.append({"stage": n, "kind": "bridge", "len": len(bridge)})
+            yield bridge, {"stage": n, "kind": "bridge", "len": len(bridge)}
         if n < k:
-            stage = "".join(
-                format(i, f"0{n}b") for i in range(2**n)
-            )
-            pieces.append(stage)
-            total += len(stage)
-            blocks.append({"stage": n, "kind": "all-strings", "len": len(stage)})
-            continue
+            bits = "".join(format(i, f"0{n}b") for i in range(2**n))
+            yield bits, {"stage": n, "kind": "all-strings", "len": len(bits)}
+            return
         strings = _no_long_ones(n, k)
         palis = [s for s in strings if s == s[::-1]]
-        rest = [s for s in strings if s != s[::-1]]
-        xs = [s for s in rest if s < s[::-1]]
+        xs = [s for s in strings if s < s[::-1]]
         per_zone = len(xs) // v
         zones: list[list[str]] = [
             xs[i * per_zone : (i + 1) * per_zone] for i in range(v)
@@ -367,18 +362,15 @@ def gen_recipe_c(recipe: SequenceRecipe) -> GeneratedStream:
             zone_sizes.append(len(zone))
             head = "".join(zone)
             stage_parts.append(head + "1" * (f_n + i) + head[::-1])
-        stage = "".join(stage_parts)
-        pieces.append(stage)
-        total += len(stage)
-        blocks.append(
-            {
-                "stage": n,
-                "kind": "zones",
-                "len": len(stage),
-                "palindromes": len(palis),
-                "pairs": len(xs),
-                "zone_sizes": zone_sizes,
-                "flag": f_n,
-            }
-        )
-    return GeneratedStream("".join(pieces), tuple(blocks))
+        bits = "".join(stage_parts)
+        yield bits, {
+            "stage": n,
+            "kind": "zones",
+            "len": len(bits),
+            "palindromes": len(palis),
+            "pairs": len(xs),
+            "zone_sizes": zone_sizes,
+            "flag": f_n,
+        }
+
+    return _staged(recipe, stage)

@@ -489,6 +489,10 @@ MALFORMED = {
         ["ratio", "--input", "{tmp}/s.bits", "--compressor", "half-compressor(9,9)",
          "--grid", "1:4:1"], None, 2,
     ),
+    "generate-no-stages-bad-g": (
+        {}, ["generate", "--recipe", "a", "--stages", "0", "--g", "1",
+             "--out", "{tmp}/g.bits"], None, 2,
+    ),
 }
 # The error line of the MALFORMED cases whose message no other test pins.
 MALFORMED_ERRORS = {
@@ -498,6 +502,7 @@ MALFORMED_ERRORS = {
     "pdc-negative-budget": "lambda_budget must be >= 0",
     "pdc-input-free-cycle": "input-free moves can chain beyond budget 5",
     "half-compressor-two-arguments": "half-compressor takes (k, v, m)",
+    "generate-no-stages-bad-g": "scaled growth needs g >= 2",
 }
 
 
@@ -518,6 +523,8 @@ def test_malformed_input_gets_one_error_line(tmp_path, case):
             assert lines[0] == f"error: {tmp_path / name}: not UTF-8 text", r.stderr
         if case in MALFORMED_ERRORS:
             assert lines[0] == f"error: {MALFORMED_ERRORS[case]}", r.stderr
+        # A refused command writes no file.
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
     else:
         assert lines == [] and r.stdout.startswith("output 01\n")
 

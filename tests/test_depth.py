@@ -72,6 +72,20 @@ def test_identity_ratio_is_one():
         assert all(b == n for n, (b,), _ in table.rows)
 
 
+@pytest.mark.parametrize("names", [[], ["identity-fst", "lz78", "identity-fst"]])
+def test_profile_needs_one_or_two_compressors(names):
+    # The table reads one column as a ratio and two as a weak/strong gap;
+    # any other count is refused before a compressor runs.
+    def unused(bits, points):
+        raise AssertionError("a compressor ran")
+
+    comps = [Compressor(name, unused) for name in names]
+    with pytest.raises(
+        ValidationError, match=f"^need one or two compressors, got {len(names)}$"
+    ):
+        compute_profile("0101010101", comps, parse_grid("4:8:4"))
+
+
 def test_lz_ratio_on_constant_input():
     # 0^10000 parses into phrases 0, 00, 000, ...; the coded length is the
     # sum of ceil(log2 i) + 1 over the complete tokens plus a tail pointer.

@@ -51,6 +51,13 @@ def test_intervals_scaled():
         intervals("scaled", count=2, g=1)
     with pytest.raises(ValidationError):
         intervals("nope", count=2)
+    # Both are checked before any stage is built, so an empty schedule
+    # is refused too; exponential growth does not read g.
+    with pytest.raises(ValidationError, match="^unknown growth mode 'bogus'$"):
+        intervals("bogus", count=0)
+    with pytest.raises(ValidationError, match="^scaled growth needs g >= 2$"):
+        intervals("scaled", count=0, g=-5)
+    assert intervals("exponential", count=0, g=1).lengths == ()
 
 
 def test_devotion_schedule():
@@ -229,6 +236,20 @@ def test_recipe_c_refuses_an_oversized_stage(monkeypatch):
         ValidationError, match=f"^stage 4 needs 5000950077 bits, over {2**31 - 1}$"
     ):
         gen_recipe_c(SequenceRecipe(kind="c", k=4, v=10**5, stages=4))
+
+
+@pytest.mark.parametrize("cap", [{"stages": 3}, {"bit_budget": 30}])
+def test_recipe_c_stops_before_it_builds_a_stage(monkeypatch, cap):
+    # Stages 1-3 hold 2 + 8 + 24 = 34 bits, which reach a budget of 30;
+    # stage 4 is the oversized one of the test above, so the stop rule
+    # must run before it is sized or listed.
+    def list_strings(n, k):
+        raise AssertionError(f"strings listed for stage {n}")
+
+    monkeypatch.setattr(seqgen, "_no_long_ones", list_strings)
+    stream = gen_recipe_c(SequenceRecipe(kind="c", k=4, v=10**5, **cap))
+    assert len(stream.bits) == 34
+    assert [b["stage"] for b in stream.blocks] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("k, v, stages", [(5, 2, 7), (6, 2, 5), (4, 3, 4)])
