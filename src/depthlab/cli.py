@@ -10,6 +10,9 @@ whole (no command, an unknown one, a leading option or leftover arguments)
 goes to the full parser, so usage and error messages are the same either
 way. Each parser is built at most once per process and reused by later
 calls of `main`: parsing leaves a parser as it found it.
+
+Only `errors` and `fst` are imported here; each command imports the
+engine it runs when it runs, so a process compiles no other engine.
 """
 from __future__ import annotations
 
@@ -23,12 +26,8 @@ from functools import cache
 from pathlib import Path
 from typing import Optional
 
-from . import depth, lz78, seqgen
-from .codec import decode_fst, encode_fst
 from .errors import StuckError, ValidationError
-from .fscomplexity import kfs_complexity
-from .fst import FstSpec, ascii_number, fst_run, parse_fst, format_fst
-from .pushdown import compose_pdc_fst, fst_compose, parse_pdc, format_pdc, pdc_run
+from .fst import FstSpec, ascii_number, fst_run, parse_fst, format_fst, read_text
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_STUCK = 0, 1, 2, 3
 _BIT_STRING = re.compile("[01]*").fullmatch
@@ -57,7 +56,7 @@ def _read_bits_arg(args) -> str:
     if getattr(args, "bits", None) is not None:
         bits = args.bits
     elif getattr(args, "input", None) is not None:
-        bits = depth.read_text(args.input)
+        bits = read_text(args.input)
     else:
         raise ValidationError("need --bits or --input")
     bits = "".join(bits.split())
@@ -91,10 +90,11 @@ def _ascii_option(read):
 _int_option, _float_option = _ascii_option(int), _ascii_option(float)
 
 
-def _recipe_from_args(args) -> seqgen.SequenceRecipe:
+def _recipe_from_args(args):
+    from .seqgen import SequenceRecipe
     if not args.recipe:
         raise ValidationError("need --recipe (a, b, or c) or --input")
-    return seqgen.SequenceRecipe(
+    return SequenceRecipe(
         kind=args.recipe,
         k=args.k,
         v=args.v,
@@ -161,12 +161,13 @@ def _check_tail(tail: float) -> None:
 
 def cmd_profile(args) -> int:
     """profile (weak and strong) and ratio (one compressor) share this body."""
+    from .depth import compute_profile, make_compressor, parse_grid
     _check_tail(args.tail)
     bits = _sequence_from_args(args)
     names = [args.compressor] if args.command == "ratio" else [args.weak, args.strong]
-    comps = [depth.make_compressor(_compressor_name(args, n)) for n in names]
-    grid = depth.parse_grid(args.grid)
-    table = depth.compute_profile(bits, comps, grid)
+    comps = [make_compressor(_compressor_name(args, n)) for n in names]
+    grid = parse_grid(args.grid)
+    table = compute_profile(bits, comps, grid)
     _write_out(args, table.to_csv())
     lo, hi = table.tail_bracket(args.tail)
     value = "ratio" if len(comps) == 1 else "gap/n"
@@ -181,24 +182,25 @@ def cmd_profile(args) -> int:
 
 
 def cmd_lz(args) -> int:
+    from .lz78 import LzParser, pointer_width
     bits = _read_bits_arg(args)
-    parser = lz78.LzParser()
+    parser = LzParser()
     parser.feed(bits)
     lines = ["index,pointer,bit,cumulative_bits"]
     total = 0
     for i, (ptr, lit) in enumerate(zip(parser.ptrs, parser.lits), start=1):
-        total += lz78.pointer_width(i) + 1
+        total += pointer_width(i) + 1
         lines.append(f"{i},{ptr},{chr(lit)},{total}")
     if parser.node:  # node 0 is the root: the input ends inside a phrase
         i = len(parser.ptrs) + 1
-        total += lz78.pointer_width(i)
+        total += pointer_width(i)
         lines.append(f"{i},{parser.node},-,{total}")
     _write_out(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_fst_run(args) -> int:
-    spec = parse_fst(depth.read_text(args.machine))
+    spec = parse_fst(read_text(args.machine))
     result = fst_run(spec, _read_bits_arg(args))
     print(f"output {result.output or '-'}")
     print(f"final_state {result.final_state}")
@@ -206,7 +208,8 @@ def cmd_fst_run(args) -> int:
 
 
 def cmd_pdc_run(args) -> int:
-    spec = parse_pdc(depth.read_text(args.machine))
+    from .pushdown import parse_pdc, pdc_run
+    spec = parse_pdc(read_text(args.machine))
     result = pdc_run(spec, _read_bits_arg(args))
     print(f"output {result.output or '-'}")
     print(f"final_state {result.final_state}")
@@ -215,12 +218,14 @@ def cmd_pdc_run(args) -> int:
 
 
 def cmd_encode_fst(args) -> int:
-    spec = parse_fst(depth.read_text(args.machine))
+    from .codec import encode_fst
+    spec = parse_fst(read_text(args.machine))
     print(encode_fst(spec))
     return EXIT_OK
 
 
 def cmd_decode_fst(args) -> int:
+    from .codec import decode_fst
     spec = decode_fst(_read_bits_arg(args))
     if spec is None:
         raise ValidationError("not a machine description")
@@ -229,7 +234,10 @@ def cmd_decode_fst(args) -> int:
 
 
 def cmd_kfs(args) -> int:
+    from .fscomplexity import enum_fsts, kfs_complexity
     result = kfs_complexity(_read_bits_arg(args), args.k)
+    if result.witness is None and not enum_fsts(args.k).entries:
+        raise ValidationError(f"no machines with descriptions <= {args.k} bits")
     record = {
         "k": args.k,
         "value": "inf" if math.isinf(result.value) else int(result.value),
@@ -241,8 +249,9 @@ def cmd_kfs(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    outer = depth.load_machine(args.outer)
-    inner = parse_fst(depth.read_text(args.inner))
+    from .pushdown import compose_pdc_fst, format_pdc, fst_compose, load_machine
+    outer = load_machine(args.outer)
+    inner = parse_fst(read_text(args.inner))
     if isinstance(outer, FstSpec):
         _write_out(args, format_fst(fst_compose(outer, inner)))
     else:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import FstSpec, ascii_number, fst_lengths, identity_fst, parse_fst, repeater_fst
+from .fst import FstSpec, ascii_number, fst_lengths, identity_fst, repeater_fst
 from .fscomplexity import enum_fsts, kfs_lengths
 from .lz78 import lz_lengths
 from .pushdown import (
@@ -26,7 +26,7 @@ from .pushdown import (
     build_half_compressor,
     check_half_compressor,
     identity_pdc,
-    parse_pdc,
+    load_machine,
     pdc_lengths,
 )
 
@@ -100,26 +100,6 @@ def make_compressor(name: str) -> Compressor:
     machine = load_machine(name)
     run = fst_lengths if isinstance(machine, FstSpec) else pdc_lengths
     return Compressor(path.name, partial(run, machine))
-
-
-def read_text(path: str) -> str:
-    """The text of a file; a file that is not UTF-8 is a ValidationError
-    naming the path."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text") from exc
-
-
-def load_machine(path: str) -> Union[FstSpec, PdcSpec]:
-    """The machine in a file, parsed by its first word: fst or pdc."""
-    text = read_text(path)
-    head = (text.split(None, 1) or [""])[0]
-    if head == "fst":
-        return parse_fst(text)
-    if head == "pdc":
-        return parse_pdc(text)
-    raise ValidationError(f"{path}: not a recognized machine format")
 
 
 def parse_grid(text: str) -> list[int]:

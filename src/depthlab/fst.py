@@ -14,6 +14,7 @@ same whichever run writes it, so concurrent use needs no coordination.
 """
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import ValidationError
@@ -23,6 +24,15 @@ T = TypeVar("T")
 
 FST_BLOCK = 8  # input bits per memoized block
 BLOCK_MEMO_CAP = 1 << 16  # most memoized blocks per spec, FST or PDC
+
+
+def read_text(path: str) -> str:
+    """The text of a file; a file that is not UTF-8 is a ValidationError
+    naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
 def check_bits(s: str, what: str) -> None:

@@ -59,7 +59,7 @@ from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
 from .fst import (BITS, BLOCK_MEMO_CAP, FrozenRecord, FstSpec, ascii_number, fst_lengths,
-                  fst_run, identity_fst)
+                  fst_run, identity_fst, parse_fst, read_text)
 
 Z0 = "z"
 LAMBDA = ""
@@ -712,3 +712,14 @@ def parse_pdc(text: str) -> PdcSpec:
         if moves.setdefault(key, move) is not move:
             raise ValidationError(f"duplicate entry for {key}")
     return PdcSpec(m, start, head[3], moves, budget)
+
+
+def load_machine(path: str) -> Union[FstSpec, PdcSpec]:
+    """The machine in a file, parsed by its first word: fst or pdc."""
+    text = read_text(path)
+    head = (text.split(None, 1) or [""])[0]
+    if head == "fst":
+        return parse_fst(text)
+    if head == "pdc":
+        return parse_pdc(text)
+    raise ValidationError(f"{path}: not a recognized machine format")

@@ -301,9 +301,13 @@ def test_kfs_record(capsys):
     assert record["value"] == 4
     witness = decode_fst(record["witness_description"])
     assert fst_run(witness, record["witness_input"]).output == "0110"
-    assert main(["kfs", "--bits", "0110", "--k", "8"]) == 0
+    assert main(["kfs", "--bits", "0110", "--k", "8"]) == 0  # one silent machine
     record = json.loads(capsys.readouterr().out)
     assert record["value"] == "inf" and record["witness_input"] is None
+    for k in (7, 0, -1):  # no machine at all: refused, as kfs(k) is in ratio
+        assert main(["kfs", "--bits", "0110", "--k", str(k)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: no machines with descriptions <= {k} bits\n")
 
 
 def test_compose_command(tmp_path, capsys):
@@ -493,6 +497,12 @@ MALFORMED = {
         {}, ["generate", "--recipe", "a", "--stages", "0", "--g", "1",
              "--out", "{tmp}/g.bits"], None, 2,
     ),
+    **{
+        f"kfs-empty-universe-k{k}": (
+            {}, ["kfs", "--bits", "0110", "--k", str(k)], None, 2,
+        )
+        for k in (7, 0, -1)
+    },
 }
 # The error line of the MALFORMED cases whose message no other test pins.
 MALFORMED_ERRORS = {
@@ -503,6 +513,8 @@ MALFORMED_ERRORS = {
     "pdc-input-free-cycle": "input-free moves can chain beyond budget 5",
     "half-compressor-two-arguments": "half-compressor takes (k, v, m)",
     "generate-no-stages-bad-g": "scaled growth needs g >= 2",
+    **{f"kfs-empty-universe-k{k}": f"no machines with descriptions <= {k} bits"
+       for k in (7, 0, -1)},
 }
 
 

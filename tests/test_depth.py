@@ -20,9 +20,9 @@ from depthlab import (
     random_bits,
 )
 from depthlab.cli import main
-from depthlab.depth import Compressor, DepthProfile, load_machine, load_profile_csv
+from depthlab.depth import Compressor, DepthProfile, load_profile_csv
 from depthlab.lz78 import lz_lengths
-from depthlab.pushdown import Z0, pdc_lengths
+from depthlab.pushdown import Z0, load_machine, pdc_lengths
 
 
 def test_parse_grid_linear():
