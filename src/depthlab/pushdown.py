@@ -27,12 +27,15 @@ The same pass picks the lane a run takes. A spec that is a transducer
 and a move on every (state, bit)) never touches its stack, so while the
 stack is the bottom marker alone it runs on `fst_run` and `fst_lengths`
 over an FstSpec of its moves. Any other run reads its input in blocks of
-PDC_BLOCK bits and looks each up once in a memo the spec owns. A popping
-state, one with a bit move that pops, as in a matching phase that pops
-one symbol per bit, keys its blocks on (state, block, top PDC_WINDOW
-symbols); any other state keys them on (state, block, top byte). A hit
-pops the key symbols the block replaces, pushes what it adds and emits,
-so a run costs one lookup per block rather than per bit. A miss replays
+PDC_BLOCK bits and looks each up once in a memo the spec owns. A whole
+block is keyed on its base64 digit, which one pass in C codes for all of
+a segment's whole blocks, and a shorter last block, or any from the
+first non-bit on, on its bits. A popping state, one with a bit move that
+pops, as in a matching phase that pops one symbol per bit, keys its
+blocks on (state, block, top PDC_WINDOW symbols); any other state keys
+them on (state, block, top byte). A hit pops the key symbols the block
+replaces, pushes what it adds and emits, so a run costs one lookup per
+block rather than per bit. A miss replays
 the block (`_replay`). One whose replay sticks or reads below its key,
 as when an input-free closure pops, is memoized as no block and runs one
 bit at a time on the real stack, so stuck positions are exactly those of
@@ -53,8 +56,10 @@ that sticks, for the output before the stuck bit.
 """
 from __future__ import annotations
 
+from binascii import b2a_base64
 from collections import deque
 from functools import cache, cached_property
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
@@ -67,7 +72,7 @@ LAMBDA = ""
 MoveKey = tuple[int, str, str]  # (state, input bit or LAMBDA, stack top)
 Move = tuple[int, str, str]  # (target state, push string, emission)
 
-PDC_BLOCK = 6  # input bits per memoized block
+PDC_BLOCK = 6  # input bits per memoized block: one base64 digit, its key
 # Stack symbols a popping block is keyed on: one pop per bit, as in a
 # matching phase, plus the new top that the closure after the block reads.
 PDC_WINDOW = PDC_BLOCK + 1
@@ -85,9 +90,10 @@ class PdcSpec(FrozenRecord):
     and each spec memoizes the blocks its runs read in `_blocks`: (state,
     block, key symbols) -> (state, slice of the key symbols popped or None
     for none, bottom-first push of what the block adds over the key
-    symbols it keeps, emission), or () for no block; the key symbols are
-    the top byte, or in a popping state the bottom-first bytes of the top
-    PDC_WINDOW symbols.
+    symbols it keeps, emission), or () for no block; the block is the byte
+    of its base64 digit for a whole block of bits, else its string, and
+    the key symbols are the top byte, or in a popping state the
+    bottom-first bytes of the top PDC_WINDOW symbols.
     """
 
     _fields = ("num_states", "start", "stack_kind", "moves", "lambda_budget")
@@ -324,17 +330,29 @@ def _replay(C: PdcSpec, q: int, known: bytes, e: str):
 def _steps(
     C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
 ) -> tuple[Optional[int], int]:
-    """`_bit_steps`, with the same result and effects, but one memo lookup
-    per block of PDC_BLOCK bits wherever the memo has the block. A miss
-    replays the block over its key symbols; the entry's slice is built
-    once rather than per hit."""
+    """`_bit_steps` from a closed configuration, with the same result and
+    effects, but one memo lookup per block of PDC_BLOCK bits wherever the
+    memo has the block. A miss replays the block over its key symbols; the
+    entry's slice is built once rather than per hit. Whole blocks before
+    x's first non-bit are keyed on their `_digits`, as `int(·, 2)` would
+    also read "_", spaces, signs and non-ASCII digits; any other block on
+    its bits."""
     popping, blocks = C._tables[3], C._blocks
-    _, q = _bit_steps(C, "", q, buf, out)
-    for i in range(0, len(x), PDC_BLOCK):
-        block = x[i : i + PDC_BLOCK]
+    n = len(x)
+    if n < PDC_BLOCK:  # no whole block: a step-1 grid runs one bit per call
+        keys = (x,) if x else ()
+    else:
+        bits = (x if x.isascii() and not x.encode().translate(None, b"01")
+                else x[: n - len(x.lstrip("01"))])  # up to the first non-bit
+        digits = _digits(bits)
+        keys = chain(digits, (x[i : i + PDC_BLOCK]
+                              for i in range(len(digits) * PDC_BLOCK, n, PDC_BLOCK)))
+    for i, block in enumerate(keys):
         key = (q, block, bytes(buf[-PDC_WINDOW:]) if q in popping else buf[-1])
         move = blocks.get(key)
         if not move:  # not memoized, or no block
+            at = i * PDC_BLOCK
+            block = x[at : at + PDC_BLOCK]
             if move is None and len(blocks) < BLOCK_MEMO_CAP:
                 known = buf[-PDC_WINDOW:] if q in popping else buf[-1:]
                 got = _replay(C, q, known, block)
@@ -349,7 +367,7 @@ def _steps(
             if not move:
                 pos, q = _bit_steps(C, block, q, buf, out)
                 if pos is not None:
-                    return i + pos, q
+                    return at + pos, q
                 continue
         q, popped, push, e = move
         if popped:
@@ -358,6 +376,20 @@ def _steps(
         if e:
             out.append(e)
     return None, q
+
+
+def _digits(bits: str) -> bytes:
+    """One base64 digit per whole block of PDC_BLOCK bits in `bits`, a
+    string over 0/1, in order: the number the whole blocks spell, padded
+    with zeros to whole bytes, in base64, less the digits (and "=") past
+    the last whole block."""
+    whole = len(bits) // PDC_BLOCK
+    if not whole:
+        return b""
+    pad = -whole * PDC_BLOCK % 8
+    number = int(bits, 2) >> len(bits) % PDC_BLOCK << pad
+    code = b2a_base64(number.to_bytes((whole * PDC_BLOCK + pad) // 8, "big"), newline=False)
+    return code[:whole]
 
 
 def pdc_run(
@@ -388,6 +420,7 @@ def pdc_run(
         return PdcRun(run.output, run.final_state, Z0)
     buf = bytearray(stack[::-1], "latin-1")
     out: list[str] = []
+    _, q = _bit_steps(C, "", q, buf, out)  # closes the start
     pos, q = _steps(C, x, q, buf, out)
     if pos is not None:
         raise StuckError(pos, q, chr(buf[-1]), "".join(out))
@@ -405,14 +438,15 @@ def pdc_lengths(
         yield from fst_lengths(transducer, bits, points)
         return
     # The engine closes over input-free moves before every bit and after
-    # the last, and a closed configuration closes to itself, so resuming
-    # from the last (state, stack) runs exactly as a fresh run would. The
-    # stack stays one bottom-first bytearray from segment to segment.
-    # Each segment first runs up to the next multiple of PDC_BLOCK, so
-    # blocks start at the same stream offsets whatever the grid, and a
-    # profile memoizes the blocks of a single run.
-    q, buf, total, prev = C.start, bytearray(Z0, "latin-1"), 0, 0
+    # the last, so once the start is closed every segment starts closed,
+    # and resuming from the last (state, stack) runs exactly as a fresh
+    # run would. The stack stays one bottom-first bytearray from segment
+    # to segment. Each segment first runs up to the next multiple of
+    # PDC_BLOCK, so blocks start at the same stream offsets whatever the
+    # grid, and a profile memoizes the blocks of a single run.
+    buf, total, prev = bytearray(Z0, "latin-1"), 0, 0
     out: list[str] = []  # one segment's emissions, counted and dropped
+    _, q = _bit_steps(C, "", C.start, buf, out)  # closes the start
     for i, n in enumerate(points):
         cut = min(n, -(-prev // PDC_BLOCK) * PDC_BLOCK)
         for a, b in ((prev, cut), (cut, n)):

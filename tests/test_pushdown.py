@@ -1,5 +1,6 @@
 import hashlib
 import random
+import string
 import time
 from collections import Counter
 from itertools import product
@@ -51,6 +52,7 @@ from depthlab.pushdown import (
     PDC_BLOCK,
     PDC_WINDOW,
     Z0,
+    _digits,
     _lambda_chains,
     pdc_lengths,
 )
@@ -898,8 +900,17 @@ def window_keys(C):
     return [key for key in C._blocks if isinstance(key[2], bytes)]
 
 
+BASE64 = string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/"
+
+
+def coded(block):
+    """A whole block's memo key: the byte of its base64 digit."""
+    return ord(BASE64[int(block, 2)])
+
+
 def test_block_engine_matches_oracle_cold_and_warm():
-    # Every input length from 0 to 4 blocks + 1, from a mid-run state over a
+    # Every input length from 0 to 8 blocks + 1 (two 24-bit groups of block
+    # codes, and a shorter last block), from a mid-run state over a
     # stack ending in z or _BELOW + z, for random machines, copies that can
     # stick, and popping-heavy copies. Each spec runs twice from the same
     # state and top symbols (one, or fewer or more than a window): first on
@@ -921,7 +932,7 @@ def test_block_engine_matches_oracle_cold_and_warm():
             return symbols(rng.randint(0, 12)) + rng.choice([Z0, _BELOW + Z0])
 
         for spec in (C, drop_bit_move(rng, C), popping(rng, C)):
-            for length in range(4 * PDC_BLOCK + 2):
+            for length in range(8 * PDC_BLOCK + 2):
                 x = "".join(rng.choice("01") for _ in range(length))
                 state = rng.randint(1, spec.num_states)
                 top = symbols(rng.choice([1, rng.randint(2, PDC_WINDOW - 1),
@@ -1037,20 +1048,20 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
             oracle_pdc_run, C, "000000", 1, st
         )
     assert C._blocks == {
-        (1, "000000", window): (1, slice(1 - PDC_WINDOW, None), b"", "000000"),
+        (1, coded("000000"), window): (1, slice(1 - PDC_WINDOW, None), b"", "000000"),
     }
     # A stack shorter than a window is keyed on all of it, down to z.
     short = "01" + Z0
     got = run_outcome(pdc_run, C, "000000", 1, short)
     assert got == run_outcome(oracle_pdc_run, C, "000000", 1, short)
     assert got == ("ran", "000000", 1, Z0)
-    assert C._blocks[(1, "000000", b"z10")] == (1, slice(-2, None), b"", "000000")
+    assert C._blocks[(1, coded("000000"), b"z10")] == (1, slice(-2, None), b"", "000000")
     # A bit with no move on top 1: the fourth bit of the block sticks.
     stuck = pop_machine(drop=(1, "1", "1"))
     got = run_outcome(pdc_run, stuck, "111111", 1, stack)
     assert got == run_outcome(oracle_pdc_run, stuck, "111111", 1, stack)
     assert got[:4] == ("stuck", 3, 1, "1")
-    assert stuck._blocks[(1, "111111", window)] == ()
+    assert stuck._blocks[(1, coded("111111"), window)] == ()
     # A 1 on top 1 enters a chain of four input-free moves inside the
     # block, which a budget of 3 refuses when the machine is built.
     chain = {(1, "1", "1"): (2, "")}
@@ -1062,7 +1073,7 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     got = run_outcome(pdc_run, chained, "000100", 1, stack)
     assert got == run_outcome(oracle_pdc_run, chained, "000100", 1, stack)
     assert got == ("ran", "000100", 6, "000" + "01" + Z0)
-    assert chained._blocks[(1, "000100", window)] == (
+    assert chained._blocks[(1, coded("000100"), window)] == (
         6, slice(3 - PDC_WINDOW, None), b"", "000100"
     )
     # A block whose closure pops past its window: the sixth bit pops the
@@ -1076,7 +1087,7 @@ def test_popping_blocks_stick_and_chain_as_bit_by_bit():
     got = run_outcome(pdc_run, past, "000001", 1, zeros)
     assert got == run_outcome(oracle_pdc_run, past, "000001", 1, zeros)
     assert got == ("ran", "000001", 4, "0" + Z0)
-    assert past._blocks == {(1, "000001", b"0" * PDC_WINDOW): ()}
+    assert past._blocks == {(1, coded("000001"), b"0" * PDC_WINDOW): ()}
 
 
 def test_a_closure_below_the_top_byte_runs_bit_by_bit():
@@ -1095,7 +1106,57 @@ def test_a_closure_below_the_top_byte_runs_bit_by_bit():
         got = run_outcome(pdc_run, C, "100000", 1, stack)
         assert got == run_outcome(oracle_pdc_run, C, "100000", 1, stack)
         assert got == ("ran", "100000", 1, stack[1:])
-        assert C._blocks == {(1, "100000", ord("0")): ()}
+        assert C._blocks == {(1, coded("100000"), ord("0")): ()}
+
+
+def test_block_codes_match_a_per_block_reference():
+    # Every length up to four 24-bit groups, random 10^4-bit strings that
+    # start with zeros, and all-ones and all-zeros strings: one digit per
+    # whole block, in order, and none for a shorter last block.
+    rng = random.Random(96)
+    cases = ["".join(rng.choice("01") for _ in range(n)) for n in range(97)]
+    for _ in range(20):
+        zeros = "0" * rng.randint(1, 40)
+        cases.append(zeros + "".join(rng.choice("01") for _ in range(10**4 - len(zeros))))
+    cases += [b * n for b in "01" for n in (6, 23, 24, 25, 96, 10**4)]
+    for bits in cases:
+        want = bytes(coded(bits[i : i + PDC_BLOCK])
+                     for i in range(0, len(bits) - PDC_BLOCK + 1, PDC_BLOCK))
+        assert _digits(bits) == want, bits
+
+
+def assert_runs_stuck_as_oracle(C, x):
+    """pdc_run, and pdc_lengths over a step-7 grid and at len(x), give the
+    oracle's StuckError fields on x and every prefix past its stuck bit."""
+    want = run_outcome(oracle_pdc_run, C, x)
+    assert want[0] == "stuck"
+    assert run_outcome(pdc_run, C, x) == want
+    points = [*range(1, len(x), 7), len(x)]
+    for n, got in zip(points, pdc_lengths(C, x, points)):
+        if n <= want[1]:
+            assert got == len(oracle_pdc_run(C, x[:n]).output)
+        else:
+            fields = (got.position, got.state, got.top, got.partial_output, str(got))
+            assert ("stuck", *fields) == want
+
+
+def test_non_bits_stick_where_the_oracle_does():
+    # int(·, 2) reads "_", leading whitespace and signs, and non-ASCII
+    # digits, so a block coded with its non-bit could reuse a bit block's
+    # entry, as "01_011" would "001011"'s. Each non-bit goes at every
+    # offset of the first whole block or of one after five, with more
+    # blocks behind it, on a memo warmed with all 64 bit blocks there.
+    rng = random.Random(97)
+    for C in (build_half_compressor(9, 9, 0), pop_machine()):
+        for head in ("", flag_free_bits(5 * PDC_BLOCK, 3)):
+            for b in range(2**PDC_BLOCK):
+                pdc_run(C, head + format(b, f"0{PDC_BLOCK}b"))
+            for ch in ("_", " ", "\t", "+", "-", "2", "a", "\u0661"):
+                for offset in range(PDC_BLOCK):
+                    block = flag_free_bits(PDC_BLOCK, offset)
+                    block = block[:offset] + ch + block[offset + 1 :]
+                    tail = "".join(rng.choice("01") for _ in range(rng.randint(0, 18)))
+                    assert_runs_stuck_as_oracle(C, head + block + tail)
 
 
 def test_popping_lane_under_a_small_memo_cap(monkeypatch):
