@@ -20,17 +20,15 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from functools import cache
 from pathlib import Path
 from typing import Optional
 
 from .errors import StuckError, ValidationError
-from .fst import FstSpec, ascii_number, fst_run, parse_fst, format_fst, read_text
+from .fst import FstSpec, ascii_number, fst_run, is_bits, parse_fst, format_fst, read_text
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_STUCK = 0, 1, 2, 3
-_BIT_STRING = re.compile("[01]*").fullmatch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -60,7 +58,7 @@ def _read_bits_arg(args) -> str:
     else:
         raise ValidationError("need --bits or --input")
     bits = "".join(bits.split())
-    if not _BIT_STRING(bits):
+    if not is_bits(bits):
         raise ValidationError("input must be a string over 0/1")
     return bits
 

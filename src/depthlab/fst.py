@@ -4,25 +4,32 @@ A transducer has states 1..m, a start state, and a total move map on
 (state, bit): each move names a target state and the bits it emits.
 Running one on an input concatenates the per-step emissions.
 
-`fst_run` reads its input in blocks of FST_BLOCK bits and looks each up
-in a memo the spec owns, keyed by (state, block), so a run costs one
-lookup per block rather than per bit. A miss runs the block one bit at
-a time and memoizes it until the memo holds BLOCK_MEMO_CAP entries; past
-that, blocks it lacks keep running one bit at a time. Everything else
-here is a pure function over immutable specs, and a memo entry is the
-same whichever run writes it, so concurrent use needs no coordination.
+`fst_run` reads its input in blocks of BLOCK bits and looks each up in
+a memo the spec owns, keyed by (state, block), so a run costs one lookup
+per block rather than per bit. `block_keys` codes the blocks, and the
+pushdown engine reads its blocks through it too: a whole block of bits
+is keyed on its base64 digit, which one pass in C codes for all of an
+input's whole blocks, and a shorter last block, or any from the first
+non-bit on, on its string. A miss runs the block one bit at a time and
+memoizes it until the memo holds BLOCK_MEMO_CAP entries; past that,
+blocks it lacks keep running one bit at a time. Everything else here is
+a pure function over immutable specs, and a memo entry is the same
+whichever run writes it, so concurrent use needs no coordination.
 """
 from __future__ import annotations
 
+from binascii import b2a_base64
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NamedTuple, Optional, Sequence, TypeVar
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence,
+                    TypeVar, Union)
 
 from .errors import ValidationError
 
 BITS = ("0", "1")
 T = TypeVar("T")
 
-FST_BLOCK = 8  # input bits per memoized block
+BLOCK = 6  # input bits per memoized block: one base64 digit, its key
 BLOCK_MEMO_CAP = 1 << 16  # most memoized blocks per spec, FST or PDC
 
 
@@ -35,8 +42,13 @@ def read_text(path: str) -> str:
         raise ValidationError(f"{path}: not UTF-8 text") from exc
 
 
+def is_bits(s: str) -> bool:
+    """Whether s is a string over 0/1."""
+    return s.isascii() and not s.encode().translate(None, b"01")
+
+
 def check_bits(s: str, what: str) -> None:
-    if s.strip("01") != "":
+    if not is_bits(s):
         raise ValidationError(f"{what} must be a string over 0/1, got {s!r}")
 
 
@@ -119,13 +131,11 @@ def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
         raise ValidationError(f"state {q} out of range 1..{T.num_states}")
     moves, blocks = T.moves, T._blocks
     pieces = []
-    i, n = 0, len(x)
-    while i < n:
-        block = x[i : i + FST_BLOCK]
+    for i, block in enumerate(block_keys(x)):
         move = blocks.get((q, block))
         if move is None:
             q0, emitted = q, []
-            for b in block:
+            for b in x[i * BLOCK : i * BLOCK + BLOCK]:
                 q, e = moves[(q, b)]
                 emitted.append(e)
             move = q, "".join(emitted)
@@ -133,8 +143,25 @@ def fst_run(T: FstSpec, x: str, start: Optional[int] = None) -> RunResult:
                 blocks[(q0, block)] = move
         q, e = move
         pieces.append(e)
-        i += FST_BLOCK
     return RunResult("".join(pieces), q)
+
+
+def block_keys(x: str) -> Iterable[Union[int, str]]:
+    """The memo key of each block of BLOCK bits of x, in order. Whole
+    blocks before x's first non-bit are keyed on the byte of their base64
+    digit: the number they spell, padded with zeros to whole bytes, in
+    base64, less the digits past the last whole block. They stop at the
+    first non-bit, as `int(·, 2)` would also read "_", spaces, signs and
+    non-ASCII digits. Any other block is keyed on its string."""
+    n = len(x)
+    if n < BLOCK:  # no whole block: a step-1 grid runs one bit per call
+        return (x,) if x else ()
+    bits = x if is_bits(x) else x[: n - len(x.lstrip("01"))]  # up to the first non-bit
+    whole = len(bits) // BLOCK
+    pad = -whole * BLOCK % 8
+    number = int(bits or "0", 2) >> len(bits) % BLOCK << pad  # "" if x starts with a non-bit
+    digits = b2a_base64(number.to_bytes((whole * BLOCK + pad) // 8, "big"), newline=False)
+    return chain(digits[:whole], (x[i : i + BLOCK] for i in range(whole * BLOCK, n, BLOCK)))
 
 
 def fst_lengths(T: FstSpec, bits: str, points: Sequence[int]) -> Iterator[int]:

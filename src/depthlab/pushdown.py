@@ -22,25 +22,19 @@ so a push or pop at the top costs O(1) amortized and a run is linear in
 its input whatever the stack height. Each spec compiles its moves once,
 on first run, into tables keyed by (state, [bit,] top byte).
 
-The same pass picks the lane a run takes. A spec that is a transducer
-(no input-free move, every move reads and re-pushes the bottom marker,
-and a move on every (state, bit)) never touches its stack, so while the
-stack is the bottom marker alone it runs on `fst_run` and `fst_lengths`
-over an FstSpec of its moves. Any other run reads its input in blocks of
-PDC_BLOCK bits and looks each up once in a memo the spec owns. A whole
-block is keyed on its base64 digit, which one pass in C codes for all of
-a segment's whole blocks, and a shorter last block, or any from the
-first non-bit on, on its bits. A popping state, one with a bit move that
-pops, as in a matching phase that pops one symbol per bit, keys its
+Every run, a stack-free one's included, reads its input in blocks of
+BLOCK bits, coded by `fst.block_keys` as `fst_run`'s are, and looks each
+up once in a memo the spec owns. A popping state, one with a bit move
+that pops, as in a matching phase that pops one symbol per bit, keys its
 blocks on (state, block, top PDC_WINDOW symbols); any other state keys
 them on (state, block, top byte). A hit pops the key symbols the block
 replaces, pushes what it adds and emits, so a run costs one lookup per
-block rather than per bit. A miss replays
-the block (`_replay`). One whose replay sticks or reads below its key,
-as when an input-free closure pops, is memoized as no block and runs one
-bit at a time on the real stack, so stuck positions are exactly those of
-a bit-by-bit run. Past BLOCK_MEMO_CAP entries a spec's memo stops
-growing, and blocks it lacks run one bit at a time.
+block rather than per bit. A miss replays the block (`_replay`). One
+whose replay sticks or reads below its key, as when an input-free
+closure pops, is memoized as no block and runs one bit at a time on the
+real stack, so stuck positions are exactly those of a bit-by-bit run.
+Past BLOCK_MEMO_CAP entries a spec's memo stops growing, and blocks it
+lacks run one bit at a time.
 
 A replay that needs the symbol below its top has, at that point, nothing
 left on its stack but the unknown rest. So it stops with a continuation
@@ -56,15 +50,13 @@ that sticks, for the output before the stuck bit.
 """
 from __future__ import annotations
 
-from binascii import b2a_base64
 from collections import deque
 from functools import cache, cached_property
-from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import StuckError, ValidationError
-from .fst import (BITS, BLOCK_MEMO_CAP, FrozenRecord, FstSpec, ascii_number, fst_lengths,
-                  fst_run, identity_fst, parse_fst, read_text)
+from .fst import (BITS, BLOCK, BLOCK_MEMO_CAP, FrozenRecord, FstSpec, ascii_number,
+                  block_keys, identity_fst, is_bits, parse_fst, read_text)
 
 Z0 = "z"
 LAMBDA = ""
@@ -72,10 +64,9 @@ LAMBDA = ""
 MoveKey = tuple[int, str, str]  # (state, input bit or LAMBDA, stack top)
 Move = tuple[int, str, str]  # (target state, push string, emission)
 
-PDC_BLOCK = 6  # input bits per memoized block: one base64 digit, its key
 # Stack symbols a popping block is keyed on: one pop per bit, as in a
 # matching phase, plus the new top that the closure after the block reads.
-PDC_WINDOW = PDC_BLOCK + 1
+PDC_WINDOW = BLOCK + 1
 COMPOSE_STATE_CEILING = 200_000  # most product states compose_pdc_fst builds
 ESCAPE_BITS_CEILING = 10**7  # most bits build_half_compressor's escape codes emit
 
@@ -90,10 +81,9 @@ class PdcSpec(FrozenRecord):
     and each spec memoizes the blocks its runs read in `_blocks`: (state,
     block, key symbols) -> (state, slice of the key symbols popped or None
     for none, bottom-first push of what the block adds over the key
-    symbols it keeps, emission), or () for no block; the block is the byte
-    of its base64 digit for a whole block of bits, else its string, and
-    the key symbols are the top byte, or in a popping state the
-    bottom-first bytes of the top PDC_WINDOW symbols.
+    symbols it keeps, emission), or () for no block; the block is its
+    `block_keys` key, and the key symbols are the top byte, or in a
+    popping state the bottom-first bytes of the top PDC_WINDOW symbols.
     """
 
     _fields = ("num_states", "start", "stack_kind", "moves", "lambda_budget")
@@ -118,18 +108,18 @@ class PdcSpec(FrozenRecord):
         return "01" if self.stack_kind == "binary" else "0"
 
     @cached_property
-    def _tables(self) -> tuple[dict, dict, frozenset, frozenset, Optional[FstSpec]]:
+    def _tables(self) -> tuple[dict, dict, frozenset, frozenset, Optional[int]]:
         """The run engine's tables, built on first use in one pass over the
         moves: input-free moves (state, top byte) -> (target, push); bit
         moves (state, bit, top byte) -> (target, push, emission), each
         push reversed to bottom-first bytes; the states with an input-free
         move; the popping states, those with a bit move that pops; and,
-        when every move reads and re-pushes the bottom marker and every
-        (state, bit) has one, the spec as the transducer it is, else None."""
+        when every move reads and re-pushes the bottom marker, every
+        (state, bit) has one and every move emits c bits, c, else None."""
         free: dict[tuple[int, int], tuple[int, bytes]] = {}
         bit: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
         popping = set()
-        kept_z: dict[tuple[int, str], tuple[int, str]] = {}  # moves that re-push z
+        kept_z = []  # the emission widths of the moves that re-push z
         for (q, inp, top), (tgt, push, e) in self.moves.items():
             code = push[::-1].encode("latin-1")
             if inp == LAMBDA:
@@ -139,10 +129,10 @@ class PdcSpec(FrozenRecord):
             if not push:
                 popping.add(q)
             elif push == Z0:  # only a move on z may push z
-                kept_z[(q, inp)] = (tgt, e)
+                kept_z.append(len(e))
         total = len(kept_z) == len(self.moves) == 2 * self.num_states
-        transducer = FstSpec(self.num_states, self.start, kept_z) if total else None
-        return free, bit, frozenset(q for q, _ in free), frozenset(popping), transducer
+        c = kept_z[0] if total and len(set(kept_z)) == 1 else None
+        return free, bit, frozenset(q for q, _ in free), frozenset(popping), c
 
 
 class PdcRun(NamedTuple):
@@ -331,28 +321,17 @@ def _steps(
     C: PdcSpec, x: str, q: int, buf: bytearray, out: list[str]
 ) -> tuple[Optional[int], int]:
     """`_bit_steps` from a closed configuration, with the same result and
-    effects, but one memo lookup per block of PDC_BLOCK bits wherever the
-    memo has the block. A miss replays the block over its key symbols; the
-    entry's slice is built once rather than per hit. Whole blocks before
-    x's first non-bit are keyed on their `_digits`, as `int(·, 2)` would
-    also read "_", spaces, signs and non-ASCII digits; any other block on
-    its bits."""
+    effects, but one memo lookup per block of BLOCK bits wherever the memo
+    has the block, keyed on its `block_keys` key. A miss replays the block
+    over its key symbols; the entry's slice is built once rather than per
+    hit."""
     popping, blocks = C._tables[3], C._blocks
-    n = len(x)
-    if n < PDC_BLOCK:  # no whole block: a step-1 grid runs one bit per call
-        keys = (x,) if x else ()
-    else:
-        bits = (x if x.isascii() and not x.encode().translate(None, b"01")
-                else x[: n - len(x.lstrip("01"))])  # up to the first non-bit
-        digits = _digits(bits)
-        keys = chain(digits, (x[i : i + PDC_BLOCK]
-                              for i in range(len(digits) * PDC_BLOCK, n, PDC_BLOCK)))
-    for i, block in enumerate(keys):
+    for i, block in enumerate(block_keys(x)):
         key = (q, block, bytes(buf[-PDC_WINDOW:]) if q in popping else buf[-1])
         move = blocks.get(key)
         if not move:  # not memoized, or no block
-            at = i * PDC_BLOCK
-            block = x[at : at + PDC_BLOCK]
+            at = i * BLOCK
+            block = x[at : at + BLOCK]
             if move is None and len(blocks) < BLOCK_MEMO_CAP:
                 known = buf[-PDC_WINDOW:] if q in popping else buf[-1:]
                 got = _replay(C, q, known, block)
@@ -378,20 +357,6 @@ def _steps(
     return None, q
 
 
-def _digits(bits: str) -> bytes:
-    """One base64 digit per whole block of PDC_BLOCK bits in `bits`, a
-    string over 0/1, in order: the number the whole blocks spell, padded
-    with zeros to whole bytes, in base64, less the digits (and "=") past
-    the last whole block."""
-    whole = len(bits) // PDC_BLOCK
-    if not whole:
-        return b""
-    pad = -whole * PDC_BLOCK % 8
-    number = int(bits, 2) >> len(bits) % PDC_BLOCK << pad
-    code = b2a_base64(number.to_bytes((whole * PDC_BLOCK + pad) // 8, "big"), newline=False)
-    return code[:whole]
-
-
 def pdc_run(
     C: PdcSpec,
     x: str,
@@ -414,10 +379,6 @@ def pdc_run(
         raise ValidationError(f"stack must end with the bottom marker {Z0!r}")
     elif max(stack) > "\xff":
         raise ValidationError(f"stack symbol {max(stack)!r} is at or above U+0100")
-    transducer = C._tables[4]
-    if transducer is not None and stack == Z0:
-        run = fst_run(transducer, x, start=q)
-        return PdcRun(run.output, run.final_state, Z0)
     buf = bytearray(stack[::-1], "latin-1")
     out: list[str] = []
     _, q = _bit_steps(C, "", q, buf, out)  # closes the start
@@ -432,24 +393,25 @@ def pdc_lengths(
 ) -> Iterator[Union[int, StuckError]]:
     """The output bit count of C on bits[:n] for each n of the ascending
     `points` (all <= len(bits)), or the StuckError that stops it, which
-    every later point repeats."""
-    transducer = C._tables[4]
-    if transducer is not None:
-        yield from fst_lengths(transducer, bits, points)
+    every later point repeats. A total stack-free spec whose every move
+    emits c bits yields c*n when bits is all bits: no such run sticks."""
+    c = C._tables[4]
+    if c is not None and is_bits(bits):
+        yield from (c * n for n in points)
         return
     # The engine closes over input-free moves before every bit and after
     # the last, so once the start is closed every segment starts closed,
     # and resuming from the last (state, stack) runs exactly as a fresh
     # run would. The stack stays one bottom-first bytearray from segment
-    # to segment. Each segment first runs up to the next multiple of
-    # PDC_BLOCK, so blocks start at the same stream offsets whatever the
-    # grid, and a profile memoizes the blocks of a single run.
+    # to segment. A segment that crosses a multiple of BLOCK first runs up
+    # to it, so blocks start at the same stream offsets whatever the grid,
+    # and a profile memoizes the blocks of a single run.
     buf, total, prev = bytearray(Z0, "latin-1"), 0, 0
     out: list[str] = []  # one segment's emissions, counted and dropped
     _, q = _bit_steps(C, "", C.start, buf, out)  # closes the start
     for i, n in enumerate(points):
-        cut = min(n, -(-prev // PDC_BLOCK) * PDC_BLOCK)
-        for a, b in ((prev, cut), (cut, n)):
+        cut = -(-prev // BLOCK) * BLOCK
+        for a, b in ((prev, cut), (cut, n)) if prev < cut < n else ((prev, n),):
             pos, q = _steps(C, bits[a:b], q, buf, out)
             if pos is not None:
                 # Every longer prefix sticks at the same bit.

@@ -142,11 +142,16 @@ def chain_pdc_text(n: int, budget: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Characters that are not bits. `int(·, 2)` reads "_", leading whitespace,
+# signs and non-ASCII digits such as "\u0661"; it refuses "2" and "a".
+NON_BITS = ("_", " ", "\t", "+", "-", "2", "a", "\u0661")
+
+
 def flag_free_bits(n: int, seed: int) -> str:
     """n seeded random bits with every 9th forced to 0: no aligned 1^9 flag,
     so the half-compressor pushes all of them."""
     rng = random.Random(seed)
-    x = bytearray(format(rng.getrandbits(n), f"0{n}b"), "ascii")
+    x = bytearray(format(rng.getrandbits(n), f"0{n}b") if n else "", "ascii")
     x[8::9] = b"0" * len(x[8::9])
     return x.decode()
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    NON_BITS,
     counter_fst,
     oracle_fst_compose,
     oracle_fst_run,
@@ -73,13 +74,48 @@ def test_block_run_matches_per_bit_oracle(monkeypatch):
         for _ in range(60):
             T = random_fst(rng, max_states=4)
             T = FstSpec(T.num_states, T.start, T.moves)  # a cold memo
-            for length in range(4 * fst.FST_BLOCK + 2):
+            for length in range(4 * fst.BLOCK + 2):
                 x = "".join(rng.choice("01") for _ in range(length))
                 for _warm in range(2):
                     assert fst_run(T, x) == oracle_fst_run(T, x)
                     for q in range(1, T.num_states + 1):
                         assert fst_run(T, x, start=q) == oracle_fst_run(T, x, start=q)
             assert len(T._blocks) <= cap
+
+
+def run_or_key_error(run, T, x, start=None):
+    """run(T, x, start=start), or the args of the KeyError it raises."""
+    try:
+        return run(T, x, start=start)
+    except KeyError as exc:
+        return ("KeyError", exc.args)
+
+
+def test_non_bits_raise_where_the_oracle_does():
+    # int(·, 2) reads "_", leading whitespace and signs, and non-ASCII
+    # digits, so a block coded with its non-bit could reuse a bit block's
+    # entry, as "01_011" would "001011"'s. Each non-bit goes at every
+    # offset of the first whole block or of one after five, with more
+    # blocks behind it, on a memo warmed with all 64 bit blocks from every
+    # state: the run raises the oracle's KeyError on the non-bit.
+    rng = random.Random(30)
+    width = fst.BLOCK
+    for _ in range(12):
+        T = random_fst(rng, max_states=4)
+        T = FstSpec(T.num_states, T.start, T.moves)  # a cold memo
+        for q in range(1, T.num_states + 1):
+            for b in range(2**width):
+                fst_run(T, format(b, f"0{width}b"), start=q)
+        assert len(T._blocks) == T.num_states * 2**width
+        for head in (0, 5 * width):
+            for ch in NON_BITS:
+                for offset in range(width):
+                    bits = [rng.choice("01") for _ in range(head + 3 * width)]
+                    bits[head + offset] = ch
+                    x = "".join(bits)
+                    want = run_or_key_error(oracle_fst_run, T, x)
+                    assert want[0] == "KeyError" and want[1][0][1] == ch
+                    assert run_or_key_error(fst_run, T, x) == want
 
 
 def test_spec_validation():

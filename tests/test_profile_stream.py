@@ -116,8 +116,8 @@ def random_grid(rng, length):
 
 
 def step_grid(rng, length):
-    """A linear grid past the stream end whose step is 1, a multiple of
-    neither PDC_BLOCK nor FST_BLOCK, or one of them."""
+    """A linear grid past the stream end whose step is 1, prime to BLOCK,
+    or sharing a factor with it."""
     step = rng.choice([1, 5, 7, 11, 13, 6, 8])
     return list(range(rng.randint(1, step), length + 20, step))
 
@@ -131,8 +131,9 @@ def test_random_machines_match_batch(kind):
         C = random_pdc(rng, kind=kind)
         partial_pdc = drop_bit_move(rng, random_pdc(rng, kind=kind))
         T = random_fst(rng)
-        # A total stack-free spec streams on fst_lengths; one missing a
-        # move streams on the block engine and sticks. Both are drawn from
+        # A total stack-free spec streams on the block engine, or on the
+        # closed form when its moves emit one width; one missing a move
+        # streams on the block engine and sticks. Both are drawn from
         # their own generator, on a random grid and on a linear one.
         lanes = random.Random(f"stream-{kind}-lanes-{trial}")
         free = stack_free(random_fst(lanes, max_emit=lanes.choice([0, 3])))
@@ -258,6 +259,7 @@ def test_every_prefix_length_costs_one_pass(monkeypatch):
     grid = list(range(1, len(bits) + 1))
     prof = compute_profile(bits, [make_compressor("identity-pdc"), strong], grid)
     assert sum(fed["_steps"]) == len(bits)
+    assert 0 not in fed["_steps"]
     assert fed["fst_run"] == []
     assert [n for n, _, _ in prof.rows] == grid
     C = build_half_compressor(9, 9, 0)

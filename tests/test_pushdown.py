@@ -13,6 +13,7 @@ from conftest import (
     chain_pdc,
     chain_pdc_text,
     chains_by_brute_force,
+    NON_BITS,
     drop_bit_move,
     flag_free_bits,
     free_moves,
@@ -46,13 +47,12 @@ from depthlab import (
     stack_free,
 )
 from depthlab.cli import main
+from depthlab.fst import BLOCK, FstSpec, block_keys
 from depthlab.pushdown import (
     _BELOW,
     LAMBDA,
-    PDC_BLOCK,
     PDC_WINDOW,
     Z0,
-    _digits,
     _lambda_chains,
     pdc_lengths,
 )
@@ -872,6 +872,15 @@ def test_engine_runs_input_free_chains_at_their_budget():
     )
 
 
+def test_flag_free_bits_of_short_lengths():
+    # Every 9th bit is 0, so no 1^9 occurs, and length 0 gives no bits.
+    assert flag_free_bits(0, 1) == ""
+    for n in range(1, 40):
+        x = flag_free_bits(n, n)
+        assert len(x) == n and set(x) <= set("01") and "1" * 9 not in x
+        assert x[8::9] == "0" * len(x[8::9])
+
+
 def test_deep_stack_run():
     x = flag_free_bits(10**6, 5)
     r = pdc_run(build_half_compressor(9, 9, 0), x)
@@ -932,7 +941,7 @@ def test_block_engine_matches_oracle_cold_and_warm():
             return symbols(rng.randint(0, 12)) + rng.choice([Z0, _BELOW + Z0])
 
         for spec in (C, drop_bit_move(rng, C), popping(rng, C)):
-            for length in range(8 * PDC_BLOCK + 2):
+            for length in range(8 * BLOCK + 2):
                 x = "".join(rng.choice("01") for _ in range(length))
                 state = rng.randint(1, spec.num_states)
                 top = symbols(rng.choice([1, rng.randint(2, PDC_WINDOW - 1),
@@ -945,7 +954,7 @@ def test_block_engine_matches_oracle_cold_and_warm():
                     kinds["stuck on _BELOW" if on_below else got[0]] += 1
                     kinds["shorter" if len(stack) < PDC_WINDOW else "taller"] += 1
                     if got[0] == "stuck":
-                        stuck_offsets.add(got[1] % PDC_BLOCK)
+                        stuck_offsets.add(got[1] % BLOCK)
                 kinds["blocks memoized"] += sum(map(bool, spec._blocks.values()))
                 windows = [spec._blocks[key] for key in window_keys(spec)]
                 kinds["window blocks"] += sum(map(bool, windows))
@@ -955,21 +964,24 @@ def test_block_engine_matches_oracle_cold_and_warm():
                     key[0] in popping_states for key in window_keys(spec)
                 )
     assert min(kinds.values()) > 500, kinds
-    assert stuck_offsets == set(range(PDC_BLOCK))
+    assert stuck_offsets == set(range(BLOCK))
 
 
-def test_transducer_lane_matches_oracle_cold_and_warm():
-    # A total stack-free spec runs on fst_run over its transducer view
-    # whenever its stack is just z, and never fills its own block memo. A
-    # copy missing one move stays on the block engine and sticks where
-    # the oracle does, and a stack-free spec over 0z sticks at once. From
-    # every state, on a cold memo and then on the memo that run filled.
+def test_stack_free_specs_match_oracle_cold_and_warm():
+    # A stack-free spec runs on the block engine as any other spec does,
+    # and fills its own block memo. Its tables give c, its one emission
+    # width, when it is total and every move emits c bits, else None. A
+    # copy missing one move sticks where the oracle does, and a stack-free
+    # spec over 0z sticks at once. From every state, on a cold memo and
+    # then on the memo that run filled.
     rng = random.Random(94)
-    kinds = Counter()
+    kinds, widths = Counter(), Counter()
     for _ in range(40):
         T = random_fst(rng, max_states=4, max_emit=rng.choice([0, 2, 3]))
         total = stack_free(T)
-        assert total._tables[4] == T
+        c = {len(e) for _, e in T.moves.values()}
+        assert total._tables[4] == (c.pop() if len(c) == 1 else None)
+        widths["one width" if total._tables[4] is not None else "mixed"] += 1
         partial = drop_bit_move(rng, total)
         assert partial._tables[4] is None
         for name, machine in (("total", total), ("partial", partial)):
@@ -983,15 +995,13 @@ def test_transducer_lane_matches_oracle_cold_and_warm():
                         if stack == "0" + Z0:
                             assert got[:2] == (("stuck", 0) if x else ("ran", ""))
                         kinds[f"{name} {got[0]} {memo}"] += 1
-                    on_lane_1 = spec._tables[4] is not None and stack != "0" + Z0
-                    assert bool(spec._blocks) == (not on_lane_1 and bool(x))
-                    if on_lane_1 and x:
-                        assert spec._tables[4]._blocks
+                    assert bool(spec._blocks) == bool(x)
     assert min(kinds.values()) > 50, kinds
     assert kinds.keys() == {
         f"{name} {end} {memo}" for name in ("total", "partial")
         for end in ("ran", "stuck") for memo in ("cold", "warm")
     }, kinds
+    assert min(widths.values()) > 5, widths
 
 
 def test_block_memo_stays_under_its_cap(monkeypatch):
@@ -1109,20 +1119,43 @@ def test_a_closure_below_the_top_byte_runs_bit_by_bit():
         assert C._blocks == {(1, coded("100000"), ord("0")): ()}
 
 
+# A two-state transducer whose moves emit 1, 0, 2 and 3 bits.
+MIX = FstSpec(2, 1, {(1, "0"): (2, "1"), (1, "1"): (1, ""),
+                     (2, "0"): (1, "00"), (2, "1"): (2, "101")})
+
+
+def reference_keys(x):
+    """block_keys one block at a time: a string shorter than a block is
+    its own key, a whole block before the first non-bit is its digit, and
+    any other block its string."""
+    if len(x) < BLOCK:
+        return [x] if x else []
+    first = next((i for i, ch in enumerate(x) if ch not in "01"), len(x))
+    whole = first // BLOCK * BLOCK
+    return ([coded(x[i : i + BLOCK]) for i in range(0, whole, BLOCK)]
+            + [x[i : i + BLOCK] for i in range(whole, len(x), BLOCK)])
+
+
 def test_block_codes_match_a_per_block_reference():
     # Every length up to four 24-bit groups, random 10^4-bit strings that
-    # start with zeros, and all-ones and all-zeros strings: one digit per
-    # whole block, in order, and none for a shorter last block.
+    # start with zeros, all-ones and all-zeros strings, and bits with a
+    # non-bit at a random place: one digit per whole block before the
+    # first non-bit, in order, then the string of every later block.
     rng = random.Random(96)
     cases = ["".join(rng.choice("01") for _ in range(n)) for n in range(97)]
     for _ in range(20):
         zeros = "0" * rng.randint(1, 40)
         cases.append(zeros + "".join(rng.choice("01") for _ in range(10**4 - len(zeros))))
     cases += [b * n for b in "01" for n in (6, 23, 24, 25, 96, 10**4)]
-    for bits in cases:
-        want = bytes(coded(bits[i : i + PDC_BLOCK])
-                     for i in range(0, len(bits) - PDC_BLOCK + 1, PDC_BLOCK))
-        assert _digits(bits) == want, bits
+    for bits in cases[:97]:
+        at = rng.randint(0, len(bits))
+        cases.append(bits[:at] + rng.choice(NON_BITS) + bits[at:])
+    kinds = Counter()
+    for x in cases:
+        want = reference_keys(x)
+        assert list(block_keys(x)) == want, x
+        kinds.update(type(key).__name__ for key in want)
+    assert min(kinds.values()) > 500, kinds
 
 
 def assert_runs_stuck_as_oracle(C, x):
@@ -1146,14 +1179,21 @@ def test_non_bits_stick_where_the_oracle_does():
     # entry, as "01_011" would "001011"'s. Each non-bit goes at every
     # offset of the first whole block or of one after five, with more
     # blocks behind it, on a memo warmed with all 64 bit blocks there.
+    # Stack-free specs stick there too, whether their moves all emit one
+    # bit, all two, or a mix, though a stream of bits reads c*n unrun.
     rng = random.Random(97)
-    for C in (build_half_compressor(9, 9, 0), pop_machine()):
-        for head in ("", flag_free_bits(5 * PDC_BLOCK, 3)):
-            for b in range(2**PDC_BLOCK):
-                pdc_run(C, head + format(b, f"0{PDC_BLOCK}b"))
-            for ch in ("_", " ", "\t", "+", "-", "2", "a", "\u0661"):
-                for offset in range(PDC_BLOCK):
-                    block = flag_free_bits(PDC_BLOCK, offset)
+    uniform = FstSpec(2, 1, {(1, "0"): (2, "01"), (1, "1"): (1, "10"),
+                             (2, "0"): (1, "11"), (2, "1"): (2, "00")})
+    specs = (build_half_compressor(9, 9, 0), pop_machine(), identity_pdc(),
+             stack_free(uniform), stack_free(MIX))
+    assert [C._tables[4] for C in specs] == [None, None, 1, 2, None]
+    for C in specs:
+        for head in ("", flag_free_bits(5 * BLOCK, 3)):
+            for b in range(2**BLOCK):
+                pdc_run(C, head + format(b, f"0{BLOCK}b"))
+            for ch in NON_BITS:
+                for offset in range(BLOCK):
+                    block = flag_free_bits(BLOCK, offset)
                     block = block[:offset] + ch + block[offset + 1 :]
                     tail = "".join(rng.choice("01") for _ in range(rng.randint(0, 18)))
                     assert_runs_stuck_as_oracle(C, head + block + tail)
@@ -1175,7 +1215,7 @@ def test_popping_lane_under_a_small_memo_cap(monkeypatch):
             for state in range(1, C.num_states + 1):
                 height = rng.choice([rng.randint(0, PDC_WINDOW - 1), 2 * PDC_WINDOW])
                 stack = "".join(rng.choice(syms) for _ in range(height)) + Z0
-                length = rng.randint(1, 5 * PDC_BLOCK)
+                length = rng.randint(1, 5 * BLOCK)
                 x = "".join(rng.choice("01") for _ in range(length))
                 spec = cold_copy(C)
                 for _ in range(2):
@@ -1250,11 +1290,11 @@ def test_composed_deep_run_steps_few_bits_warm(monkeypatch):
 
 
 def test_profile_keeps_block_alignment_across_grid_points():
-    # A grid step that is not a multiple of PDC_BLOCK: if each segment
+    # A grid step that is not a multiple of BLOCK: if each segment
     # started its own blocks, the profile would memoize 2.9 times the
     # entries of one run over the stream.
     bits = SequenceRecipe(kind="b", k=9, stages=81, seed=1).generate().bits
-    assert 1000 % PDC_BLOCK
+    assert 1000 % BLOCK
     points = list(range(1000, len(bits) + 1, 1000))
     single, profiled = build_half_compressor(9, 9, 0), build_half_compressor(9, 9, 0)
     out = pdc_run(single, bits[: points[-1]]).output
