@@ -167,10 +167,10 @@ def block_keys(x: str) -> Iterable[Union[int, str]]:
 def fst_lengths(T: FstSpec, bits: str, points: Sequence[int]) -> Iterator[int]:
     """The output bit count of T on bits[:n] for each n of the ascending
     `points` (all <= len(bits)), resuming from the last point's state.
-    When every move emits c bits, bits[:n] yields c*n without a run: the
-    move map is total, so no run can stop early."""
+    When every move emits c bits and bits is all bits, bits[:n] yields c*n
+    without a run: the move map is total, so no run can stop early."""
     widths = {len(e) for _, e in T.moves.values()}
-    if len(widths) == 1:
+    if len(widths) == 1 and is_bits(bits):
         c = widths.pop()
         yield from (c * n for n in points)
         return

@@ -42,7 +42,8 @@ left on its stack but the unknown rest. So it stops with a continuation
 down exactly as a replay over both symbols would. Composition relies on
 this to replay each (state, top, unread input) once, however deep its
 buffer: the product state that pops a symbol resumes its parent's
-continuations.
+continuations. It also keys that state by those continuations, not by the
+symbols it popped, so buffers that replay alike share one state.
 
 `pdc_lengths` runs a spec over a stream's prefixes in one pass, resuming
 from its (state, stack) at every grid point, and reruns only a prefix
@@ -50,7 +51,6 @@ that sticks, for the output before the stuck bit.
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import cache, cached_property
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -480,19 +480,23 @@ def il_check(T: FstSpec, L: int) -> Optional[tuple[str, str]]:
 def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     """A compressor N with N(x) = C(T(x)) for every x.
 
-    Product states are (state of C, state of T, buffered stack prefix).
-    Each bit move replays C over T's emission for that bit on the buffered
-    region of the stack; when the replay would need symbols below the
-    known region, N instead pops one more symbol into its buffer with an
-    input-free move. The buffer never needs to exceed (1 + worst pops per
-    closure) symbols per emitted bit, so filling terminates. Unary stacks
-    stay unary. Raises when the reachable product exceeds
-    COMPOSE_STATE_CEILING states.
+    A product state pairs a state of C with one of T over a buffer of
+    stack symbols it has popped. Each bit move replays C over T's emission
+    for that bit on the buffer and the top; when the replay would need
+    symbols below them, N instead pops one more symbol into its buffer with
+    an input-free move. The buffer never needs to exceed (1 + worst pops
+    per closure) symbols per emitted bit, so filling terminates. Unary
+    stacks stay unary.
 
-    A product state that buffers a symbol keeps its parent's replays, per
-    bit, queued in build order: finished, stuck, or a `_Resume` that runs on
-    over the new top. A state reads T's two moves once, and each (state,
-    top, unread input) is replayed once per call: a lookup per top and bit.
+    A state that buffers a symbol keeps its parent's replays, per bit:
+    finished, stuck, or a `_Resume` that runs on over the new top. Its row
+    depends on those and T's state alone, so its key holds them, each
+    tagged with its kind, with its depth and the states of C and T its
+    buffer started from, not the symbols it holds: the product is a
+    quotient of the one keyed by buffers, with the same runs. Raises when the reachable product exceeds COMPOSE_STATE_CEILING
+    of these merged states. A state reads T's two moves once, and each
+    (state, top, unread input) is replayed once per call: a lookup per top
+    and bit.
     """
     d = T.max_emission()
     syms = C.stack_symbols()
@@ -501,11 +505,12 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     # built from arbitrary configurations) plus, per emitted bit, one
     # bit-move pop and one closure.
     cap = C._chains[1] * (d + 1) + d
-    index: dict[tuple[int, int, str], int] = {}
-    order: list[tuple[int, int, str]] = []
-    kept: deque = deque()  # per state to build: replays on 0, 1, or None, None
+    index: dict[tuple, int] = {}
+    # (state of C, state of T, 0), or a buffering state's key, which holds
+    # its replays on 0 and 1 after its depth.
+    order: list[tuple] = []
 
-    def ref(key: tuple[int, int, str], g0=None, g1=None) -> int:
+    def ref(key: tuple) -> int:
         i = index.get(key)
         if i is None:
             if len(order) >= COMPOSE_STATE_CEILING:
@@ -514,7 +519,6 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
                 )
             i = index[key] = len(order) + 1
             order.append(key)
-            kept.extend((g0, g1))
         return i
 
     memo: dict[tuple[int, str, str], object] = {}
@@ -543,24 +547,24 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     n = len(syms) + 1
     slots = ((n - 1, Z0), *enumerate(syms))  # z first: this order fixes the numbering
     moves: dict[MoveKey, Move] = {}
-    start = ref((C.start, T.start, ""))
-    for idx, (qc, qt, buf) in enumerate(order, start=1):  # sees what ref() appends
+    start = ref((C.start, T.start, 0))
+    for idx, (qc, qt, depth, *kept) in enumerate(order, start=1):  # sees what ref() appends
         (qt0, e0), (qt1, e1) = T._rows[qt]  # T's moves on 0 and 1
-        r0, r1 = kept.popleft(), kept.popleft()
-        if r0 is r1 is None:
-            r0, r1 = _Resume(qc, e0, ""), _Resume(qc, e1, "")
+        r0, r1 = kept[:2] if depth else (_Resume(qc, e0, ""), _Resume(qc, e1, ""))
         row = [None] * (3 * n)
         for i, a in slots:
             g0, g1 = resume(r0, a), resume(r1, a)
             if type(g0) is _Resume or type(g1) is _Resume:
-                if len(buf) >= cap:
+                if depth >= cap:
                     raise AssertionError("buffer bound violated in composition")
-                row[i] = (idx, LAMBDA, a), (ref((qc, qt, buf + a), g0, g1), "", "")
+                # Tagged: a _Resume equals the plain tuple of its fields.
+                key = (qc, qt, depth + 1, g0, g1, type(g0), type(g1))
+                row[i] = (idx, LAMBDA, a), (ref(key), "", "")
                 continue
             if g0 is not None:
-                row[n + i] = (idx, "0", a), (ref((g0[0], qt0, "")), g0[1], g0[2])
+                row[n + i] = (idx, "0", a), (ref((g0[0], qt0, 0)), g0[1], g0[2])
             if g1 is not None:
-                row[2 * n + i] = (idx, "1", a), (ref((g1[0], qt1, "")), g1[1], g1[2])
+                row[2 * n + i] = (idx, "1", a), (ref((g1[0], qt1, 0)), g1[1], g1[2])
         moves.update(filter(None, row))
     return PdcSpec(len(order), start, C.stack_kind, moves, cap)
 

@@ -31,7 +31,7 @@ from depthlab import (
     repeater_fst,
     stack_free,
 )
-from depthlab.fst import BITS
+from depthlab.fst import BITS, fst_lengths
 
 bitstrings = st.text(alphabet="01", max_size=12)
 
@@ -116,6 +116,20 @@ def test_non_bits_raise_where_the_oracle_does():
                     want = run_or_key_error(oracle_fst_run, T, x)
                     assert want[0] == "KeyError" and want[1][0][1] == ch
                     assert run_or_key_error(fst_run, T, x) == want
+
+
+def test_lengths_raise_on_non_bits_where_the_oracle_does():
+    # Every move of these emits c bits, which yields c*n unread only on bits.
+    for T, c in ((identity_fst(), 1), (repeater_fst("10"), 2)):
+        for ch in NON_BITS:
+            x = f"01{ch}0"
+            want = run_or_key_error(oracle_fst_run, T, x)
+            assert want == ("KeyError", ((1, ch),))
+            lengths = fst_lengths(T, x, [1, 2, 4])
+            assert [next(lengths), next(lengths)] == [c, 2 * c]
+            with pytest.raises(KeyError) as info:
+                next(lengths)
+            assert ("KeyError", info.value.args) == want
 
 
 def test_spec_validation():

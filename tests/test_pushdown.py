@@ -47,7 +47,7 @@ from depthlab import (
     stack_free,
 )
 from depthlab.cli import main
-from depthlab.fst import BLOCK, FstSpec, block_keys
+from depthlab.fst import BLOCK, FstSpec, block_keys, parse_fst
 from depthlab.pushdown import (
     _BELOW,
     LAMBDA,
@@ -308,28 +308,82 @@ def test_compose_matches_oracle_random():
 def test_compose_half_compressor_text_pinned():
     # Guards product-state numbering, which C(T(x)) = x checks cannot see.
     text = format_pdc(compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst()))
-    assert len(text.splitlines()) == 6793
+    assert len(text.splitlines()) == 2849
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0df8bef4adff94bb6bf978272dcd855c3cc48352ec60ec45173835538daa387b"
+        "fc37c2e91f9f6539d5b6b70d08475fda9c4fbb839a5a215d05bd355f67c6b019"
     )
 
 
+def test_compose_merges_buffering_states_by_their_replays():
+    # Keyed by the symbols it buffered, the product has 1,552 states, 6,792
+    # moves and 1,516 input-free ones; states whose replays agree share a row.
+    N = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
+    assert (N.num_states, len(N.moves), len(free_moves(N.moves))) == (584, 2848, 584)
+
+
 def test_compose_state_ceiling(monkeypatch):
+    # The ceiling counts merged states: 584 here, where the product keyed by
+    # buffers has 1,552, so a ceiling between them builds it.
     C = build_half_compressor(9, 9, 0)
-    monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", 10)
-    with pytest.raises(ValidationError):
-        compose_pdc_fst(C, identity_fst())
+    for ceiling in (10, 583):
+        monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", ceiling)
+        with pytest.raises(ValidationError, match=f"exceeds state ceiling {ceiling}$"):
+            compose_pdc_fst(C, identity_fst())
+    for ceiling in (584, 1551):
+        monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", ceiling)
+        assert compose_pdc_fst(C, identity_fst()).num_states == 584
 
 
-def compose_outcome(compose, *args):
-    """The composed machine's text, or the type and message of the error."""
-    try:
-        return format_pdc(compose(*args))
-    except (ValidationError, AssertionError) as exc:
-        return type(exc).__name__, str(exc)
+def assert_quotient(O: PdcSpec, N: PdcSpec) -> None:
+    """Assert that a map from O's states onto N's exists, start to start,
+    under which every move of O, (s, input, top) -> (t, push, e), is the
+    move of s's image on that input and top, with that push and emission,
+    leading to t's image, and the image has no other moves. N then runs as
+    O does on every input and stack: same output, stack and stuck position."""
+    assert (N.stack_kind, N.lambda_budget) == (O.stack_kind, O.lambda_budget)
+    def rows(M: PdcSpec) -> list[dict]:
+        by_state = [{} for _ in range(M.num_states + 1)]
+        for (q, inp, top), move in M.moves.items():
+            by_state[q][inp, top] = move
+        return by_state
+
+    rows_O, rows_N = rows(O), rows(N)
+    image, todo = {O.start: N.start}, [O.start]
+    while todo:
+        s = todo.pop()
+        row, image_row = rows_O[s], rows_N[image[s]]
+        assert row.keys() == image_row.keys(), (s, image[s])
+        for key, (t, push, e) in row.items():
+            t2, push2, e2 = image_row[key]
+            assert (push2, e2) == (push, e), (s, key)
+            if t not in image:
+                image[t] = t2
+                todo.append(t)
+            assert image[t] == t2, (s, key)
+    assert len(image) == O.num_states
+    assert set(image.values()) == set(range(1, N.num_states + 1))
 
 
-def test_compose_matches_whole_buffer_oracle(monkeypatch):
+def compose_against_oracle(C: PdcSpec, T: FstSpec, ceiling: int = 200_000):
+    """compose_pdc_fst(C, T) under a state ceiling, and the whole-buffer
+    oracle's product with the ceiling lifted, of which the uncapped product
+    must be a quotient. Under the ceiling it builds that quotient, or None
+    when the ceiling refuses it for having more states."""
+    want = oracle_compose_pdc_fst(C, T)
+    full = compose_pdc_fst(C, T)
+    assert_quotient(want, full)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pushdown, "COMPOSE_STATE_CEILING", ceiling)
+        if full.num_states > ceiling:
+            with pytest.raises(ValidationError, match=f"^composition exceeds state ceiling {ceiling}$"):
+                compose_pdc_fst(C, T)
+            return None, want
+        got = compose_pdc_fst(C, T)
+    assert format_pdc(got) == format_pdc(full)
+    return got, want
+
+
+def test_compose_matches_whole_buffer_oracle():
     rng = random.Random(111)
     kinds = Counter()
     for i in range(600):
@@ -337,16 +391,11 @@ def test_compose_matches_whole_buffer_oracle(monkeypatch):
         lambda_prob = (0.0, 0.2, 0.4, 0.6, 0.8)[i // 2 % 5]
         C = random_pdc(rng, kind=kind, max_states=4, lambda_prob=lambda_prob)
         T = random_fst(rng, max_states=3, max_emit=2)
-        ceiling = rng.choice([4, 12, 200_000])
-        monkeypatch.setattr(pushdown, "COMPOSE_STATE_CEILING", ceiling)
-        got = compose_outcome(compose_pdc_fst, C, T)
-        assert got == compose_outcome(oracle_compose_pdc_fst, C, T, ceiling), (C, T)
-        if isinstance(got, str):  # N's input-free moves each buffer a symbol
-            N = parse_pdc(got)
-            kinds[f"buffers {min(N._chains[0], 2)}"] += 1
-        else:
-            assert got[1].startswith("composition exceeds state ceiling"), got
+        got, want = compose_against_oracle(C, T, rng.choice([4, 12, 200_000]))
+        if got is None:
             kinds["ceiling"] += 1
+        else:  # N's input-free moves each buffer a symbol
+            kinds[f"buffers {min(got._chains[0], 2)}"] += 1
     assert kinds.keys() == {"buffers 0", "buffers 1", "buffers 2", "ceiling"}, kinds
     assert min(kinds.values()) > 20, kinds
 
@@ -362,8 +411,48 @@ def test_compose_matches_whole_buffer_oracle_where_replays_stick():
             if any(inp != LAMBDA for _, inp, _ in C.moves):
                 C = drop_bit_move(rng, C)
         T = random_fst(rng, max_states=3, max_emit=2)
-        got = compose_outcome(compose_pdc_fst, C, T)
-        assert got == compose_outcome(oracle_compose_pdc_fst, C, T), (C, T)
+        compose_against_oracle(C, T)
+
+
+def top_blind(rng: random.Random, C: PdcSpec) -> PdcSpec:
+    """Binary C with some states' moves on top 1 replaced by their moves on
+    top 0, so buffers that differ in those symbols replay alike."""
+    moves = dict(C.moves)
+    for q in range(1, C.num_states + 1):
+        if rng.random() < 0.8:
+            moves = {key: v for key, v in moves.items() if key[::2] != (q, "1")}
+            moves.update({(q, inp, "1"): v for (p, inp, top), v in C.moves.items()
+                          if (p, top) == (q, "0")})
+    return PdcSpec(C.num_states, C.start, C.stack_kind, moves, C.lambda_budget)
+
+
+def test_compose_merges_where_moves_ignore_the_top_symbol():
+    # Random specs seldom merge (3 of the 600 above): a unary buffer is
+    # fixed by its depth, and a binary one seldom replays as another does.
+    rng = random.Random(117)
+    merged = 0
+    for i in range(300):
+        C = top_blind(rng, random_pdc(rng, max_states=4, lambda_prob=(0.4, 0.6, 0.8)[i % 3]))
+        if i % 2:
+            C = drop_bit_move(rng, C)
+        got, want = compose_against_oracle(C, random_fst(rng, max_states=3, max_emit=3))
+        merged += got.num_states < want.num_states
+    assert merged > 50, merged
+
+
+def test_compose_tells_finished_replays_from_continuations():
+    # Product state 3 buffers a symbol; its children on tops 0 and 1 keep
+    # replays with equal fields, one finished and one a continuation, on
+    # the bits in swapped roles. Keyed without their kinds, they would
+    # merge, and the one left would emit 00 where C emits 0001 below.
+    C = parse_pdc("pdc 1 1 binary 2\n1 0 0 -> 1 - -\n1 0 1 -> 1 00 -\n1 0 z -> 1 0z 01\n"
+                  "1 1 0 -> 1 00 0\n1 1 1 -> 1 - 0\n1 1 z -> 1 1z -\n")
+    T = parse_fst("fst 2 1\n1 0 -> 2 -\n1 1 -> 2 -\n2 0 -> 2 110\n2 1 -> 2 100\n")
+    got, want = compose_against_oracle(C, T)
+    assert got.num_states == want.num_states == 5
+    # Product state 2 is (state 1 of C, state 2 of T), unbuffered.
+    run, want_run = pdc_run(got, "0", state=2, stack="11z"), pdc_run(C, "110", stack="11z")
+    assert (run.output, run.final_stack) == (want_run.output, want_run.final_stack) == ("0001", "0z")
 
 
 def random_compose_cases():
@@ -395,7 +484,7 @@ def test_products_are_built_in_file_order():
     half = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
     text = format_pdc(half)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0df8bef4adff94bb6bf978272dcd855c3cc48352ec60ec45173835538daa387b"
+        "fc37c2e91f9f6539d5b6b70d08475fda9c4fbb839a5a215d05bd355f67c6b019"
     )
     products = [half, *(compose_pdc_fst(C, T) for C, T in random_compose_cases())]
     assert len(products) == 913
@@ -792,7 +881,7 @@ def test_each_spec_walks_its_input_free_moves_once(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(pushdown, "_lambda_chains", counted)
     N = compose_pdc_fst(C, identity_fst())
     free = [len(free_moves(M.moves)) for M in (C, N)]
-    assert free == [33, 1516] and len(N.moves) == 6792
+    assert free == [33, 584] and len(N.moves) == 2848
     assert sizes == free[1:]
     (tmp_path / "half.pdc").write_text(format_pdc(C))
     (tmp_path / "ident.fst").write_text("fst 1 1\n1 0 -> 1 0\n1 1 -> 1 1\n")
@@ -1009,7 +1098,7 @@ def test_block_memo_stays_under_its_cap(monkeypatch):
     # random bits, and the half-compressor, whose matching phases pop one
     # symbol per bit, on recipe b.
     N = compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())
-    assert N.num_states == 1552
+    assert N.num_states == 584
     rng = random.Random(19)
     cases = [
         (N, "".join(rng.choice("01") for _ in range(20_000))),
