@@ -86,7 +86,8 @@ class FstSpec(FrozenRecord):
     `moves` maps (state, bit) -> (target state, emitted bits, possibly
     empty). Searches read it by state from `_rows`, built with the spec,
     and runs memoize blocks in `_blocks`, (state, block) -> (state,
-    emission), so the map must not change.
+    emission), so the map must not change. Every move emits `width` bits,
+    or `width` is None.
     """
 
     _fields = ("num_states", "start", "moves")
@@ -112,8 +113,10 @@ class FstSpec(FrozenRecord):
         # rows[q] is q's moves on 0 and 1, for searches that step every state:
         # built here, as a cached_property's first read costs more than these.
         rows = ((), *((moves[(q, "0")], moves[(q, "1")]) for q in range(1, m + 1)))
-        vars(self).update(num_states=m, start=start, moves=moves, _rows=rows,
-                          _longest=max(len(e) for _, e in moves.values()), _blocks={})
+        widths = {len(e) for _, e in moves.values()}
+        longest = max(widths)
+        vars(self).update(num_states=m, start=start, moves=moves, _rows=rows, _longest=longest,
+                          width=longest if len(widths) == 1 else None, _blocks={})
 
     def max_emission(self) -> int:
         return self._longest
@@ -169,10 +172,8 @@ def fst_lengths(T: FstSpec, bits: str, points: Sequence[int]) -> Iterator[int]:
     `points` (all <= len(bits)), resuming from the last point's state.
     When every move emits c bits and bits is all bits, bits[:n] yields c*n
     without a run: the move map is total, so no run can stop early."""
-    widths = {len(e) for _, e in T.moves.values()}
-    if len(widths) == 1 and is_bits(bits):
-        c = widths.pop()
-        yield from (c * n for n in points)
+    if T.width is not None and is_bits(bits):
+        yield from (T.width * n for n in points)
         return
     q, total, prev = T.start, 0, 0
     for n in points:

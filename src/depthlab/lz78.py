@@ -14,7 +14,7 @@ import math
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import ValidationError
-from .fst import check_bits
+from .fst import check_bits, is_bits
 
 _ROOT = 0
 FEED_CHUNK = 1 << 16  # input bits LzParser.feed encodes to bytes at a time
@@ -127,7 +127,9 @@ def lz_parse(x: str) -> LzParse:
 
 def lz_lengths(bits: str, points: Sequence[int]) -> Iterator[int]:
     """len(lz_encode(bits[:n])) for each n of the ascending `points` (all
-    <= len(bits)), from one parse fed segment by segment."""
+    <= len(bits)), from one parse fed segment by segment; non-bits raise."""
+    if not is_bits(bits):
+        raise ValidationError("LZ78 input must be a string over 0/1")
     parser, prev = LzParser(), 0
     for n in points:
         parser.feed(bits[prev:n])

@@ -20,7 +20,7 @@ is the bottom marker. Inside a run it is a bottom-first `bytearray`, one
 byte per symbol (the character's code, so symbols must lie below U+0100),
 so a push or pop at the top costs O(1) amortized and a run is linear in
 its input whatever the stack height. Each spec compiles its moves once,
-on first run, into tables keyed by (state, [bit,] top byte).
+on first run, into one table keyed as they are, with the top as its byte.
 
 Every run, a stack-free one's included, reads its input in blocks of
 BLOCK bits, coded by `fst.block_keys` as `fst_run`'s are, and looks each
@@ -108,31 +108,28 @@ class PdcSpec(FrozenRecord):
         return "01" if self.stack_kind == "binary" else "0"
 
     @cached_property
-    def _tables(self) -> tuple[dict, dict, frozenset, frozenset, Optional[int]]:
+    def _tables(self) -> tuple[dict, frozenset, frozenset, Optional[int]]:
         """The run engine's tables, built on first use in one pass over the
-        moves: input-free moves (state, top byte) -> (target, push); bit
-        moves (state, bit, top byte) -> (target, push, emission), each
-        push reversed to bottom-first bytes; the states with an input-free
-        move; the popping states, those with a bit move that pops; and,
-        when every move reads and re-pushes the bottom marker, every
-        (state, bit) has one and every move emits c bits, c, else None."""
-        free: dict[tuple[int, int], tuple[int, bytes]] = {}
-        bit: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
-        popping = set()
+        moves: `moves` with each top as its byte and each push reversed to
+        bottom-first bytes, (state, input, top byte) -> (target, push,
+        emission); the states with an input-free move; the popping states,
+        those with a bit move that pops; and, when every move reads and
+        re-pushes the bottom marker, every (state, bit) has one and every
+        move emits c bits, the width c, else None."""
+        table: dict[tuple[int, str, int], tuple[int, bytes, str]] = {}
+        closing, popping = set(), set()
         kept_z = []  # the emission widths of the moves that re-push z
         for (q, inp, top), (tgt, push, e) in self.moves.items():
-            code = push[::-1].encode("latin-1")
+            table[(q, inp, ord(top))] = (tgt, push[::-1].encode("latin-1"), e)
             if inp == LAMBDA:
-                free[(q, ord(top))] = (tgt, code)
-                continue
-            bit[(q, inp, ord(top))] = (tgt, code, e)
-            if not push:
+                closing.add(q)
+            elif not push:
                 popping.add(q)
             elif push == Z0:  # only a move on z may push z
                 kept_z.append(len(e))
         total = len(kept_z) == len(self.moves) == 2 * self.num_states
-        c = kept_z[0] if total and len(set(kept_z)) == 1 else None
-        return free, bit, frozenset(q for q, _ in free), frozenset(popping), c
+        width = kept_z[0] if total and len(set(kept_z)) == 1 else None
+        return table, frozenset(closing), frozenset(popping), width
 
 
 class PdcRun(NamedTuple):
@@ -260,26 +257,22 @@ def _bit_steps(
     after the last, input-free moves run until none applies. Returns
     (position, state): the position of the bit that had no move, or None
     when all of x ran, and the state the run ended in."""
-    free, bit, _, _, _ = C._tables
+    table = C._tables[0]
     i, n = 0, len(x)
-    while True:
-        move = free.get((q, buf[-1]))
-        while move is not None:
-            q, push = move
-            del buf[-1]
-            buf += push
-            move = free.get((q, buf[-1]))
-        if i == n:
-            return None, q
-        move = bit.get((q, x[i], buf[-1]))
+    while True:  # one move a turn: the input-free one if any, else the bit's
+        move = table.get((q, LAMBDA, buf[-1]))
         if move is None:
-            return i, q
+            if i == n:
+                return None, q
+            move = table.get((q, x[i], buf[-1]))
+            if move is None:
+                return i, q
+            i += 1
         q, push, e = move
         del buf[-1]
         buf += push
         if e:
             out.append(e)
-        i += 1
 
 
 _BELOW = "?"  # ends a partial stack: the unknown rest, read by no move
@@ -312,7 +305,7 @@ def _replay(C: PdcSpec, q: int, known: bytes, e: str):
     pos, q = _bit_steps(C, e, q, buf, out)
     if pos is not None:
         return _Resume(q, e[pos:], "".join(out)) if buf[-1] == _BELOW_BYTE else None
-    if len(buf) == 1 and q in C._tables[2]:  # only _BELOW is left
+    if len(buf) == 1 and q in C._tables[1]:  # only _BELOW is left
         return _Resume(q, "", "".join(out))
     return q, bytes(buf[1:]), "".join(out)
 
@@ -325,7 +318,7 @@ def _steps(
     has the block, keyed on its `block_keys` key. A miss replays the block
     over its key symbols; the entry's slice is built once rather than per
     hit."""
-    popping, blocks = C._tables[3], C._blocks
+    popping, blocks = C._tables[2], C._blocks
     for i, block in enumerate(block_keys(x)):
         key = (q, block, bytes(buf[-PDC_WINDOW:]) if q in popping else buf[-1])
         move = blocks.get(key)
@@ -395,9 +388,9 @@ def pdc_lengths(
     `points` (all <= len(bits)), or the StuckError that stops it, which
     every later point repeats. A total stack-free spec whose every move
     emits c bits yields c*n when bits is all bits: no such run sticks."""
-    c = C._tables[4]
-    if c is not None and is_bits(bits):
-        yield from (c * n for n in points)
+    width = C._tables[3]
+    if width is not None and is_bits(bits):
+        yield from (width * n for n in points)
         return
     # The engine closes over input-free moves before every bit and after
     # the last, so once the start is closed every segment starts closed,
@@ -493,10 +486,10 @@ def compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     depends on those and T's state alone, so its key holds them, each
     tagged with its kind, with its depth and the states of C and T its
     buffer started from, not the symbols it holds: the product is a
-    quotient of the one keyed by buffers, with the same runs. Raises when the reachable product exceeds COMPOSE_STATE_CEILING
-    of these merged states. A state reads T's two moves once, and each
-    (state, top, unread input) is replayed once per call: a lookup per top
-    and bit.
+    quotient of the one keyed by buffers, with the same runs. Raises when
+    the reachable product exceeds COMPOSE_STATE_CEILING of these merged
+    states. A state reads T's two moves once, and each (state, top, unread
+    input) is replayed once per call: a lookup per top and bit.
     """
     d = T.max_emission()
     syms = C.stack_symbols()

@@ -17,7 +17,6 @@ import random
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .errors import ValidationError
-from . import fscomplexity
 
 EXPONENTIAL_GROWTH = "exponential"
 SCALED_GROWTH = "scaled"
@@ -111,6 +110,7 @@ def fs_random_string(
         return random_bits(rng, length), Certificate("surrogate", k, bound, None)
     if mode != "certified":
         raise ValidationError(f"unknown mode {mode!r}")
+    from . import fscomplexity  # only certified mode loads it, and codec with it
     ceiling = fscomplexity.ENUM_CEILING  # read per call, as enum_fsts does
     if 3 * k > ceiling:
         raise ValidationError(f"certified mode needs 3k <= {ceiling}, got k={k}")
@@ -203,6 +203,8 @@ def gen_recipe_a(recipe: SequenceRecipe) -> GeneratedStream:
             if k not in rks:
                 # 2^k divides j, so interval 2^k <= j is in the schedule.
                 rk_len = part.lengths[2**k - 1]
+                if recipe.certify:  # only certified mode loads fscomplexity
+                    from . import fscomplexity
                 certified = recipe.certify and 3 * k <= fscomplexity.ENUM_CEILING
                 mode = "certified" if certified else "surrogate"
                 rks[k], _cert = fs_random_string(rk_len, k, mode=mode, seed=seed)

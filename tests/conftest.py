@@ -550,7 +550,7 @@ def oracle_replay(C: PdcSpec, qc: int, known: str, e: str):
     return r.final_state, r.final_stack[:-1], r.output
 
 
-def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000) -> PdcSpec:
+def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec) -> PdcSpec:
     """Oracle for compose_pdc_fst: every product state (state of C, state
     of T, buffered stack prefix) replays C over its whole buffer plus the
     top, for each top and bit, with no memo and no continuation."""
@@ -562,10 +562,8 @@ def oracle_compose_pdc_fst(C: PdcSpec, T: FstSpec, state_ceiling: int = 200_000)
 
     def ref(key):
         if key not in index:
-            if len(order) >= state_ceiling:
-                raise ValidationError(
-                    f"composition exceeds state ceiling {state_ceiling}"
-                )
+            if len(order) >= 200_000:
+                raise ValidationError("composition exceeds state ceiling 200000")
             index[key] = len(order) + 1
             order.append(key)
         return index[key]

@@ -5,19 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import OracleLzParser, oracle_lz_conditional
+from conftest import NON_BITS, OracleLzParser, oracle_lz_conditional
 from depthlab import (
     ValidationError,
     check_parse,
+    compute_profile,
     lz_conditional,
     lz_decode,
     lz_encode,
     lz_parse,
+    make_compressor,
     random_bits,
     repeat_bound,
 )
 from depthlab import lz78
-from depthlab.lz78 import LzParser, pointer_width
+from depthlab.lz78 import LzParser, lz_lengths, pointer_width
 
 
 def all_inputs(max_len):
@@ -150,6 +152,19 @@ def test_public_functions_refuse_a_non_bit_string():
         for fn, args in calls:
             with pytest.raises(ValidationError, match=f"must be a string over 0/1, got {bad!r}"):
                 fn(*args)
+
+
+def test_the_depth_column_refuses_a_non_bit_stream_unechoed():
+    # LzParser.feed picks a child table by the input byte, so lz_lengths
+    # read a space as 0 and raised a bare IndexError on "_". The LZ78
+    # column of a depth profile refuses such a stream before it parses
+    # any of it, and its message quotes none of a stream that may be long.
+    calls = [lambda: list(lz_lengths("0 1 0 1", [7])),
+             lambda: compute_profile("01_0", [make_compressor("lz78")], [1, 4])]
+    calls += [lambda ch=ch: next(lz_lengths("01" + ch + "0", [1])) for ch in NON_BITS]
+    for call in calls:
+        with pytest.raises(ValidationError, match="^LZ78 input must be a string over 0/1$"):
+            call()
 
 
 def test_parse_structure_checked():

@@ -1048,7 +1048,7 @@ def test_block_engine_matches_oracle_cold_and_warm():
                 windows = [spec._blocks[key] for key in window_keys(spec)]
                 kinds["window blocks"] += sum(map(bool, windows))
                 kinds["window no-blocks"] += windows.count(())
-                popping_states = spec._tables[3]
+                popping_states = spec._tables[2]
                 kinds["popping-state windows"] += sum(
                     key[0] in popping_states for key in window_keys(spec)
                 )
@@ -1069,10 +1069,10 @@ def test_stack_free_specs_match_oracle_cold_and_warm():
         T = random_fst(rng, max_states=4, max_emit=rng.choice([0, 2, 3]))
         total = stack_free(T)
         c = {len(e) for _, e in T.moves.values()}
-        assert total._tables[4] == (c.pop() if len(c) == 1 else None)
-        widths["one width" if total._tables[4] is not None else "mixed"] += 1
+        assert total._tables[3] == (c.pop() if len(c) == 1 else None)
+        widths["one width" if total._tables[3] is not None else "mixed"] += 1
         partial = drop_bit_move(rng, total)
-        assert partial._tables[4] is None
+        assert partial._tables[3] is None
         for name, machine in (("total", total), ("partial", partial)):
             for state in (None, *range(1, machine.num_states + 1)):
                 for stack in (None, Z0, "0" + Z0):
@@ -1198,7 +1198,7 @@ def test_a_closure_below_the_top_byte_runs_bit_by_bit():
              for q in (1, 3) for b in "01" for t in "01" + Z0}
     moves.update({(2, LAMBDA, t): (3, "" if t != Z0 else Z0, "") for t in "01" + Z0})
     C = PdcSpec(3, 1, "binary", moves, 1)
-    assert not C._tables[3]  # no popping state
+    assert not C._tables[2]  # no popping state
     top = "0110100"
     for rest in ("01" + Z0, "1" * 20 + Z0):  # cold, then warm
         stack = top + rest
@@ -1275,7 +1275,7 @@ def test_non_bits_stick_where_the_oracle_does():
                              (2, "0"): (1, "11"), (2, "1"): (2, "00")})
     specs = (build_half_compressor(9, 9, 0), pop_machine(), identity_pdc(),
              stack_free(uniform), stack_free(MIX))
-    assert [C._tables[4] for C in specs] == [None, None, 1, 2, None]
+    assert [C._tables[3] for C in specs] == [None, None, 1, 2, None]
     for C in specs:
         for head in ("", flag_free_bits(5 * BLOCK, 3)):
             for b in range(2**BLOCK):
@@ -1286,6 +1286,26 @@ def test_non_bits_stick_where_the_oracle_does():
                     block = block[:offset] + ch + block[offset + 1 :]
                     tail = "".join(rng.choice("01") for _ in range(rng.randint(0, 18)))
                     assert_runs_stuck_as_oracle(C, head + block + tail)
+
+
+def test_one_run_table_keys_every_move_as_the_spec_does():
+    # A spec compiles into one run table keyed as its moves are, with the
+    # top as its byte and each push reversed to bottom-first bytes: an
+    # input-free move sits under LAMBDA beside the bit moves. For the
+    # builtins, a composed product and random valid specs of both kinds.
+    rng = random.Random(98)
+    specs = [identity_pdc(), build_half_compressor(9, 9, 0), build_half_compressor(9, 81, 2),
+             compose_pdc_fst(build_half_compressor(9, 9, 0), identity_fst())]
+    specs += [random_pdc(rng, kind=rng.choice(["binary", "unary"]), max_states=5,
+                         lambda_prob=0.4) for _ in range(60)]
+    kinds = Counter()
+    for C in specs:
+        assert C._tables[0] == {
+            (q, inp, ord(top)): (tgt, push[::-1].encode("latin-1"), e)
+            for (q, inp, top), (tgt, push, e) in C.moves.items()
+        }
+        kinds.update("input-free" if inp == LAMBDA else "bit" for _, inp, _ in C.moves)
+    assert min(kinds.values()) > 500, kinds
 
 
 def test_popping_lane_under_a_small_memo_cap(monkeypatch):
@@ -1313,7 +1333,7 @@ def test_popping_lane_under_a_small_memo_cap(monkeypatch):
                 assert len(spec._blocks) <= cap
                 full[cap] += len(spec._blocks) == cap
                 full["popping-state windows"] += sum(
-                    key[0] in spec._tables[3] for key in window_keys(spec)
+                    key[0] in spec._tables[2] for key in window_keys(spec)
                 )
     assert min(full.values()) > 20, full
 

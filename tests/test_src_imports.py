@@ -84,7 +84,7 @@ COMMAND_ENGINES = {
     "encode-fst": (["encode-fst", "--machine", "id.fst"], {"codec"}),
     "decode-fst": (["decode-fst", "--bits", "110101100100"], {"codec"}),
     "generate": (["generate", "--recipe", "a", "--stages", "3", "--out", "a.bits"],
-                 {"seqgen", "fscomplexity", "codec"}),
+                 {"seqgen"}),
 }
 LOADED_SCRIPT = """
 import contextlib, io, sys
